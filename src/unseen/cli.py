@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -27,7 +28,13 @@ from .errors import (
     ParseError,
     SizeLimitError,
 )
-from .intervals import CredibleInterval, coverage, exact_interval, ml_interval
+from .intervals import (
+    CredibleInterval,
+    _check_mc_args,
+    coverage,
+    exact_interval,
+    ml_interval,
+)
 from .model import PYParams, SampleSummary, posterior_mean, posterior_pmf_closed, posterior_pmf_dp
 from .samplers import RngStream
 
@@ -131,27 +138,39 @@ def compute_row(
     return row
 
 
-def _parse_m_grid(spec: str, n: int, default_points: int = 50) -> list[int]:
-    """Parse 'LO..HI[:POINTS]' where LO/HI accept an 'n' suffix meaning a
-    multiple of the dataset sample size, e.g. '0..5n' or 'n..1000n:4'."""
+def _m_grid_spec(spec: str, default_points: int = 50):
+    """Split 'LO..HI[:POINTS]' into its bounds and point count.  Each bound
+    is (value, per_n): an 'n' suffix makes it a multiple of the dataset
+    sample size, e.g. '0..5n' or 'n..1000n:4'."""
 
-    def side(tok: str) -> int:
+    def side(tok: str):
         tok = tok.strip()
         if tok.endswith("n"):
-            mult = tok[:-1]
-            return int(round(float(mult) * n)) if mult else n
-        return int(tok)
+            mult = float(tok[:-1]) if tok[:-1] else 1.0
+            if not math.isfinite(mult):
+                raise ValueError
+            return mult, True
+        return int(tok), False
 
-    points = default_points
-    if ":" in spec:
-        spec, pts = spec.rsplit(":", 1)
-        points = int(pts)
-    if ".." not in spec:
-        raise DomainError(f"m-grid must look like 'LO..HI[:POINTS]', got {spec!r}")
-    lo_tok, hi_tok = spec.split("..", 1)
-    lo, hi = side(lo_tok), side(hi_tok)
-    if not (0 <= lo <= hi and points >= 1):
-        raise DomainError(f"bad m-grid bounds ({lo}, {hi}, {points})")
+    body, points = spec, default_points
+    try:
+        if ":" in body:
+            body, pts = body.rsplit(":", 1)
+            points = int(pts)
+        if ".." not in body or points < 1:
+            raise ValueError
+        lo_tok, hi_tok = body.split("..", 1)
+        return side(lo_tok), side(hi_tok), points
+    except ValueError:
+        raise DomainError(f"m-grid must look like 'LO..HI[:POINTS]', got {spec!r}") from None
+
+
+def _parse_m_grid(spec: str, n: int, default_points: int = 50) -> list[int]:
+    """The m values of an m-grid spec (see `_m_grid_spec`) for sample size n."""
+    lo, hi, points = _m_grid_spec(spec, default_points)
+    lo, hi = (int(round(v * n)) if per_n else v for v, per_n in (lo, hi))
+    if not 0 <= lo <= hi:
+        raise DomainError(f"bad m-grid bounds ({lo}, {hi})")
     if points == 1:
         return [hi]
     step = (hi - lo) / (points - 1)
@@ -273,6 +292,9 @@ def cmd_benchmark(args) -> int:
     base = RngStream(args.seed)
     jobs = []
     try:
+        # reject bad arguments before the (slow) generation and fits
+        _check_mc_args(args.samples, args.level)
+        _m_grid_spec(args.m_grid)
         if args.suite == "synthetic":
             for d_idx, (name, spec) in enumerate(sorted(SYNTHETIC_SUITE.items())):
                 sample = generate(spec, base.split(1000 + d_idx))

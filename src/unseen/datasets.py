@@ -91,25 +91,28 @@ def ingest(path: str, mode: str = "labels") -> SampleSummary:
     if mode not in ("labels", "label_count"):
         raise DomainError(f"unknown ingest mode {mode!r}")
     counts: dict[str, int] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n").rstrip("\r")
-            if not line:
-                continue
-            if mode == "labels":
-                counts[line] = counts.get(line, 0) + 1
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise ParseError("expected 'label<TAB>count'", line=lineno)
-            label, count_str = parts
-            try:
-                c = int(count_str)
-            except ValueError:
-                raise ParseError(f"count {count_str!r} is not an integer", line=lineno)
-            if c < 1:
-                raise ParseError(f"count must be positive, got {c}", line=lineno)
-            counts[label] = counts.get(label, 0) + c
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for lineno, raw in enumerate(fh, start=1):
+                line = raw.rstrip("\n").rstrip("\r")
+                if not line:
+                    continue
+                if mode == "labels":
+                    counts[line] = counts.get(line, 0) + 1
+                    continue
+                parts = line.split("\t")
+                if len(parts) != 2:
+                    raise ParseError("expected 'label<TAB>count'", line=lineno)
+                label, count_str = parts
+                try:
+                    c = int(count_str)
+                except ValueError:
+                    raise ParseError(f"count {count_str!r} is not an integer", line=lineno)
+                if c < 1:
+                    raise ParseError(f"count must be positive, got {c}", line=lineno)
+                counts[label] = counts.get(label, 0) + c
+    except UnicodeDecodeError:
+        raise ParseError(f"{path} is not UTF-8 text", line=None) from None
     if not counts:
         raise ParseError(f"no records found in {path}", line=None)
     return SampleSummary.from_freqs(counts.values())

@@ -55,6 +55,13 @@ def _equal_tailed(draws: np.ndarray, level: float) -> tuple[float, float]:
     return float(draws[lo_rank - 1]), float(draws[hi_rank - 1])
 
 
+def _check_mc_args(samples: int, level: float) -> None:
+    if samples < 100:
+        raise DomainError("need at least 100 Monte Carlo samples")
+    if not 0.0 < level < 1.0:
+        raise DomainError("level must lie in (0, 1)")
+
+
 def exact_interval(
     params: PYParams,
     sample: SampleSummary,
@@ -65,10 +72,7 @@ def exact_interval(
 ) -> CredibleInterval:
     """Monte Carlo interval from the exact posterior, via the predictive
     Bernoulli chain run over `samples` replicates."""
-    if samples < 100:
-        raise DomainError("need at least 100 Monte Carlo samples")
-    if not 0.0 < level < 1.0:
-        raise DomainError("level must lie in (0, 1)")
+    _check_mc_args(samples, level)
     if rng is None:
         rng = RngStream(0)
     if m == 0:
@@ -91,10 +95,7 @@ def ml_interval(
 ) -> CredibleInterval:
     """Monte Carlo interval from the scaled Mittag-Leffler limit law
     (alpha > 0 only)."""
-    if samples < 100:
-        raise DomainError("need at least 100 Monte Carlo samples")
-    if not 0.0 < level < 1.0:
-        raise DomainError("level must lie in (0, 1)")
+    _check_mc_args(samples, level)
     if rng is None:
         rng = RngStream(0)
     draws = sample_ml_limit(params, sample, m, rng, size=samples)

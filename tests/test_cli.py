@@ -61,6 +61,12 @@ class TestFitCommand:
         code, _, _ = run_cli(capsys, "fit", "--input", "/nonexistent.txt")
         assert code == 2
 
+    def test_non_utf8_exit_2(self, capsys, tmp_path):
+        p = tmp_path / "binary.txt"
+        p.write_bytes(b"a\xff\xfe")
+        code, _, err = run_cli(capsys, "fit", "--input", str(p))
+        assert code == 2 and "not UTF-8" in err
+
     def test_single_line_exit_3(self, capsys, tmp_path):
         p = tmp_path / "one.txt"
         p.write_text("only\n", encoding="utf-8")
@@ -199,6 +205,25 @@ class TestBenchmarkCommand:
         code = main(["benchmark", "--suite", "est", "--est-dir", str(tmp_path),
                      "--m-grid", "n..n:1", "--out", str(tmp_path / "x.csv")])
         assert code == 2
+
+    def test_est_dir_non_utf8_exit_2(self, capsys, tmp_path):
+        (tmp_path / "binary.tsv").write_bytes(b"a\xff\xfe")
+        code, _, err = run_cli(capsys, "benchmark", "--suite", "est", "--est-dir", str(tmp_path),
+                               "--m-grid", "n..n:1", "--out", str(tmp_path / "x.csv"))
+        assert code == 2 and "not UTF-8" in err
+
+    @pytest.mark.parametrize("args,message", [
+        (["--samples", "50"], "100 Monte Carlo samples"),
+        (["--level", "1.5"], "level"),
+        (["--m-grid", "n..x"], "m-grid"),
+    ])
+    def test_bad_arguments_exit_2_before_any_fit(self, capsys, tmp_path, args, message):
+        before = samplers.draw_count()
+        code, _, err = run_cli(capsys, "benchmark", "--suite", "synthetic",
+                               "--out", str(tmp_path / "x.csv"), *args)
+        assert code == 2 and err.startswith("error:") and message in err
+        assert samplers.draw_count() == before
+        assert not (tmp_path / "x.csv").exists()
 
     def test_gaussian_coverage_claim(self, capsys, tmp_path):
         """Rows with m >= n keep Gaussian coverage >= 93 on at least 90%

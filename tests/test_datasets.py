@@ -142,6 +142,12 @@ class TestIngest:
         with pytest.raises(ParseError, match="no records"):
             ingest(str(p), "labels")
 
+    def test_non_utf8_rejected(self, tmp_path):
+        p = tmp_path / "binary.txt"
+        p.write_bytes(b"a\xff\xfe")
+        with pytest.raises(ParseError, match="not UTF-8"):
+            ingest(str(p))
+
     def test_round_trip(self, tmp_path):
         s = standin_freqs(2586, 1825)
         path = tmp_path / "est.tsv"

@@ -117,13 +117,72 @@ class TestKFutureChain:
         assert abs(draws.mean() - dp.mean()) <= 4.0 * se
 
     def test_step_and_jump_paths_same_law(self):
-        """Distribution is continuous across the dispatch threshold."""
+        """The event-jump and Bernoulli-step implementations have the same
+        law at the same (params, m)."""
         from scipy.stats import ks_2samp
 
-        params, sample = PYParams(0.54, 26.67), make_sample(977, 300)
-        a = sample_k_future(params, sample, 19_999, RngStream(27, 0), size=30_000)
-        b = sample_k_future(params, sample, 20_000, RngStream(27, 1), size=30_000)
-        assert ks_2samp(a, b).pvalue > 1e-4
+        from unseen.samplers import _bernoulli_chain, _k_future_jump
+
+        (a, t), (n, j), m, reps = (0.54, 26.67), (977, 300), 20_000, 30_000
+        params, sample = PYParams(a, t), make_sample(n, j)
+        steps = _bernoulli_chain(RngStream(27, 0).generator(), reps, m, t + a * j, a, t + n)
+        jumps = _k_future_jump(params, sample, m, RngStream(27, 1).generator(), reps)
+        assert ks_2samp(steps, jumps).pvalue > 1e-4
+
+
+class TestKFutureDispatch:
+    """Both chain paths are exact; sample_k_future picks the cheaper one.
+    The Bernoulli path draws exactly m uniforms per lane, the jump path one
+    per founding event plus one per lane to end it."""
+
+    @staticmethod
+    def _draws(alpha, theta, n, j, m, count=50):
+        before = samplers.draw_count()
+        sample_k_future(PYParams(alpha, theta), make_sample(n, j), m, RngStream(3), size=count)
+        return samplers.draw_count() - before
+
+    @pytest.mark.parametrize("alpha,theta,n,j,m", [
+        (0.54, 26.67, 977, 300, 2000),    # E[K]/m ~ 0.14
+        (0.54, 26.67, 977, 300, 20_000),  # E[K]/m ~ 0.07
+        (0.9, 50.0, 2000, 1500, 3000),    # margin 650, E[K]/m ~ 0.65
+    ])
+    def test_high_event_rate_takes_bernoulli_steps(self, alpha, theta, n, j, m):
+        assert self._draws(alpha, theta, n, j, m) == m * 50
+
+    @pytest.mark.parametrize("alpha,theta,n,j,m", [
+        (0.0, 5.0, 1000, 30, 2000),       # E[K]/m ~ 0.003
+        (0.5, 2.0, 400, 50, 20_000),      # E[K]/m ~ 0.017
+        (0.2, 5.0, 3000, 100, 543),       # E[K]/m ~ 0.008 at small m
+    ])
+    def test_low_event_rate_takes_jumps(self, alpha, theta, n, j, m):
+        assert 0 < self._draws(alpha, theta, n, j, m) < m * 50
+
+    @pytest.mark.parametrize("alpha,theta,n,j,m", [
+        (0.0, 5.0, 250, 30, 2000),        # margin 250, E[K]/m ~ 0.005
+        (0.5, 2.0, 400, 220, 20_000),     # margin 290, E[K]/m ~ 0.07
+    ])
+    def test_small_margin_takes_bernoulli_steps(self, alpha, theta, n, j, m):
+        assert self._draws(alpha, theta, n, j, m) == m * 50
+
+    def test_m_zero_draws_nothing(self):
+        assert self._draws(0.0, 5.0, 1000, 30, 0) == 0
+
+    @pytest.mark.parametrize("alpha,theta,n,j,m,seed,digest", [
+        (0.5, 2.0, 400, 50, 20_000, 25,
+         "0642b2b29c8f0f3e7c4432b39990a9ccc4826f7916877ba76a7d90813a8b37d5"),
+        (0.0, 5.0, 1000, 30, 50_000, 26,
+         "4d8e6f2f02b79b65bde48677d4c6bad7eebcd3613b4b433ef8aed2a8a4d022cf"),
+        (0.3, 10.0, 2000, 200, 30_000, 27,
+         "e1778f7d75418b96af17c3a5a613571274960bdfde66a40adac9b85981427873"),
+    ])
+    def test_jump_output_pinned(self, alpha, theta, n, j, m, seed, digest):
+        """Jump-path draws are byte-identical to those of the full-width
+        lane loop that preceded the active-lane one."""
+        import hashlib
+
+        k = sample_k_future(PYParams(alpha, theta), make_sample(n, j), m, RngStream(seed),
+                            size=400)
+        assert hashlib.sha256(np.asarray(k, dtype="<i8").tobytes()).hexdigest() == digest
 
 
 class TestPriorChain:
