@@ -204,6 +204,9 @@ def cmd_fit(args) -> int:
         fit = fit_empirical_bayes(
             sample, alpha_step=args.alpha_step, theta_bounds=(1e-4, args.theta_max)
         )
+    except DomainError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except DegenerateSampleError as exc:
         print(f"error: degenerate sample: {exc}", file=sys.stderr)
         return 3
@@ -296,18 +299,18 @@ def cmd_benchmark(args) -> int:
         _check_mc_args(args.samples, args.level)
         _m_grid_spec(args.m_grid)
         if args.suite == "synthetic":
-            for d_idx, (name, spec) in enumerate(sorted(SYNTHETIC_SUITE.items())):
-                sample = generate(spec, base.split(1000 + d_idx))
-                fit = fit_empirical_bayes(sample)
-                params = PYParams(alpha=fit.alpha_hat, theta=fit.theta_hat)
-                grid = _parse_m_grid(args.m_grid, sample.n)
-                jobs.append((name, params, sample, grid))
+            datasets = [
+                (name, generate(spec, base.split(1000 + d_idx)))
+                for d_idx, (name, spec) in enumerate(sorted(SYNTHETIC_SUITE.items()))
+            ]
         else:
-            for name, sample in _est_samples(args.est_dir):
-                fit = fit_empirical_bayes(sample)
-                params = PYParams(alpha=fit.alpha_hat, theta=fit.theta_hat)
-                grid = _parse_m_grid(args.m_grid, sample.n)
-                jobs.append((name, params, sample, grid))
+            datasets = _est_samples(args.est_dir)
+        # a grid mixing absolute and n-relative bounds is checked per dataset
+        grids = [_parse_m_grid(args.m_grid, sample.n) for _, sample in datasets]
+        for (name, sample), grid in zip(datasets, grids):
+            fit = fit_empirical_bayes(sample)
+            params = PYParams(alpha=fit.alpha_hat, theta=fit.theta_hat)
+            jobs.append((name, params, sample, grid))
     except (ParseError, FileNotFoundError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -15,6 +15,9 @@ from .model import SampleSummary
 
 _FLAGS = ("alpha_zero", "alpha_near_one", "theta_capped")
 
+# Most entries of one (lanes, j - 1) term matrix of `_loglik`: 16 MB.
+_LANE_BUDGET = 2_000_000
+
 
 @dataclass(frozen=True)
 class FitResult:
@@ -35,23 +38,39 @@ def _freq_multiset(sample: SampleSummary):
 
 
 def _loglik(alpha, theta, n, j, freq_vals, freq_mult):
-    if not 0.0 <= alpha < 1.0 or theta <= -alpha:
-        return -math.inf
+    """Ewens-Pitman log-likelihood at each lane (alpha[i], theta[i]).
+
+    alpha and theta are float arrays of equal length; inadmissible lanes
+    give -inf.  Each lane's arithmetic is that of a scalar evaluation, so a
+    lane's value does not depend on the others.  The (lanes, j - 1) term
+    matrix is built in blocks of at most `_LANE_BUDGET` entries.
+    """
+    out = np.full(alpha.shape, -math.inf)
+    ok = (alpha >= 0.0) & (alpha < 1.0) & (theta > -alpha)
+    if not ok.any():
+        return out
+    a, t = alpha[ok], theta[ok]
+    s_new = np.zeros(a.size)
     if j > 1:
-        if alpha == 0.0:
-            if theta <= 0.0:
-                return -math.inf
-            s_new = (j - 1) * math.log(theta)
-        else:
-            terms = theta + alpha * np.arange(1, j)
-            if np.any(terms <= 0.0):
-                return -math.inf
-            s_new = float(np.log(terms).sum())
-    else:
-        s_new = 0.0
-    s_norm = float(gammaln(theta + n) - gammaln(theta + 1.0))
-    s_blocks = float((freq_mult * (gammaln(freq_vals - alpha) - gammaln(1.0 - alpha))).sum())
-    return s_new - s_norm + s_blocks
+        # theta > -alpha keeps every term theta + alpha * i positive
+        dirichlet = a == 0.0
+        # math.log, not np.log, whose vector path may differ in the last bit
+        for lane in np.flatnonzero(dirichlet):
+            s_new[lane] = (j - 1) * math.log(t[lane])
+        pitman = np.flatnonzero(~dirichlet)
+        steps = np.arange(1, j)
+        block = max(1, _LANE_BUDGET // (j - 1))
+        for start in range(0, pitman.size, block):
+            lanes = pitman[start:start + block]
+            terms = a[lanes, None] * steps
+            terms += t[lanes, None]
+            s_new[lanes] = np.log(terms, out=terms).sum(axis=1)
+    s_norm = gammaln(t + n) - gammaln(t + 1.0)
+    blocks = gammaln(freq_vals - a[:, None])
+    blocks -= gammaln(1.0 - a)[:, None]
+    blocks *= freq_mult
+    out[ok] = s_new - s_norm + blocks.sum(axis=1)
+    return out
 
 
 def ep_log_likelihood(alpha: float, theta: float, sample: SampleSummary) -> float:
@@ -61,24 +80,29 @@ def ep_log_likelihood(alpha: float, theta: float, sample: SampleSummary) -> floa
     function can be handed directly to an optimizer.
     """
     fv, fm = _freq_multiset(sample)
-    return _loglik(alpha, theta, sample.n, sample.j, fv.astype(float), fm.astype(float))
+    return float(_loglik(np.array([alpha]), np.array([theta]), sample.n, sample.j,
+                         fv.astype(float), fm.astype(float))[0])
 
 
-def _golden_max(f, lo: float, hi: float, iters: int = 80):
-    """Golden-section maximum of f on [lo, hi]."""
+def _golden_max(f, lo, hi, iters: int = 80):
+    """Golden-section maxima of a lane-wise f on the intervals [lo, hi].
+
+    lo and hi are arrays with one entry per lane; every lane advances in
+    lockstep, so each iteration makes one call of f on all lanes.  Returns
+    the arrays (argmax, max).
+    """
     inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
     c = hi - inv_phi * (hi - lo)
     d = lo + inv_phi * (hi - lo)
     fc, fd = f(c), f(d)
     for _ in range(iters):
-        if fc > fd:
-            hi, d, fd = d, c, fc
-            c = hi - inv_phi * (hi - lo)
-            fc = f(c)
-        else:
-            lo, c, fc = c, d, fd
-            d = lo + inv_phi * (hi - lo)
-            fd = f(d)
+        left = fc > fd
+        hi = np.where(left, d, hi)
+        lo = np.where(left, lo, c)
+        c, d = (np.where(left, hi - inv_phi * (hi - lo), d),
+                np.where(left, c, lo + inv_phi * (hi - lo)))
+        f_new = f(np.where(left, c, d))
+        fc, fd = np.where(left, f_new, fd), np.where(left, fc, f_new)
     x = 0.5 * (lo + hi)
     return x, f(x)
 
@@ -94,15 +118,24 @@ def fit_empirical_bayes(
 
     Two stages: a coarse alpha grid with a golden-section theta search on
     the log scale at each grid point, then Nelder-Mead refinement around
-    the best grid point.  Boundary solutions are flagged, not rejected.
+    the best grid point.  The grid search runs every grid point as one lane
+    of a single lockstep golden-section search (and, with
+    `allow_negative_theta`, a second one over theta in (-alpha, 0] on the
+    linear scale for alpha > 0); the candidates are then scanned in grid
+    order and the first strict maximum wins.  Boundary solutions are
+    flagged, not rejected.
     """
+    if not 0.0 < alpha_step < 1.0:
+        raise DomainError(f"alpha_step must lie in (0, 1), got {alpha_step}")
+    theta_min, theta_max = theta_bounds
+    if not 0.0 < theta_min < theta_max < math.inf:
+        raise DomainError(
+            f"theta bounds must be finite with 0 < min < max, got {theta_bounds}"
+        )
     if sample.n < 2:
         raise DegenerateSampleError(
             "a single observation is uninformative for (alpha, theta)"
         )
-    theta_min, theta_max = theta_bounds
-    if not 0.0 < theta_min < theta_max:
-        raise DomainError("theta bounds must satisfy 0 < min < max")
     fv, fm = _freq_multiset(sample)
     fv, fm = fv.astype(float), fm.astype(float)
     n, j = sample.n, sample.j
@@ -110,22 +143,37 @@ def fit_empirical_bayes(
     def ll(alpha, theta):
         return _loglik(alpha, theta, n, j, fv, fm)
 
-    log_lo, log_hi = math.log(theta_min), math.log(theta_max)
+    def ll_one(alpha, theta):
+        return float(ll(np.array([alpha]), np.array([theta]))[0])
+
+    def exp_lanes(lt):
+        # math.exp, as for the theta a candidate reports, so each value
+        # belongs to exactly that theta
+        return np.fromiter(map(math.exp, lt.tolist()), float, lt.size)
+
+    alphas = np.arange(0.0, 1.0, alpha_step)
+    lts, vals = _golden_max(lambda lt: ll(alphas, exp_lanes(lt)),
+                            np.full(alphas.size, math.log(theta_min)),
+                            np.full(alphas.size, math.log(theta_max)))
+    neg_ts, neg_vals = np.zeros(alphas.size), np.full(alphas.size, -math.inf)
+    if allow_negative_theta:
+        # search theta in (-alpha, 0] directly (linear scale)
+        pos = alphas > 0.0
+        neg_ts[pos], neg_vals[pos] = _golden_max(
+            lambda t: ll(alphas[pos], t), -alphas[pos] * (1.0 - 1e-9), np.zeros(pos.sum())
+        )
     best = (-math.inf, 0.0, theta_min)
-    for alpha in np.arange(0.0, 1.0, alpha_step):
-        alpha = float(alpha)
-        lt, val = _golden_max(lambda lt: ll(alpha, math.exp(lt)), log_lo, log_hi)
+    for alpha, lt, val, neg_t, neg_val in zip(
+        alphas.tolist(), lts.tolist(), vals.tolist(), neg_ts.tolist(), neg_vals.tolist()
+    ):
         if val > best[0]:
             best = (val, alpha, math.exp(lt))
-        if allow_negative_theta and alpha > 0.0:
-            # search theta in (-alpha, 0] directly (linear scale)
-            t, val = _golden_max(lambda t: ll(alpha, t), -alpha * (1.0 - 1e-9), 0.0)
-            if val > best[0]:
-                best = (val, alpha, t)
+        if neg_val > best[0]:
+            best = (neg_val, alpha, neg_t)
 
     def neg(x):
         a, lt = x
-        return -ll(float(a), math.exp(float(lt)))
+        return -ll_one(float(a), math.exp(float(lt)))
 
     if best[2] > 0:
         x0 = np.array([best[1], math.log(best[2])])
@@ -143,7 +191,7 @@ def fit_empirical_bayes(
         # negative-theta optimum: keep the grid/golden-section solution
         converged = True
         alpha_hat, theta_hat = best[1], best[2]
-    refined = ll(alpha_hat, theta_hat)
+    refined = ll_one(alpha_hat, theta_hat)
     if refined < best[0]:
         alpha_hat, theta_hat, refined = best[1], best[2], best[0]
 

@@ -3,9 +3,12 @@
 Given a sample of n observations containing j distinct species, the
 posterior law of the number of new species among m further draws depends
 on the data only through (n, j).  Two independent evaluations of that law
-are provided: an O(m^2) forward recursion over the predictive chain
-(production path, stable for m into the thousands) and the closed form in
-terms of generalized factorial coefficients (small-m validation path).
+are provided: a banded forward recursion over the predictive chain
+(production path) and the closed form in terms of generalized factorial
+coefficients (small-m validation path).  The recursion keeps only the band
+of counts whose probability is at least `_DP_FLOOR`, so it costs
+O(m * band) rather than O(m^2); the mass it drops is at most
+(2m + 2) * _DP_FLOOR.
 """
 
 from __future__ import annotations
@@ -24,6 +27,11 @@ from .combinatorics import (
 from .errors import DomainError, NumericalIntegrityError, SizeLimitError
 
 DEFAULT_DP_MAX = 20000
+
+# Edge entries of the DP band below this are set to 0 and leave the band.
+# Trimming exact zeros alone would not narrow it: the smallest denormal
+# times (1 - p) > 0.5 rounds back to itself.
+_DP_FLOOR = 1e-300
 
 _NEG_CLAMP = -1e-12
 
@@ -139,26 +147,50 @@ def posterior_mean(params: PYParams, sample: SampleSummary, m: int) -> float:
     return float((j + t / a) * np.expm1(log_ratio))
 
 
+def _dp_steps(alpha: float, theta: float, n: int, j: int, m: int):
+    """Forward recursion of the new-species count over m predictive draws.
+
+    Yields the unnormalised pmf buffer (length m + 1, updated in place)
+    after 0, 1, ..., m draws.  Each draw updates only the live band
+    [lo, hi); afterwards band entries at either edge below `_DP_FLOOR` are
+    set to 0 and dropped, so every entry outside the band is 0.
+    """
+    probs = np.zeros(m + 1)
+    probs[0] = 1.0
+    k = np.arange(m + 1, dtype=float)
+    p_new_numer = np.clip(theta + alpha * (j + k), 0.0, None)
+    lo, hi = 0, 1
+    yield probs
+    for i in range(m):
+        hi = min(hi + 1, m + 1)
+        band = probs[lo:hi]
+        p = p_new_numer[lo:hi] / (theta + n + i)
+        np.clip(p, 0.0, 1.0, out=p)
+        move = band * p
+        band *= 1.0 - p
+        band[1:] += move[:-1]
+        while probs[lo] < _DP_FLOOR:
+            probs[lo] = 0.0
+            lo += 1
+        while probs[hi - 1] < _DP_FLOOR:
+            probs[hi - 1] = 0.0
+            hi -= 1
+        yield probs
+
+
 def posterior_pmf_dp(
     params: PYParams, sample: SampleSummary, m: int, dp_max: int = DEFAULT_DP_MAX
 ) -> Pmf:
     """Exact posterior pmf of the new-species count by forward recursion
-    over the predictive chain; O(m^2) time, O(m) memory."""
+    over the predictive chain; O(m * band) time, O(m) memory.  Entries
+    below `_DP_FLOOR` at the edges of the band are dropped (set to 0), a
+    total mass of at most (2m + 2) * _DP_FLOOR."""
     if m < 0:
         raise DomainError("m must be >= 0")
     if m > dp_max:
         raise SizeLimitError(f"m={m} exceeds dp_max={dp_max}")
-    a, t, n, j = params.alpha, params.theta, sample.n, sample.j
-    probs = np.zeros(m + 1)
-    probs[0] = 1.0
-    k = np.arange(m + 1, dtype=float)
-    p_new_numer = np.clip(t + a * (j + k), 0.0, None)
-    for i in range(m):
-        p = p_new_numer / (t + n + i)
-        np.clip(p, 0.0, 1.0, out=p)
-        stay = probs * (1.0 - p)
-        stay[1:] += (probs * p)[:-1]
-        probs = stay
+    for probs in _dp_steps(params.alpha, params.theta, sample.n, sample.j, m):
+        pass
     return Pmf(probs / probs.sum())
 
 

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from unseen import samplers
+from unseen import cli, samplers
 from unseen.cli import CSV_HEADER, _parse_m_grid, main
 from unseen.datasets import export_label_counts, standin_freqs
 
@@ -72,6 +72,21 @@ class TestFitCommand:
         p.write_text("only\n", encoding="utf-8")
         code, _, err = run_cli(capsys, "fit", "--input", str(p))
         assert code == 3 and "degenerate" in err
+
+    @pytest.mark.parametrize("option,value", [
+        ("--theta-max", "0"),
+        ("--theta-max", "1e-5"),
+        ("--theta-max", "inf"),
+        ("--alpha-step", "0"),
+        ("--alpha-step", "nan"),
+        ("--alpha-step", "-0.1"),
+        ("--alpha-step", "1"),
+    ])
+    def test_bad_numeric_option_exit_2(self, capsys, tmp_path, option, value):
+        p = tmp_path / "labels.txt"
+        p.write_text("a\nb\na\nc\nd\nd\n", encoding="utf-8")
+        code, out, err = run_cli(capsys, "fit", "--input", str(p), option, value)
+        assert code == 2 and err.startswith("error:") and out == ""
 
     def test_uniform_data_fits_dirichlet_boundary(self, capsys, tmp_path):
         import numpy as np
@@ -223,6 +238,18 @@ class TestBenchmarkCommand:
                                "--out", str(tmp_path / "x.csv"), *args)
         assert code == 2 and err.startswith("error:") and message in err
         assert samplers.draw_count() == before
+        assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize("suite", ["synthetic", "est"])
+    def test_mixed_bound_grid_exit_2_before_any_fit(self, capsys, tmp_path, monkeypatch, suite):
+        # 2000..1n is ordered only for datasets with n >= 2000
+        def no_fit(sample):
+            raise AssertionError("fit ran before the m-grid was checked")
+
+        monkeypatch.setattr(cli, "fit_empirical_bayes", no_fit)
+        code, _, err = run_cli(capsys, "benchmark", "--suite", suite, "--m-grid", "2000..1n",
+                               "--out", str(tmp_path / "x.csv"))
+        assert code == 2 and err.startswith("error:") and "m-grid" in err
         assert not (tmp_path / "x.csv").exists()
 
     def test_gaussian_coverage_claim(self, capsys, tmp_path):

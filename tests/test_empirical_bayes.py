@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from unseen import empirical_bayes
 from unseen.empirical_bayes import ep_log_likelihood, fit_empirical_bayes
-from unseen.errors import DegenerateSampleError
+from unseen.errors import DegenerateSampleError, DomainError
 from unseen.model import SampleSummary
 from unseen.samplers import RngStream, sample_prior_partition
 
@@ -60,6 +61,21 @@ class TestFit:
     def test_rejects_single_observation(self):
         with pytest.raises(DegenerateSampleError):
             fit_empirical_bayes(make_sample(1, 1))
+
+    @pytest.mark.parametrize("kwargs", [
+        {"alpha_step": 0.0},
+        {"alpha_step": -0.1},
+        {"alpha_step": 1.0},
+        {"alpha_step": math.nan},
+        {"alpha_step": math.inf},
+        {"theta_bounds": (0.0, 1e6)},
+        {"theta_bounds": (1e-4, 1e-5)},
+        {"theta_bounds": (1e-4, math.inf)},
+        {"theta_bounds": (math.nan, 1e6)},
+    ])
+    def test_rejects_bad_search_settings(self, kwargs):
+        with pytest.raises(DomainError):
+            fit_empirical_bayes(make_sample(10, 4), **kwargs)
 
     def test_two_obs_one_block_flags_boundary(self):
         fit = fit_empirical_bayes(SampleSummary(2, 1, (2,)))
@@ -117,3 +133,37 @@ class TestFit:
         free = fit_empirical_bayes(sample, allow_negative_theta=True)
         capped = fit_empirical_bayes(sample)
         assert free.log_likelihood >= capped.log_likelihood - 1e-9
+
+
+def _uniform_like_sample():
+    rng = RngStream(109).generator()
+    counts = np.bincount(rng.integers(0, 501, size=2000), minlength=501)
+    return SampleSummary.from_freqs(counts[counts > 0])
+
+
+# (alpha_hat, theta_hat, log_likelihood) as computed by the scalar
+# one-grid-point-at-a-time search that the lockstep search replaced.
+PINNED_FITS = [
+    (_uniform_like_sample, False,
+     "(0.0, 208.8162673002511, -10052.676871432548)"),
+    (lambda: sample_prior_partition(0.5, 5.0, 2000, RngStream(101)), False,
+     "(0.48074272048162003, 4.896031703012677, -6290.880524006419)"),
+    (lambda: sample_prior_partition(0.8, -0.7, 200, RngStream(1)), True,
+     "(0.8200000000000001, -0.4455884817807174, -220.49953374449206)"),
+]
+
+
+class TestLockstepGridSearch:
+    @pytest.mark.parametrize("make,negative,expect", PINNED_FITS,
+                             ids=["alpha_zero", "interior", "negative_theta"])
+    def test_fit_bitwise_pinned(self, make, negative, expect):
+        fit = fit_empirical_bayes(make(), allow_negative_theta=negative)
+        assert repr((fit.alpha_hat, fit.theta_hat, fit.log_likelihood)) == expect
+
+    def test_lane_blocks_do_not_change_the_fit(self, monkeypatch):
+        sample = sample_prior_partition(0.5, 5.0, 2000, RngStream(101))
+        whole = fit_empirical_bayes(sample, allow_negative_theta=True)
+        budget = 1000
+        assert budget // (sample.j - 1) == 5  # the 100-point grid runs as 20 blocks
+        monkeypatch.setattr(empirical_bayes, "_LANE_BUDGET", budget)
+        assert fit_empirical_bayes(sample, allow_negative_theta=True) == whole

@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 
 import numpy as np
@@ -5,9 +6,11 @@ import pytest
 
 from unseen.errors import DomainError, SizeLimitError
 from unseen.model import (
+    _DP_FLOOR,
     Pmf,
     PYParams,
     SampleSummary,
+    _dp_steps,
     posterior_mean,
     posterior_pmf_closed,
     posterior_pmf_dp,
@@ -163,3 +166,37 @@ def test_oracle_equivalence_spot_grid(alpha, theta):
             assert dp.mean() == pytest.approx(
                 posterior_mean(params, sample, m), rel=1e-8, abs=1e-12
             )
+
+
+# (alpha, theta, n, j, m) with a band that trims, and the SHA-256 of the pmf
+# with entries below 1e-250 zeroed, its mean and its variance, as computed
+# by the full (unbanded) recursion that the banded one replaced.
+PINNED_DP = [
+    ((0.465, 0.658, 977, 43, 4885),
+     "e542812643aa889086eed7163340b849f4cfad3f037c520cc37a6446369b1b42",
+     "57.75021188260696", "130.87260131637157"),
+    ((0.0, 206.07, 2000, 489, 5000),
+     "b5f536a283022b358027cbb598a8611ca64b4341cbe92b1896232c7e3559d041",
+     "243.9597511716558", "230.5996314894653"),
+    ((0.9, 29.6, 2586, 1825, 2586),
+     "50d7c0bfcaefb8825bcfbdb22454b9441d8d44b02d97a139b208c4608bddad16",
+     "1591.423378018907", "1122.4077096205924"),
+]
+
+
+@pytest.mark.parametrize("case,sha,mean,var", PINNED_DP)
+def test_banded_dp_pinned(case, sha, mean, var):
+    alpha, theta, n, j, m = case
+    pmf = posterior_pmf_dp(PYParams(alpha, theta), make_sample(n, j), m)
+    kept = np.where(pmf.probs >= 1e-250, pmf.probs, 0.0)
+    assert hashlib.sha256(kept.tobytes()).hexdigest() == sha
+    assert repr(pmf.mean()) == mean
+    assert repr(pmf.variance()) == var
+
+    for band in _dp_steps(alpha, theta, n, j, m):
+        pass
+    live = np.flatnonzero(band)
+    lo, hi = live[0], live[-1] + 1
+    assert (lo, hi) != (0, m + 1)  # the band did trim
+    assert np.all(band[lo:hi] >= _DP_FLOOR)
+    assert not band[:lo].any() and not band[hi:].any()
