@@ -19,7 +19,7 @@ from unseen import (
 )
 
 params = PYParams(alpha=0.54, theta=26.67)
-sample = SampleSummary(n=977, j=300, freqs=(678,) + (1,) * 299)
+sample = SampleSummary(n=977, j=300)
 
 # The chance that observation n+1 founds a brand-new species.
 p_new = predictive_new_prob(params, sample.n, sample.j)
@@ -35,7 +35,7 @@ for mult in (1, 2, 5, 10, 100):
 # the exact forward recursion and by the closed combinatorial form; the
 # two must agree to high accuracy.
 small = PYParams(alpha=0.5, theta=0.5)
-tiny = SampleSummary(n=2, j=1, freqs=(2,))
+tiny = SampleSummary(n=2, j=1)
 dp = posterior_pmf_dp(small, tiny, 6)
 cl = posterior_pmf_closed(small, tiny, 6)
 print("\nposterior pmf of the new-species count (n=2, j=1, m=6):")

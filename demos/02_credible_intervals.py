@@ -18,7 +18,7 @@ from unseen import (
 )
 
 params = PYParams(alpha=0.612, theta=741.0)
-sample = SampleSummary.from_freqs((2586 - 1825 + 1,) + (1,) * 1824)  # n=2586, j=1825
+sample = SampleSummary(n=2586, j=1825)
 rng = RngStream(seed=7)
 
 print(f"n = {sample.n}, j = {sample.j}, alpha = {params.alpha}, theta = {params.theta}")
@@ -37,7 +37,7 @@ for i, mult in enumerate((1, 2, 5, 10)):
 print("\nThe Gaussian interval needs no Monte Carlo at all, and at alpha = 0")
 print("(the Dirichlet prior) it is the only available asymptotic method:")
 dir_params = PYParams(alpha=0.0, theta=178.48)
-dir_sample = SampleSummary.from_freqs((2000 - 447 + 1,) + (1,) * 446)
+dir_sample = SampleSummary(n=2000, j=447)
 ci = gaussian_interval(dir_params, dir_sample, 2000, level=0.95)
 print(f"  alpha=0 dataset, m=n: K_hat = {posterior_mean(dir_params, dir_sample, 2000):.0f}, "
       f"Gaussian 95% C.I. = ({ci.lo:.0f}, {ci.hi:.0f})")

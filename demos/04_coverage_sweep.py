@@ -21,7 +21,7 @@ from unseen import (
 )
 
 params = PYParams(alpha=0.54, theta=26.67)
-sample = SampleSummary.from_freqs((678,) + (1,) * 299)  # n=977, j=300
+sample = SampleSummary(n=977, j=300)
 rng = RngStream(seed=2)
 
 writer = csv.writer(sys.stdout, lineterminator="\n")

@@ -176,9 +176,11 @@ def gaussian_interval(
     params: PYParams, sample: SampleSummary, m: int, level: float = 0.95
 ) -> CredibleInterval:
     """Fully analytic equal-tailed credible interval [mM - z*sqrt(mS^2),
-    mM + z*sqrt(mS^2)], clamped to the support [0, m]."""
+    mM + z*sqrt(mS^2)], clamped to the support [0, m]; (0, 0) at m = 0."""
     if not 0.0 < level < 1.0:
         raise DomainError("level must lie in (0, 1)")
+    if m == 0:
+        return CredibleInterval(0.0, 0.0, level, "gaussian")
     approx = gaussian_approx(params, sample, m)
     z = norm_quantile(0.5 + level / 2.0)
     half = z * math.sqrt(approx.variance)

@@ -25,16 +25,11 @@ from .errors import (
     DegenerateSampleError,
     DomainError,
     MethodUnavailableError,
+    NumericalIntegrityError,
     ParseError,
     SizeLimitError,
 )
-from .intervals import (
-    CredibleInterval,
-    _check_mc_args,
-    coverage,
-    exact_interval,
-    ml_interval,
-)
+from .intervals import _check_mc_args, coverage, exact_interval, ml_interval
 from .model import PYParams, SampleSummary, posterior_mean, posterior_pmf_closed, posterior_pmf_dp
 from .samplers import RngStream
 
@@ -110,28 +105,24 @@ def compute_row(
     stream: RngStream,
 ) -> BenchmarkRow:
     """One benchmark row: point estimate plus the requested interval
-    families and, when the exact interval is present, their coverages."""
+    families and, when the exact interval is present, their coverages.
+    The Mittag-Leffler family is skipped at alpha = 0."""
     row = BenchmarkRow(
         dataset_id=dataset_id, n=sample.n, j=sample.j,
         alpha_hat=params.alpha, theta_hat=params.theta,
         m=m, k_hat=posterior_mean(params, sample, m),
     )
-    zero = CredibleInterval(0.0, 0.0, level, "exact_mc", mc_samples=samples)
     exact = None
     if "exact" in methods:
-        exact = exact_interval(params, sample, m, level, samples, stream.split(0)) if m else zero
+        exact = exact_interval(params, sample, m, level, samples, stream.split(0))
         row.exact_lo, row.exact_hi = exact.lo, exact.hi
     if "ml" in methods and params.alpha > 0:
-        mlci = ml_interval(params, sample, m, level, samples, stream.split(1)) if m else None
-        if mlci is None:
-            mlci = CredibleInterval(0.0, 0.0, level, "mittag_leffler", mc_samples=samples)
+        mlci = ml_interval(params, sample, m, level, samples, stream.split(1))
         row.ml_lo, row.ml_hi = mlci.lo, mlci.hi
         if exact is not None:
             row.ml_coverage = coverage(mlci, exact)
     if "gaussian" in methods:
-        gci = gaussian_interval(params, sample, m, level) if m else None
-        if gci is None:
-            gci = CredibleInterval(0.0, 0.0, level, "gaussian")
+        gci = gaussian_interval(params, sample, m, level)
         row.gauss_lo, row.gauss_hi = gci.lo, gci.hi
         if exact is not None:
             row.gauss_coverage = coverage(gci, exact)
@@ -229,7 +220,7 @@ def cmd_fit(args) -> int:
 def cmd_estimate(args) -> int:
     try:
         params = PYParams(alpha=args.alpha, theta=args.theta)
-        sample = SampleSummary(n=args.n, j=args.j, freqs=_default_freqs(args.n, args.j))
+        sample = SampleSummary(n=args.n, j=args.j)
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -263,11 +254,6 @@ def cmd_estimate(args) -> int:
         return 2
     _emit_rows(rows, sys.stdout)
     return 0
-
-
-def _default_freqs(n: int, j: int) -> tuple[int, ...]:
-    # posterior quantities depend on the sample only through (n, j)
-    return (n - j + 1,) + (1,) * (j - 1)
 
 
 def _est_samples(est_dir: str | None):
@@ -319,18 +305,15 @@ def cmd_benchmark(args) -> int:
         return 3
 
     tasks = []
-    pair_index = 0
     for name, params, sample, grid in jobs:
         for m in grid:
-            methods = ("exact", "ml", "gaussian") if params.alpha > 0 else ("exact", "gaussian")
-            tasks.append((pair_index, name, params, sample, m, methods))
-            pair_index += 1
+            tasks.append((len(tasks), name, params, sample, m))
 
     def run(task):
-        idx, name, params, sample, m, methods = task
+        idx, name, params, sample, m = task
         return idx, compute_row(
-            name, params, sample, m, args.level, args.samples, methods,
-            base.split(idx),
+            name, params, sample, m, args.level, args.samples,
+            ("exact", "ml", "gaussian"), base.split(idx),
         )
 
     results: list[BenchmarkRow | None] = [None] * len(tasks)
@@ -351,12 +334,12 @@ def cmd_benchmark(args) -> int:
 def cmd_pmf(args) -> int:
     try:
         params = PYParams(alpha=args.alpha, theta=args.theta)
-        sample = SampleSummary(n=args.n, j=args.j, freqs=_default_freqs(args.n, args.j))
+        sample = SampleSummary(n=args.n, j=args.j)
         if args.method == "dp":
             pmf = posterior_pmf_dp(params, sample, args.m)
         else:
             pmf = posterior_pmf_closed(params, sample, args.m)
-    except SizeLimitError as exc:
+    except (SizeLimitError, NumericalIntegrityError) as exc:
         print(f"error: {exc} for method {args.method!r}", file=sys.stderr)
         return 2
     except DomainError as exc:

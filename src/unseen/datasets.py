@@ -121,6 +121,8 @@ def ingest(path: str, mode: str = "labels") -> SampleSummary:
 def export_label_counts(sample: SampleSummary, path: str) -> None:
     """Write a label_count file (synthetic sNNN labels) that ingests back
     to the same (n, j, sorted freqs)."""
+    if sample.freqs is None:
+        raise DomainError("exporting label counts needs the sample's frequencies")
     with open(path, "w", encoding="utf-8") as fh:
         for i, f in enumerate(sample.freqs):
             fh.write(f"s{i:06d}\t{f}\n")

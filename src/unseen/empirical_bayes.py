@@ -18,6 +18,9 @@ _FLAGS = ("alpha_zero", "alpha_near_one", "theta_capped")
 # Most entries of one (lanes, j - 1) term matrix of `_loglik`: 16 MB.
 _LANE_BUDGET = 2_000_000
 
+# Iteration cap of the Nelder-Mead refinement.
+_REFINE_ITERS = 400
+
 
 @dataclass(frozen=True)
 class FitResult:
@@ -34,6 +37,8 @@ class FitResult:
 
 
 def _freq_multiset(sample: SampleSummary):
+    if sample.freqs is None:
+        raise DomainError("the Ewens-Pitman likelihood needs the sample's frequencies")
     return np.unique(np.asarray(sample.freqs, dtype=np.int64), return_counts=True)
 
 
@@ -111,7 +116,6 @@ def fit_empirical_bayes(
     sample: SampleSummary,
     alpha_step: float = 0.01,
     theta_bounds: tuple[float, float] = (1e-4, 1e6),
-    refine_iters: int = 400,
     allow_negative_theta: bool = False,
 ) -> FitResult:
     """Maximize the Ewens-Pitman likelihood over admissible (alpha, theta).
@@ -179,7 +183,7 @@ def fit_empirical_bayes(
         x0 = np.array([best[1], math.log(best[2])])
         res = minimize(
             neg, x0, method="Nelder-Mead",
-            options={"maxiter": refine_iters, "xatol": 1e-7, "fatol": 1e-10},
+            options={"maxiter": _REFINE_ITERS, "xatol": 1e-7, "fatol": 1e-10},
         )
         converged = bool(res.success)
         alpha_hat, theta_hat = float(res.x[0]), math.exp(float(res.x[1]))

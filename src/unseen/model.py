@@ -13,20 +13,17 @@ O(m * band) rather than O(m^2); the mass it drops is at most
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import digamma, gammaln
 
-from .combinatorics import (
-    DEFAULT_U_MAX,
-    GfcTable,
-    log_rising_factorial,
-    stirling_noncentral,
-)
+from .combinatorics import U_MAX, GfcTable, log_rising_factorial, stirling_noncentral
 from .errors import DomainError, NumericalIntegrityError, SizeLimitError
 
-DEFAULT_DP_MAX = 20000
+# Largest m of the pmf recursion.
+DP_MAX = 20000
 
 # Edge entries of the DP band below this are set to 0 and leave the band.
 # Trimming exact zeros alone would not narrow it: the smallest denormal
@@ -46,6 +43,8 @@ class PYParams:
     def __post_init__(self):
         if not (0.0 <= self.alpha < 1.0):
             raise DomainError(f"alpha must lie in [0, 1), got {self.alpha}")
+        if not math.isfinite(self.theta):
+            raise DomainError(f"theta must be finite, got {self.theta}")
         if not self.theta > -self.alpha:
             raise DomainError(
                 f"theta must exceed -alpha, got theta={self.theta}, alpha={self.alpha}"
@@ -58,17 +57,21 @@ class PYParams:
 
 @dataclass(frozen=True)
 class SampleSummary:
-    """Observed sample statistics: size n, distinct species j, frequencies."""
+    """Observed sample: size n and distinct species j, which are all that
+    the posterior depends on, plus the species frequencies when they are
+    known (only the empirical-Bayes fit and the export need them)."""
 
     n: int
     j: int
-    freqs: tuple[int, ...]
+    freqs: tuple[int, ...] | None = None
 
     def __post_init__(self):
-        freqs = tuple(int(f) for f in self.freqs)
-        object.__setattr__(self, "freqs", freqs)
         if self.n < 1 or self.j < 1 or self.j > self.n:
             raise DomainError(f"need 1 <= j <= n, got n={self.n}, j={self.j}")
+        if self.freqs is None:
+            return
+        freqs = tuple(int(f) for f in self.freqs)
+        object.__setattr__(self, "freqs", freqs)
         if len(freqs) != self.j:
             raise DomainError(f"freqs has {len(freqs)} entries, expected j={self.j}")
         if any(f < 1 for f in freqs):
@@ -93,6 +96,8 @@ class Pmf:
         object.__setattr__(self, "probs", probs)
         if probs.ndim != 1 or probs.size == 0:
             raise DomainError("probs must be a nonempty 1-d vector")
+        if not np.all(np.isfinite(probs)):
+            raise NumericalIntegrityError("pmf has non-finite entries")
         if np.any(probs < 0):
             raise DomainError("probabilities must be nonnegative")
         if abs(probs.sum() - 1.0) > 1e-10:
@@ -178,17 +183,15 @@ def _dp_steps(alpha: float, theta: float, n: int, j: int, m: int):
         yield probs
 
 
-def posterior_pmf_dp(
-    params: PYParams, sample: SampleSummary, m: int, dp_max: int = DEFAULT_DP_MAX
-) -> Pmf:
+def posterior_pmf_dp(params: PYParams, sample: SampleSummary, m: int) -> Pmf:
     """Exact posterior pmf of the new-species count by forward recursion
-    over the predictive chain; O(m * band) time, O(m) memory.  Entries
-    below `_DP_FLOOR` at the edges of the band are dropped (set to 0), a
-    total mass of at most (2m + 2) * _DP_FLOOR."""
+    over the predictive chain; O(m * band) time, O(m) memory, m capped at
+    DP_MAX.  Entries below `_DP_FLOOR` at the edges of the band are dropped
+    (set to 0), a total mass of at most (2m + 2) * _DP_FLOOR."""
     if m < 0:
         raise DomainError("m must be >= 0")
-    if m > dp_max:
-        raise SizeLimitError(f"m={m} exceeds dp_max={dp_max}")
+    if m > DP_MAX:
+        raise SizeLimitError(f"m={m} exceeds dp_max={DP_MAX}")
     for probs in _dp_steps(params.alpha, params.theta, sample.n, sample.j, m):
         pass
     return Pmf(probs / probs.sum())
@@ -209,15 +212,14 @@ def _closed_log_weights_py(params: PYParams, sample: SampleSummary, m: int):
     return signs, lr + logs
 
 
-def posterior_pmf_closed(
-    params: PYParams, sample: SampleSummary, m: int, u_max: int = DEFAULT_U_MAX
-) -> Pmf:
+def posterior_pmf_closed(params: PYParams, sample: SampleSummary, m: int) -> Pmf:
     """Posterior pmf from the closed form: generalized factorial
-    coefficients for alpha > 0, non-central Stirling numbers at alpha = 0."""
+    coefficients for alpha > 0, non-central Stirling numbers at alpha = 0;
+    m capped at U_MAX."""
     if m < 0:
         raise DomainError("m must be >= 0")
-    if m > u_max:
-        raise SizeLimitError(f"m={m} exceeds u_max={u_max}")
+    if m > U_MAX:
+        raise SizeLimitError(f"m={m} exceeds u_max={U_MAX}")
     if m == 0:
         return Pmf(np.ones(1))
     a, t, n = params.alpha, params.theta, sample.n
@@ -226,7 +228,7 @@ def posterior_pmf_closed(
         log_s = np.array(
             [
                 v.log_abs if v.sign > 0 else -np.inf
-                for v in (stirling_noncentral(m, int(kk), float(n), u_max=u_max) for kk in k)
+                for v in (stirling_noncentral(m, int(kk), float(n)) for kk in k)
             ]
         )
         log_w = k * np.log(t) + log_s
@@ -241,4 +243,8 @@ def posterior_pmf_closed(
             f"closed-form pmf produced probability {probs.min():.3e} < {_NEG_CLAMP}"
         )
     probs = np.clip(probs, 0.0, None)
-    return Pmf(probs / probs.sum())
+    with np.errstate(over="ignore"):
+        total = probs.sum()
+    if not np.isfinite(total):
+        raise NumericalIntegrityError("closed-form pmf weights overflow double precision")
+    return Pmf(probs / total)

@@ -258,9 +258,12 @@ def _log_zolotarev_at_zero(alpha: float) -> float:
     return (alpha * math.log(alpha) + (1.0 - alpha) * math.log1p(-alpha)) / (1.0 - alpha)
 
 
-def sample_mittag_leffler(
-    alpha: float, q: float, rng: RngStream, size=None, max_rounds: int = 1000
-):
+# Rejection rounds after which the angle sampler reports a bug; with an
+# acceptance rate above ~1/4 the chance of reaching it is nil.
+_ML_MAX_ROUNDS = 1000
+
+
+def sample_mittag_leffler(alpha: float, q: float, rng: RngStream, size=None):
     """Exact draws of the generalized Mittag-Leffler law S_{alpha, q}.
 
     Uses the Zolotarev integral representation of the polynomially tilted
@@ -293,9 +296,9 @@ def sample_mittag_leffler(
     rounds = 0
     while filled < count:
         rounds += 1
-        if rounds > max_rounds:
+        if rounds > _ML_MAX_ROUNDS:
             raise NumericalIntegrityError(
-                f"Mittag-Leffler angle rejection did not converge in {max_rounds} "
+                f"Mittag-Leffler angle rejection did not converge in {_ML_MAX_ROUNDS} "
                 f"rounds (alpha={alpha}, q={q}); this indicates an implementation bug"
             )
         todo = count - filled

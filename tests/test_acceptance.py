@@ -37,6 +37,7 @@ from unseen.empirical_bayes import ep_log_likelihood, fit_empirical_bayes
 from unseen.intervals import coverage, exact_interval, ml_interval
 from unseen.model import (
     PYParams,
+    SampleSummary,
     _dp_steps,
     posterior_mean,
     posterior_pmf_dp,
@@ -56,7 +57,6 @@ from conftest import (
     TABLE3,
     TABLE4,
     TABLE_FAV,
-    make_sample,
     params_sample,
 )
 
@@ -194,7 +194,7 @@ def test_c2_defect_evidence_unrounded_alpha():
     +-2 tolerance, including all cells the published rounding breaks."""
     for name, alpha_star in ALPHA_UNROUNDED.items():
         _, theta, n, j = TAB0[name]
-        params, sample = PYParams(alpha_star, theta), make_sample(n, j)
+        params, sample = PYParams(alpha_star, theta), SampleSummary(n, j)
         for mult, ref in zip((1, 2, 3, 4, 5), TABLE1[name]["k_hat"]):
             got = round(posterior_mean(params, sample, mult * n))
             assert abs(got - ref) <= 2, (name, mult, got, ref)
@@ -276,7 +276,7 @@ def test_c3_small_instance_quantile_equality():
     for idx, (a, t, n, j, m) in enumerate(
         [(0.5, 0.5, 2, 1, 10), (0.25, 1.0, 5, 2, 8), (0.0, 10.0, 4, 2, 12)]
     ):
-        params, sample = PYParams(a, t), make_sample(n, j)
+        params, sample = PYParams(a, t), SampleSummary(n, j)
         pmf = posterior_pmf_dp(params, sample, m)
         ci = exact_interval(params, sample, m, 0.95, 10 ** 5, RngStream(SEED, 31_000 + idx))
         assert ci.lo == float(pmf.quantile(0.025)), (a, t, n, j, m)
@@ -567,8 +567,6 @@ def _set_partitions(items):
 
 
 def test_c9_ewens_pitman():
-    from unseen.model import SampleSummary
-
     t0 = time.monotonic()
     for alpha in (0.0, 0.5):
         for theta in (0.5, 2.0):

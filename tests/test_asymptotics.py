@@ -18,9 +18,7 @@ from unseen.asymptotics import (
     sigma_sq_z,
 )
 from unseen.errors import DomainError
-from unseen.model import PYParams, posterior_mean
-
-from conftest import make_sample
+from unseen.model import PYParams, SampleSummary, posterior_mean
 
 IDENTITY_GRID = [
     (alpha, tau, nu, rho_frac * nu)
@@ -107,19 +105,19 @@ class TestNormQuantile:
 
 class TestGaussianInterval:
     def test_zipf_a_row(self):
-        params, sample = PYParams(0.54, 26.67), make_sample(977, 300)
+        params, sample = PYParams(0.54, 26.67), SampleSummary(977, 300)
         ci = gaussian_interval(params, sample, 977, level=0.95)
         assert abs(round(ci.lo) - 129) <= 2
         assert abs(round(ci.hi) - 183) <= 2
 
     def test_tomato_row(self):
-        params, sample = PYParams(0.612, 741.0), make_sample(2586, 1825)
+        params, sample = PYParams(0.612, 741.0), SampleSummary(2586, 1825)
         ci = gaussian_interval(params, sample, 2586, level=0.95)
         assert abs(round(ci.lo) - 1222) <= 2
         assert abs(round(ci.hi) - 1340) <= 2
 
     def test_width_shrinks_with_level(self):
-        params, sample = PYParams(0.5, 10.0), make_sample(100, 40)
+        params, sample = PYParams(0.5, 10.0), SampleSummary(100, 40)
         w = [gaussian_interval(params, sample, 200, level).width
              for level in (0.999, 0.95, 0.5, 0.05, 1e-6)]
         assert all(b < a for a, b in zip(w, w[1:]))
@@ -130,10 +128,14 @@ class TestGaussianInterval:
     def test_refuses_nonpositive_theta(self):
         params = PYParams(0.5, 0.0)
         with pytest.raises(DomainError, match="exact"):
-            gaussian_interval(params, make_sample(10, 3), 20)
+            gaussian_interval(params, SampleSummary(10, 3), 20)
+
+    def test_m_zero_before_theta_check(self):
+        ci = gaussian_interval(PYParams(0.5, 0.0), SampleSummary(10, 3), 0)
+        assert (ci.lo, ci.hi, ci.method) == (0.0, 0.0, "gaussian")
 
     def test_clamped_to_support(self):
-        params, sample = PYParams(0.0, 100.0, ), make_sample(2, 1)
+        params, sample = PYParams(0.0, 100.0, ), SampleSummary(2, 1)
         ci = gaussian_interval(params, sample, 3, level=0.999999)
         assert ci.lo >= 0.0 and ci.hi <= 3.0
 
@@ -145,7 +147,7 @@ class TestGaussianInterval:
             devs = []
             for m in (10 ** 3, 10 ** 4, 10 ** 5, 10 ** 6):
                 params = PYParams(alpha, tau * m)
-                sample = make_sample(int(nu * m), int(rho * m))
+                sample = SampleSummary(int(nu * m), int(rho * m))
                 mm = gaussian_approx(params, sample, m).mean
                 devs.append(abs(mm - posterior_mean(params, sample, m)) / math.sqrt(m))
             assert all(b <= a + 1e-12 for a, b in zip(devs, devs[1:])), (alpha, devs)

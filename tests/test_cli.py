@@ -155,12 +155,29 @@ class TestEstimateCommand:
         )
         assert code == 2 and "alpha" in err
 
+    def test_m_zero_checks_samples(self, capsys):
+        code, _, err = run_cli(
+            capsys, "estimate", "--n", "10", "--j", "3", "--alpha", "0.5",
+            "--theta", "1", "--m", "0", "--samples", "50",
+        )
+        assert code == 2 and "100 Monte Carlo samples" in err
+
     def test_reproducible(self, capsys):
         argv = ["estimate", "--n", "50", "--j", "20", "--alpha", "0.4",
                 "--theta", "2", "--m", "75", "--samples", "300", "--seed", "9"]
         _, out1, _ = run_cli(capsys, *argv)
         _, out2, _ = run_cli(capsys, *argv)
         assert out1 == out2
+
+
+@pytest.mark.parametrize("argv", [
+    ["estimate", "--n", "100", "--j", "40", "--alpha", "0.5", "--theta", "inf",
+     "--m", "10", "--samples", "100"],
+    ["pmf", "--n", "20", "--j", "10", "--alpha", "0.5", "--theta", "inf", "--m", "3"],
+])
+def test_infinite_theta_exit_2(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and err.startswith("error:") and "theta" in err and out == ""
 
 
 class TestPmfCommand:
@@ -180,6 +197,14 @@ class TestPmfCommand:
         )
         assert code == 2 and "u_max" in err
 
+    def test_closed_form_overflow_exit_2(self, capsys):
+        # exp of the alpha = 0 weights overflows at theta = 1e200
+        code, out, err = run_cli(
+            capsys, "pmf", "--n", "20", "--j", "10", "--alpha", "0", "--theta", "1e200",
+            "--m", "30", "--method", "closed",
+        )
+        assert code == 2 and err.startswith("error:") and "overflow" in err and out == ""
+
 
 class TestBenchmarkCommand:
     def test_synthetic_suite_shape_and_determinism(self, capsys, tmp_path, monkeypatch):
@@ -192,7 +217,7 @@ class TestBenchmarkCommand:
             ])
             assert code == 0
         assert out1.read_bytes() == out2.read_bytes()
-        rows = list(csv.reader(out1.open()))
+        rows = list(csv.reader(out1.read_text(encoding="utf-8").splitlines()))
         assert rows[0] == CSV_HEADER
         assert len(rows) == 1 + 4 * 2  # four datasets, two mesh points
 
@@ -211,7 +236,7 @@ class TestBenchmarkCommand:
         code = main(["benchmark", "--suite", "est", "--m-grid", "n..n:1",
                      "--samples", "200", "--seed", "5", "--out", str(out)])
         assert code == 0
-        rows = list(csv.reader(out.open()))
+        rows = list(csv.reader(out.read_text(encoding="utf-8").splitlines()))
         assert len(rows) == 1 + 5
         names = {r[0] for r in rows[1:]}
         assert "tomato_flower" in names
@@ -259,7 +284,8 @@ class TestBenchmarkCommand:
         code = main(["benchmark", "--suite", "synthetic", "--m-grid", "n..5n:3",
                      "--samples", "2000", "--seed", "11", "--out", str(out)])
         assert code == 0
-        rows = [dict(zip(CSV_HEADER, r)) for r in list(csv.reader(out.open()))[1:]]
+        lines = out.read_text(encoding="utf-8").splitlines()
+        rows = [dict(zip(CSV_HEADER, r)) for r in list(csv.reader(lines))[1:]]
         covs = [float(r["gauss_cov"]) for r in rows if int(r["m"]) >= int(r["n"])]
         assert len(covs) == 12
         ok = sum(c >= 93.0 for c in covs)

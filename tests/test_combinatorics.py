@@ -1,3 +1,4 @@
+import hashlib
 import math
 from fractions import Fraction
 
@@ -56,6 +57,10 @@ class TestSignedLog:
         s = SignedLog.from_value(n)
         assert s.log_abs == pytest.approx(400 * math.log(10), rel=1e-14)
 
+    def test_add_cancels_below_rounding(self):
+        # exp(-1e-17) rounds to 1, so the difference is an exact zero
+        assert SignedLog(1, 0.0) + SignedLog(-1, -1e-17) == SignedLog.ZERO
+
 
 class TestLogRisingFactorial:
     def test_small_exact(self):
@@ -109,14 +114,30 @@ class TestGfc:
             assert got.value() == pytest.approx(float(expect), rel=1e-10), (u, v, a, b)
 
     def test_cross_check_path_agrees(self):
-        val = gfc_noncentral(12, 5, 0.45, -3.2, cross_check=True)
+        val = gfc_noncentral(12, 5, 0.45, -3.2)
         ref = gfc_noncentral_sum(12, 5, 0.45, -3.2)
-        assert val.isclose(ref, rel=1e-8)
+        assert val.sign == ref.sign
+        assert val.log_abs == pytest.approx(ref.log_abs, abs=1e-8)
 
     def test_size_cap(self):
         with pytest.raises(SizeLimitError):
             gfc_noncentral(61, 2, 0.5, 0.0)
-        gfc_noncentral(61, 2, 0.5, 0.0, u_max=100)
+        GfcTable(61, 0.5, 0.0)  # the table itself is uncapped
+
+    @pytest.mark.parametrize("u_max,a,b,sha", [
+        (60, 0.54, -977 + 0.54 * 300,
+         "40a9d732c30f8f86a97630172d6c0a8d7889742bd5722495cd51794a2b1f2af9"),
+        # column 0, (-2.7)_(u), changes sign at u = 1, 2, 3
+        (60, 0.3, 2.7, "e0a326c725fce4f3a8b88baf450cc3b3f6d7c22cb7ef0323bf3c0d105fadacf5"),
+        # column 0, (-3)_(u), is an exact zero from u = 4 on
+        (20, 0.01, 3.0, "f646931092fa887fcb058b25a7a30c480c9b7ea2195a2b84e74ce7a92e32dc88"),
+    ])
+    def test_table_pinned(self, u_max, a, b, sha):
+        """Signs and logs are bitwise those of the per-entry SignedLog
+        products that built column 0 before the prefix helper."""
+        table = GfcTable(u_max, a, b)
+        got = hashlib.sha256(table._signs.tobytes() + table._logs.tobytes()).hexdigest()
+        assert got == sha
 
     def test_against_exact_rational_negative_a(self):
         # negative a flips signs through the recurrence; keep u small since

@@ -9,8 +9,6 @@ from unseen.errors import DegenerateSampleError, DomainError
 from unseen.model import SampleSummary
 from unseen.samplers import RngStream, sample_prior_partition
 
-from conftest import make_sample
-
 
 def set_partitions(items):
     """All set partitions of a list (recursive; fine for n <= 8)."""
@@ -26,7 +24,7 @@ def set_partitions(items):
 
 class TestLogLikelihood:
     def test_single_observation_is_certain(self):
-        assert ep_log_likelihood(0.3, 1.0, make_sample(1, 1)) == pytest.approx(0.0)
+        assert ep_log_likelihood(0.3, 1.0, SampleSummary(1, 1, (1,))) == pytest.approx(0.0)
 
     def test_two_in_one_block(self):
         # closed form log[(1 - alpha)/(theta + 1)]
@@ -35,7 +33,7 @@ class TestLogLikelihood:
             assert got == pytest.approx(math.log((1 - alpha) / (theta + 1)), rel=1e-12)
 
     def test_inadmissible_is_neg_inf(self):
-        s = make_sample(5, 3)
+        s = SampleSummary(5, 3, (2, 2, 1))
         assert ep_log_likelihood(0.0, 0.0, s) == -math.inf
         assert ep_log_likelihood(0.5, -1.2, s) == -math.inf
 
@@ -60,7 +58,7 @@ class TestLogLikelihood:
 class TestFit:
     def test_rejects_single_observation(self):
         with pytest.raises(DegenerateSampleError):
-            fit_empirical_bayes(make_sample(1, 1))
+            fit_empirical_bayes(SampleSummary(1, 1, (1,)))
 
     @pytest.mark.parametrize("kwargs", [
         {"alpha_step": 0.0},
@@ -75,7 +73,7 @@ class TestFit:
     ])
     def test_rejects_bad_search_settings(self, kwargs):
         with pytest.raises(DomainError):
-            fit_empirical_bayes(make_sample(10, 4), **kwargs)
+            fit_empirical_bayes(SampleSummary(10, 4, (4, 3, 2, 1)), **kwargs)
 
     def test_two_obs_one_block_flags_boundary(self):
         fit = fit_empirical_bayes(SampleSummary(2, 1, (2,)))

@@ -3,10 +3,10 @@ import pytest
 
 from unseen.errors import DomainError, MethodUnavailableError
 from unseen.intervals import CredibleInterval, coverage, exact_interval, ml_interval
-from unseen.model import PYParams, posterior_mean, posterior_pmf_dp
+from unseen.model import PYParams, SampleSummary, posterior_mean, posterior_pmf_dp
 from unseen.samplers import RngStream
 
-from conftest import TAB0, make_sample
+from conftest import TAB0
 
 
 class TestCredibleInterval:
@@ -25,23 +25,23 @@ class TestCredibleInterval:
 
 class TestExactInterval:
     def test_m_zero(self):
-        ci = exact_interval(PYParams(0.5, 0.5), make_sample(2, 1), 0, rng=RngStream(1))
+        ci = exact_interval(PYParams(0.5, 0.5), SampleSummary(2, 1), 0, rng=RngStream(1))
         assert (ci.lo, ci.hi) == (0.0, 0.0)
 
     def test_requires_enough_samples(self):
         with pytest.raises(DomainError):
-            exact_interval(PYParams(0.5, 0.5), make_sample(2, 1), 5, samples=50)
+            exact_interval(PYParams(0.5, 0.5), SampleSummary(2, 1), 5, samples=50)
 
     def test_matches_dp_quantiles_small_instance(self):
         """Large-sample empirical quantiles equal the exact pmf quantiles."""
-        params, sample, m = PYParams(0.5, 0.5), make_sample(2, 1), 10
+        params, sample, m = PYParams(0.5, 0.5), SampleSummary(2, 1), 10
         pmf = posterior_pmf_dp(params, sample, m)
         ci = exact_interval(params, sample, m, 0.95, samples=10 ** 6, rng=RngStream(2))
         assert ci.lo == float(pmf.quantile(0.025))
         assert ci.hi == float(pmf.quantile(0.975))
 
     def test_zipf_a_row(self):
-        params, sample = PYParams(*TAB0["zipf_a"][:2]), make_sample(977, 300)
+        params, sample = PYParams(*TAB0["zipf_a"][:2]), SampleSummary(977, 300)
         ci = exact_interval(params, sample, 977, 0.95, samples=2000, rng=RngStream(3))
         assert abs(round(ci.lo) - 130) <= 3
         assert abs(round(ci.hi) - 184) <= 3
@@ -50,31 +50,31 @@ class TestExactInterval:
 class TestMlInterval:
     def test_alpha_zero_propagates(self):
         with pytest.raises(MethodUnavailableError):
-            ml_interval(PYParams(0.0, 1.0), make_sample(5, 2), 10, rng=RngStream(4))
+            ml_interval(PYParams(0.0, 1.0), SampleSummary(5, 2), 10, rng=RngStream(4))
 
     def test_zipf_a_row(self):
-        params, sample = PYParams(*TAB0["zipf_a"][:2]), make_sample(977, 300)
+        params, sample = PYParams(*TAB0["zipf_a"][:2]), SampleSummary(977, 300)
         ci = ml_interval(params, sample, 977, 0.95, samples=2000, rng=RngStream(5))
         assert abs(round(ci.lo) - 141) <= 3
         assert abs(round(ci.hi) - 173) <= 3
 
     def test_endpoints_clamped_to_support(self):
         # at tiny m the limit law spills past the support; endpoints clamp
-        params, sample = PYParams(0.7, 5.0), make_sample(20, 10)
+        params, sample = PYParams(0.7, 5.0), SampleSummary(20, 10)
         for m in (1, 2, 3):
             ci = ml_interval(params, sample, m, 0.95, samples=4000, rng=RngStream(55, m))
             assert 0.0 <= ci.lo <= ci.hi <= float(m)
 
     def test_negative_theta_admissible(self):
         # theta in (-alpha, 0] is a legitimate prior corner for sampling
-        params, sample = PYParams(0.6, -0.3), make_sample(12, 4)
+        params, sample = PYParams(0.6, -0.3), SampleSummary(12, 4)
         ci = exact_interval(params, sample, 30, samples=2000, rng=RngStream(56))
         assert 0.0 <= ci.lo <= ci.hi <= 30.0
         k_hat = posterior_mean(params, sample, 30)
         assert 0.0 < k_hat < 30.0
 
     def test_nested_in_level(self):
-        params, sample = PYParams(0.5, 5.0), make_sample(50, 20)
+        params, sample = PYParams(0.5, 5.0), SampleSummary(50, 20)
         rng = RngStream(6)
         widths = [
             ml_interval(params, sample, 100, level, samples=4000, rng=rng).width
@@ -87,7 +87,7 @@ class TestMlInterval:
         from unseen.asymptotics import gaussian_interval
 
         for name, (a, t, n, j) in TAB0.items():
-            params, sample = PYParams(a, t), make_sample(n, j)
+            params, sample = PYParams(a, t), SampleSummary(n, j)
             k_hat = posterior_mean(params, sample, n)
             cis = [
                 exact_interval(params, sample, n, samples=2000, rng=RngStream(7)),

@@ -1,10 +1,14 @@
 import hashlib
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from unseen.errors import DomainError, SizeLimitError
+from unseen.asymptotics import gaussian_interval
+from unseen.datasets import export_label_counts, standin_freqs
+from unseen.empirical_bayes import ep_log_likelihood, fit_empirical_bayes
+from unseen.errors import DomainError, NumericalIntegrityError, SizeLimitError
 from unseen.model import (
     _DP_FLOOR,
     Pmf,
@@ -16,8 +20,6 @@ from unseen.model import (
     posterior_pmf_dp,
     predictive_new_prob,
 )
-
-from conftest import make_sample
 
 
 class TestTypes:
@@ -31,6 +33,10 @@ class TestTypes:
         with pytest.raises(DomainError):
             PYParams(alpha=0.5, theta=-0.5)
 
+    def test_params_reject_infinite_theta(self):
+        with pytest.raises(DomainError, match="finite"):
+            PYParams(alpha=0.5, theta=math.inf)
+
     def test_sample_summary_validation(self):
         s = SampleSummary(n=3, j=2, freqs=(2, 1))
         assert s.n == 3
@@ -41,6 +47,25 @@ class TestTypes:
         with pytest.raises(DomainError):
             SampleSummary(n=2, j=2, freqs=(2, 0))
 
+    @pytest.mark.parametrize("freqs", [(2,), (4, 2, 1), standin_freqs(977, 300).freqs])
+    def test_frequencies_only_where_needed(self, tmp_path, freqs):
+        """The posterior takes (n, j) alone; the fit and the export need the
+        frequencies and say so."""
+        full = SampleSummary.from_freqs(freqs)
+        bare = SampleSummary(full.n, full.j)
+        assert bare.freqs is None
+        with pytest.raises(DomainError):
+            fit_empirical_bayes(bare)
+        with pytest.raises(DomainError):
+            ep_log_likelihood(0.5, 1.0, bare)
+        with pytest.raises(DomainError):
+            export_label_counts(bare, str(tmp_path / "counts.tsv"))
+        params, m = PYParams(0.5, 2.0), 3 * full.n
+        assert repr(posterior_mean(params, bare, m)) == repr(posterior_mean(params, full, m))
+        assert (posterior_pmf_dp(params, bare, m).probs.tobytes()
+                == posterior_pmf_dp(params, full, m).probs.tobytes())
+        assert gaussian_interval(params, bare, m) == gaussian_interval(params, full, m)
+
     def test_from_freqs(self):
         s = SampleSummary.from_freqs([1, 5, 2])
         assert (s.n, s.j, s.freqs) == (8, 3, (5, 2, 1))
@@ -49,6 +74,10 @@ class TestTypes:
         Pmf(np.array([0.25, 0.75]))
         with pytest.raises(DomainError):
             Pmf(np.array([-0.1, 1.1]))
+
+    def test_pmf_rejects_nonfinite(self):
+        with pytest.raises(NumericalIntegrityError):
+            Pmf(np.array([np.nan, np.nan]))
 
     def test_pmf_quantile(self):
         pmf = Pmf(np.array([0.2, 0.5, 0.3]))
@@ -74,28 +103,28 @@ class TestPredictive:
 
 class TestPosteriorMean:
     def test_m_zero(self):
-        assert posterior_mean(PYParams(0.5, 0.5), make_sample(10, 5), 0) == 0.0
+        assert posterior_mean(PYParams(0.5, 0.5), SampleSummary(10, 5), 0) == 0.0
 
     def test_dirichlet_single_term(self):
-        val = posterior_mean(PYParams(0.0, 1.0), make_sample(1, 1), 1)
+        val = posterior_mean(PYParams(0.0, 1.0), SampleSummary(1, 1), 1)
         assert val == pytest.approx(0.5, rel=1e-12)
 
     def test_dirichlet_sum_formula(self):
-        params, sample, m = PYParams(0.0, 2.0), make_sample(3, 2), 7
+        params, sample, m = PYParams(0.0, 2.0), SampleSummary(3, 2), 7
         direct = sum(2.0 / (2.0 + 3 + i - 1) for i in range(1, m + 1))
         assert posterior_mean(params, sample, m) == pytest.approx(direct, rel=1e-12)
 
     def test_zipf_a_table_value(self):
-        val = posterior_mean(PYParams(0.54, 26.67), make_sample(977, 300), 977)
+        val = posterior_mean(PYParams(0.54, 26.67), SampleSummary(977, 300), 977)
         assert abs(round(val) - 156) <= 2
 
     def test_monotone_in_m(self):
-        params, sample = PYParams(0.25, 1.5), make_sample(20, 7)
+        params, sample = PYParams(0.25, 1.5), SampleSummary(20, 7)
         vals = [posterior_mean(params, sample, m) for m in range(0, 50, 5)]
         assert all(b > a for a, b in zip(vals, vals[1:]))
 
     def test_huge_m_finite(self):
-        val = posterior_mean(PYParams(0.54, 26.67), make_sample(977, 300), 10 ** 7)
+        val = posterior_mean(PYParams(0.54, 26.67), SampleSummary(977, 300), 10 ** 7)
         assert np.isfinite(val) and val > 0
 
 
@@ -107,42 +136,42 @@ def exact_pmf_small():
 
 class TestPmfs:
     def test_dp_m0(self):
-        pmf = posterior_pmf_dp(PYParams(0.5, 0.5), make_sample(2, 1), 0)
+        pmf = posterior_pmf_dp(PYParams(0.5, 0.5), SampleSummary(2, 1), 0)
         assert pmf.probs.tolist() == [1.0]
 
     def test_dp_one_step(self):
-        params, sample = PYParams(0.3, 0.7), make_sample(4, 2)
+        params, sample = PYParams(0.3, 0.7), SampleSummary(4, 2)
         p = (0.7 + 0.3 * 2) / (0.7 + 4)
         pmf = posterior_pmf_dp(params, sample, 1)
         assert pmf.probs == pytest.approx([1 - p, p], rel=1e-12)
 
     def test_dp_exact_rational_case(self):
-        pmf = posterior_pmf_dp(PYParams(0.5, 0.5), make_sample(2, 1), 2)
+        pmf = posterior_pmf_dp(PYParams(0.5, 0.5), SampleSummary(2, 1), 2)
         expect = [float(x) for x in exact_pmf_small()]
         assert pmf.probs == pytest.approx(expect, rel=1e-12)
 
     def test_closed_exact_rational_case(self):
-        pmf = posterior_pmf_closed(PYParams(0.5, 0.5), make_sample(2, 1), 2)
+        pmf = posterior_pmf_closed(PYParams(0.5, 0.5), SampleSummary(2, 1), 2)
         expect = [float(x) for x in exact_pmf_small()]
         assert pmf.probs == pytest.approx(expect, rel=1e-12)
 
     def test_closed_m0(self):
-        pmf = posterior_pmf_closed(PYParams(0.5, 0.5), make_sample(2, 1), 0)
+        pmf = posterior_pmf_closed(PYParams(0.5, 0.5), SampleSummary(2, 1), 0)
         assert pmf.probs.tolist() == [1.0]
 
     def test_closed_dirichlet_mean_matches_formula(self):
-        params, sample, m = PYParams(0.0, 2.0), make_sample(3, 2), 3
+        params, sample, m = PYParams(0.0, 2.0), SampleSummary(3, 2), 3
         pmf = posterior_pmf_closed(params, sample, m)
         expect = sum(2.0 / (2.0 + 3 + i - 1) for i in range(1, m + 1))
         assert pmf.mean() == pytest.approx(expect, rel=1e-10)
 
     def test_dp_size_cap(self):
-        with pytest.raises(SizeLimitError):
-            posterior_pmf_dp(PYParams(0.5, 0.5), make_sample(2, 1), 50, dp_max=20)
+        with pytest.raises(SizeLimitError, match="dp_max"):
+            posterior_pmf_dp(PYParams(0.5, 0.5), SampleSummary(2, 1), 20001)
 
     def test_closed_size_cap(self):
         with pytest.raises(SizeLimitError):
-            posterior_pmf_closed(PYParams(0.5, 0.5), make_sample(2, 1), 61)
+            posterior_pmf_closed(PYParams(0.5, 0.5), SampleSummary(2, 1), 61)
 
 
 GRID_ALPHAS = (0.0, 0.25, 0.5, 0.75)
@@ -156,7 +185,7 @@ def test_oracle_equivalence_spot_grid(alpha, theta):
     grid runs in the acceptance suite."""
     params = PYParams(alpha, theta)
     for n, j in [(1, 1), (7, 3), (30, 30), (30, 1), (18, 11)]:
-        sample = make_sample(n, j)
+        sample = SampleSummary(n, j)
         for m in (1, 5, 25):
             dp = posterior_pmf_dp(params, sample, m)
             cl = posterior_pmf_closed(params, sample, m)
@@ -187,7 +216,7 @@ PINNED_DP = [
 @pytest.mark.parametrize("case,sha,mean,var", PINNED_DP)
 def test_banded_dp_pinned(case, sha, mean, var):
     alpha, theta, n, j, m = case
-    pmf = posterior_pmf_dp(PYParams(alpha, theta), make_sample(n, j), m)
+    pmf = posterior_pmf_dp(PYParams(alpha, theta), SampleSummary(n, j), m)
     kept = np.where(pmf.probs >= 1e-250, pmf.probs, 0.0)
     assert hashlib.sha256(kept.tobytes()).hexdigest() == sha
     assert repr(pmf.mean()) == mean

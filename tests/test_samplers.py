@@ -6,7 +6,7 @@ import pytest
 from unseen import samplers
 from unseen.asymptotics import m_frak, s_frak_sq
 from unseen.errors import DomainError, MethodUnavailableError
-from unseen.model import PYParams, posterior_mean, posterior_pmf_dp
+from unseen.model import PYParams, SampleSummary, posterior_mean, posterior_pmf_dp
 from unseen.samplers import (
     MLLimitParams,
     RngStream,
@@ -18,8 +18,6 @@ from unseen.samplers import (
     sample_prior_kstar,
     sample_prior_partition,
 )
-
-from conftest import make_sample
 
 
 class TestRngStream:
@@ -38,7 +36,7 @@ class TestRngStream:
         assert RngStream(5, 2).split(9) != RngStream(5, 2).split(10)
 
     def test_sampler_level_determinism(self):
-        params, sample = PYParams(0.5, 1.0), make_sample(10, 4)
+        params, sample = PYParams(0.5, 1.0), SampleSummary(10, 4)
         rng = RngStream(99)
         a = sample_k_future(params, sample, 50, rng, size=32)
         b = sample_k_future(params, sample, 50, rng, size=32)
@@ -55,17 +53,17 @@ class TestRngStream:
 
 class TestKFutureChain:
     def test_m_zero(self):
-        assert sample_k_future(PYParams(0.5, 0.5), make_sample(2, 1), 0, RngStream(0)) == 0
+        assert sample_k_future(PYParams(0.5, 0.5), SampleSummary(2, 1), 0, RngStream(0)) == 0
 
     def test_tiny_theta_dirichlet(self):
         # alpha = 0 with theta ~ 0: new-species probability ~ 0
-        params, sample = PYParams(0.0, 1e-12), make_sample(5, 2)
+        params, sample = PYParams(0.0, 1e-12), SampleSummary(5, 2)
         draws = sample_k_future(params, sample, 20, RngStream(4), size=200)
         assert np.all(draws == 0)
 
     def test_against_dp_pmf(self):
         """Empirical law of the chain vs the exact DP pmf, TV <= 4/sqrt(R)."""
-        params, sample, m = PYParams(0.5, 0.5), make_sample(2, 1), 2
+        params, sample, m = PYParams(0.5, 0.5), SampleSummary(2, 1), 2
         reps = 200_000
         draws = sample_k_future(params, sample, m, RngStream(7), size=reps)
         emp = np.bincount(draws, minlength=m + 1) / reps
@@ -80,7 +78,7 @@ class TestKFutureChain:
             (0.0, 1.0, 5, 3, 10), (0.25, 10.0, 12, 4, 8),
             (0.75, 0.5, 3, 2, 12), (0.5, 1.0, 30, 15, 6),
         ]):
-            params, sample = PYParams(alpha, theta), make_sample(n, j)
+            params, sample = PYParams(alpha, theta), SampleSummary(n, j)
             draws = sample_k_future(params, sample, m, RngStream(21, idx), size=reps)
             emp = np.bincount(draws, minlength=m + 1) / reps
             dp = posterior_pmf_dp(params, sample, m).probs
@@ -95,7 +93,7 @@ class TestKFutureChain:
         for idx, (alpha, theta, n, j, m) in enumerate([
             (0.5, 2.0, 400, 50, 60), (0.0, 5.0, 400, 10, 80), (0.8, 1.0, 2000, 100, 40),
         ]):
-            params, sample = PYParams(alpha, theta), make_sample(n, j)
+            params, sample = PYParams(alpha, theta), SampleSummary(n, j)
             gen = RngStream(23, idx).generator()
             draws = _k_future_jump(params, sample, m, gen, reps)
             emp = np.bincount(draws, minlength=m + 1) / reps
@@ -106,7 +104,7 @@ class TestKFutureChain:
         """At m past the dispatch threshold, the empirical cdf of jump draws
         matches the exact DP cdf (KS; the support is too wide for the small-
         instance TV bound)."""
-        params, sample, m = PYParams(0.5, 2.0), make_sample(400, 50), 20_000
+        params, sample, m = PYParams(0.5, 2.0), SampleSummary(400, 50), 20_000
         dp = posterior_pmf_dp(params, sample, m)
         reps = 100_000
         draws = sample_k_future(params, sample, m, RngStream(25), size=reps)
@@ -124,7 +122,7 @@ class TestKFutureChain:
         from unseen.samplers import _bernoulli_chain, _k_future_jump
 
         (a, t), (n, j), m, reps = (0.54, 26.67), (977, 300), 20_000, 30_000
-        params, sample = PYParams(a, t), make_sample(n, j)
+        params, sample = PYParams(a, t), SampleSummary(n, j)
         steps = _bernoulli_chain(RngStream(27, 0).generator(), reps, m, t + a * j, a, t + n)
         jumps = _k_future_jump(params, sample, m, RngStream(27, 1).generator(), reps)
         assert ks_2samp(steps, jumps).pvalue > 1e-4
@@ -138,7 +136,7 @@ class TestKFutureDispatch:
     @staticmethod
     def _draws(alpha, theta, n, j, m, count=50):
         before = samplers.draw_count()
-        sample_k_future(PYParams(alpha, theta), make_sample(n, j), m, RngStream(3), size=count)
+        sample_k_future(PYParams(alpha, theta), SampleSummary(n, j), m, RngStream(3), size=count)
         return samplers.draw_count() - before
 
     @pytest.mark.parametrize("alpha,theta,n,j,m", [
@@ -180,7 +178,7 @@ class TestKFutureDispatch:
         lane loop that preceded the active-lane one."""
         import hashlib
 
-        k = sample_k_future(PYParams(alpha, theta), make_sample(n, j), m, RngStream(seed),
+        k = sample_k_future(PYParams(alpha, theta), SampleSummary(n, j), m, RngStream(seed),
                             size=400)
         assert hashlib.sha256(np.asarray(k, dtype="<i8").tobytes()).hexdigest() == digest
 
@@ -266,14 +264,14 @@ class TestMittagLeffler:
 class TestMlLimit:
     def test_alpha_zero_unavailable(self):
         with pytest.raises(MethodUnavailableError, match="alpha = 0"):
-            sample_ml_limit(PYParams(0.0, 1.0), make_sample(5, 2), 10, RngStream(0))
+            sample_ml_limit(PYParams(0.0, 1.0), SampleSummary(5, 2), 10, RngStream(0))
 
     def test_m_zero_degenerate(self):
-        params, sample = PYParams(0.5, 0.5), make_sample(2, 1)
+        params, sample = PYParams(0.5, 0.5), SampleSummary(2, 1)
         assert sample_ml_limit(params, sample, 0, RngStream(0)) == 0.0
 
     def test_params_from_posterior(self):
-        params, sample = PYParams(0.54, 26.67), make_sample(977, 300)
+        params, sample = PYParams(0.54, 26.67), SampleSummary(977, 300)
         ml = MLLimitParams.from_posterior(params, sample, 977)
         assert ml.beta_a == pytest.approx(300 + 26.67 / 0.54)
         assert ml.beta_b == pytest.approx(977 / 0.54 - 300)
@@ -283,7 +281,7 @@ class TestMlLimit:
 
     def test_centering_on_posterior_mean(self):
         """mean(c*B*S) tracks the exact posterior mean within 2%."""
-        params, sample = PYParams(0.54, 26.67), make_sample(977, 300)
+        params, sample = PYParams(0.54, 26.67), SampleSummary(977, 300)
         draws = sample_ml_limit(params, sample, 977, RngStream(41), size=100_000)
         k_hat = posterior_mean(params, sample, 977)
         assert abs(draws.mean() - k_hat) / k_hat <= 0.02
