@@ -46,7 +46,6 @@ from .model import (
 from .samplers import (
     MLLimitParams,
     RngStream,
-    ml_moment,
     sample_beta,
     sample_k_future,
     sample_mittag_leffler,
@@ -66,7 +65,7 @@ __all__ = [
     "exact_interval", "export_label_counts", "fit_empirical_bayes",
     "gaussian_approx", "gaussian_interval", "generate", "gfc_noncentral",
     "gfc_noncentral_sum", "ingest", "log_rising_factorial", "m_frak",
-    "ml_interval", "ml_moment", "norm_quantile", "posterior_mean",
+    "ml_interval", "norm_quantile", "posterior_mean",
     "posterior_pmf_closed", "posterior_pmf_dp", "predictive_new_prob",
     "s_frak_sq", "sample_beta", "sample_k_future", "sample_mittag_leffler",
     "sample_ml_limit", "sample_prior_kstar", "sample_prior_partition",

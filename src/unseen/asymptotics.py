@@ -86,7 +86,8 @@ def script_S_sq(alpha: float, ratios: RegimeRatios) -> float:
     tau, nu, lam = ratios.tau, ratios.nu, ratios.lam
     c = math.log1p(1.0 / lam)
     if alpha == 0.0:
-        return tau * c - tau * tau / (lam * (lam + 1.0))
+        # as two ratios: lam * (lam + 1) overflows at large theta
+        return tau * c - (tau / lam) * (tau / (lam + 1.0))
     g = tau + ratios.rho * alpha
     if g <= 0:
         raise DomainError("tau + rho*alpha must be positive")
@@ -94,28 +95,6 @@ def script_S_sq(alpha: float, ratios: RegimeRatios) -> float:
         raise DomainError("nu - rho*alpha must be positive")
     big_a = math.exp(alpha * c)
     return (g / lam) * big_a * ((lam / alpha) * math.expm1(alpha * c) - g * big_a / (lam + 1.0))
-
-
-def mu_z(z: float, alpha: float, ratios: RegimeRatios) -> float:
-    """Mean function of the binomial-mixing stage (test support)."""
-    if z <= 0:
-        raise DomainError("z must be positive")
-    return z * (ratios.tau + ratios.rho * alpha) / ratios.lam
-
-
-def mu_z_prime(alpha: float, ratios: RegimeRatios) -> float:
-    """d/dz of mu_z (constant in z)."""
-    return (ratios.tau + ratios.rho * alpha) / ratios.lam
-
-
-def sigma_sq_z(z: float, alpha: float, ratios: RegimeRatios) -> float:
-    """Variance function of the binomial-mixing stage (test support)."""
-    if z <= 0:
-        raise DomainError("z must be positive")
-    g = ratios.tau + ratios.rho * alpha
-    h = ratios.nu - ratios.rho * alpha
-    lam = ratios.lam
-    return z * g * h / (lam * lam) * (1.0 + alpha * z / lam)
 
 
 # Acklam's rational approximation to the standard normal quantile,
@@ -183,7 +162,9 @@ def gaussian_interval(
         return CredibleInterval(0.0, 0.0, level, "gaussian")
     approx = gaussian_approx(params, sample, m)
     z = norm_quantile(0.5 + level / 2.0)
-    half = z * math.sqrt(approx.variance)
+    # S^2 is a difference that cancels at large theta: rounding can leave it
+    # a few ulps below 0
+    half = z * math.sqrt(max(approx.variance, 0.0))
     return CredibleInterval(
         lo=max(0.0, approx.mean - half),
         hi=min(float(m), approx.mean + half),

@@ -3,7 +3,8 @@ posterior pmf inspection, and the benchmark harness that regenerates
 table/coverage sweeps as CSV.
 
 Exit codes: 0 success, 2 unusable input (parse errors, inadmissible
-parameters, size caps), 3 degenerate samples.
+parameters, size caps, numerical failures, unreadable or unwritable
+files), 3 degenerate samples.
 """
 
 from __future__ import annotations
@@ -25,9 +26,8 @@ from .errors import (
     DegenerateSampleError,
     DomainError,
     MethodUnavailableError,
-    NumericalIntegrityError,
     ParseError,
-    SizeLimitError,
+    UnseenError,
 )
 from .intervals import _check_mc_args, coverage, exact_interval, ml_interval
 from .model import PYParams, SampleSummary, posterior_mean, posterior_pmf_closed, posterior_pmf_dp
@@ -171,6 +171,8 @@ def _parse_m_grid(spec: str, n: int, default_points: int = 50) -> list[int]:
 
 def _worker_count() -> int:
     env = os.environ.get("UNSEEN_THREADS", "")
+    if env and not env.isdecimal():
+        raise DomainError(f"UNSEEN_THREADS must be a non-negative integer, got {env!r}")
     cap = int(env) if env else 4
     return max(1, min(cap, os.cpu_count() or 1))
 
@@ -183,24 +185,10 @@ def _emit_rows(rows, out_fh) -> None:
 
 
 def cmd_fit(args) -> int:
-    try:
-        sample = ingest(args.input, args.mode)
-    except FileNotFoundError:
-        print(f"error: no such file: {args.input}", file=sys.stderr)
-        return 2
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        fit = fit_empirical_bayes(
-            sample, alpha_step=args.alpha_step, theta_bounds=(1e-4, args.theta_max)
-        )
-    except DomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except DegenerateSampleError as exc:
-        print(f"error: degenerate sample: {exc}", file=sys.stderr)
-        return 3
+    sample = ingest(args.input, args.mode)
+    fit = fit_empirical_bayes(
+        sample, alpha_step=args.alpha_step, theta_bounds=(1e-4, args.theta_max)
+    )
     flags = sorted(fit.boundary_flags)
     if args.format == "json":
         print(json.dumps({
@@ -218,40 +206,26 @@ def cmd_fit(args) -> int:
 
 
 def cmd_estimate(args) -> int:
-    try:
-        params = PYParams(alpha=args.alpha, theta=args.theta)
-        sample = SampleSummary(n=args.n, j=args.j)
-    except DomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    params = PYParams(alpha=args.alpha, theta=args.theta)
+    sample = SampleSummary(n=args.n, j=args.j)
     methods = tuple(tok.strip() for tok in args.methods.split(",") if tok.strip())
     bad = set(methods) - {"exact", "ml", "gaussian"}
     if bad:
-        print(f"error: unknown methods {sorted(bad)}", file=sys.stderr)
-        return 2
+        raise DomainError(f"unknown methods {sorted(bad)}")
     if "ml" in methods and params.alpha == 0.0:
         if not set(methods) - {"ml"}:
-            print("error: the Mittag-Leffler method is unavailable at alpha = 0",
-                  file=sys.stderr)
-            return 2
+            raise MethodUnavailableError("the Mittag-Leffler method is unavailable at alpha = 0")
         print("note: Mittag-Leffler columns left empty (method unavailable at alpha = 0)",
               file=sys.stderr)
-    try:
-        m_values = [int(tok) for tok in args.m.split(",")]
-    except ValueError:
-        print(f"error: bad m list {args.m!r}", file=sys.stderr)
-        return 2
+    m_tokens = args.m.split(",")
+    if not all(tok.strip().isdecimal() for tok in m_tokens):
+        raise DomainError(f"m must be a comma-separated list of integers >= 0, got {args.m!r}")
     base = RngStream(args.seed)
-    rows = []
-    try:
-        for idx, m in enumerate(m_values):
-            rows.append(compute_row(
-                "cli", params, sample, m, args.level, args.samples,
-                methods, base.split(idx),
-            ))
-    except (DomainError, MethodUnavailableError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    rows = [
+        compute_row("cli", params, sample, int(m), args.level, args.samples,
+                    methods, base.split(idx))
+        for idx, m in enumerate(m_tokens)
+    ]
     _emit_rows(rows, sys.stdout)
     return 0
 
@@ -278,73 +252,57 @@ def _est_samples(est_dir: str | None):
 
 
 def cmd_benchmark(args) -> int:
+    # reject bad arguments before the (slow) generation and fits
+    _check_mc_args(args.samples, args.level)
+    _m_grid_spec(args.m_grid)
+    workers = _worker_count()
+    if args.suite == "synthetic":
+        # drawn only once --out is open; each draw has exactly spec.n observations
+        specs = sorted(SYNTHETIC_SUITE.items())
+        sizes = [spec.n for _, spec in specs]
+    else:
+        datasets = _est_samples(args.est_dir)
+        sizes = [sample.n for _, sample in datasets]
+    # a grid mixing absolute and n-relative bounds is checked per dataset
+    grids = [_parse_m_grid(args.m_grid, n) for n in sizes]
     base = RngStream(args.seed)
-    jobs = []
-    try:
-        # reject bad arguments before the (slow) generation and fits
-        _check_mc_args(args.samples, args.level)
-        _m_grid_spec(args.m_grid)
+    with open(args.out, "w", encoding="utf-8", newline="") as fh:
         if args.suite == "synthetic":
             datasets = [
                 (name, generate(spec, base.split(1000 + d_idx)))
-                for d_idx, (name, spec) in enumerate(sorted(SYNTHETIC_SUITE.items()))
+                for d_idx, (name, spec) in enumerate(specs)
             ]
-        else:
-            datasets = _est_samples(args.est_dir)
-        # a grid mixing absolute and n-relative bounds is checked per dataset
-        grids = [_parse_m_grid(args.m_grid, sample.n) for _, sample in datasets]
+        tasks = []
         for (name, sample), grid in zip(datasets, grids):
             fit = fit_empirical_bayes(sample)
             params = PYParams(alpha=fit.alpha_hat, theta=fit.theta_hat)
-            jobs.append((name, params, sample, grid))
-    except (ParseError, FileNotFoundError, DomainError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except DegenerateSampleError as exc:
-        print(f"error: degenerate sample: {exc}", file=sys.stderr)
-        return 3
+            tasks.extend((name, params, sample, m) for m in grid)
 
-    tasks = []
-    for name, params, sample, grid in jobs:
-        for m in grid:
-            tasks.append((len(tasks), name, params, sample, m))
+        def run(idx):
+            name, params, sample, m = tasks[idx]
+            return compute_row(
+                name, params, sample, m, args.level, args.samples,
+                ("exact", "ml", "gaussian"), base.split(idx),
+            )
 
-    def run(task):
-        idx, name, params, sample, m = task
-        return idx, compute_row(
-            name, params, sample, m, args.level, args.samples,
-            ("exact", "ml", "gaussian"), base.split(idx),
-        )
-
-    results: list[BenchmarkRow | None] = [None] * len(tasks)
-    workers = _worker_count()
-    if workers == 1:
-        for task in tasks:
-            idx, row = run(task)
-            results[idx] = row
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            for idx, row in pool.map(run, tasks):
-                results[idx] = row
-    with open(args.out, "w", encoding="utf-8", newline="") as fh:
-        _emit_rows(results, fh)
+        if workers == 1:
+            rows = [run(idx) for idx in range(len(tasks))]
+        else:
+            pool = ThreadPoolExecutor(max_workers=workers)
+            try:
+                rows = list(pool.map(run, range(len(tasks))))
+            finally:
+                # after a failed row, drop the rows not yet started
+                pool.shutdown(cancel_futures=True)
+        _emit_rows(rows, fh)
     return 0
 
 
 def cmd_pmf(args) -> int:
-    try:
-        params = PYParams(alpha=args.alpha, theta=args.theta)
-        sample = SampleSummary(n=args.n, j=args.j)
-        if args.method == "dp":
-            pmf = posterior_pmf_dp(params, sample, args.m)
-        else:
-            pmf = posterior_pmf_closed(params, sample, args.m)
-    except (SizeLimitError, NumericalIntegrityError) as exc:
-        print(f"error: {exc} for method {args.method!r}", file=sys.stderr)
-        return 2
-    except DomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    params = PYParams(alpha=args.alpha, theta=args.theta)
+    sample = SampleSummary(n=args.n, j=args.j)
+    posterior_pmf = posterior_pmf_dp if args.method == "dp" else posterior_pmf_closed
+    pmf = posterior_pmf(params, sample, args.m)
     writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(["k", "prob"])
     for k, p in enumerate(pmf.probs):
@@ -402,8 +360,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand.  The exit-code policy lives here alone: package
+    errors and I/O errors print one `error:` line and exit 2, or 3 for a
+    degenerate sample; any other exception is a bug and keeps its traceback."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except DegenerateSampleError as exc:
+        print(f"error: degenerate sample: {exc}", file=sys.stderr)
+        return 3
+    except (UnseenError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

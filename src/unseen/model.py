@@ -17,9 +17,15 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import digamma, gammaln
+from scipy.special import digamma
 
-from .combinatorics import U_MAX, GfcTable, log_rising_factorial, stirling_noncentral
+from .combinatorics import (
+    U_MAX,
+    GfcTable,
+    _signed_log_rising_prefix,
+    log_rising_factorial,
+    stirling_noncentral,
+)
 from .errors import DomainError, NumericalIntegrityError, SizeLimitError
 
 # Largest m of the pmf recursion.
@@ -49,10 +55,6 @@ class PYParams:
             raise DomainError(
                 f"theta must exceed -alpha, got theta={self.theta}, alpha={self.alpha}"
             )
-
-    @property
-    def is_dirichlet(self) -> bool:
-        return self.alpha == 0.0
 
 
 @dataclass(frozen=True)
@@ -202,14 +204,9 @@ def _closed_log_weights_py(params: PYParams, sample: SampleSummary, m: int):
     a, t, n, j = params.alpha, params.theta, sample.n, sample.j
     table = GfcTable(m, a, -n + j * a)
     signs, logs = table.log_row(m)
-    base = j + t / a
-    k = np.arange(m + 1)
-    if base <= 0:
-        # theta + j*alpha = 0: rising factorial vanishes for k >= 1
-        lr = np.where(k == 0, 0.0, -np.inf)
-    else:
-        lr = gammaln(base + k) - gammaln(base)
-    return signs, lr + logs
+    # theta > -alpha makes j + theta/alpha > j - 1 >= 0, so every factor is positive
+    _, log_rising = _signed_log_rising_prefix(j + t / a, m)
+    return signs, log_rising + logs
 
 
 def posterior_pmf_closed(params: PYParams, sample: SampleSummary, m: int) -> Pmf:
@@ -235,7 +232,7 @@ def posterior_pmf_closed(params: PYParams, sample: SampleSummary, m: int) -> Pmf
         signs = np.ones(m + 1, dtype=np.int8)
     else:
         signs, log_w = _closed_log_weights_py(params, sample, m)
-    log_norm = log_rising_factorial(t + n, m)
+    log_norm = _signed_log_rising_prefix(t + n, m)[1][-1]
     with np.errstate(over="ignore"):
         probs = np.where(signs == 0, 0.0, signs * np.exp(log_w - log_norm))
     if np.any(probs < _NEG_CLAMP):

@@ -323,21 +323,6 @@ def sample_mittag_leffler(alpha: float, q: float, rng: RngStream, size=None):
     return float(s[0]) if scalar else s
 
 
-def ml_moment(alpha: float, q: float, p: float) -> float:
-    """Exact p-th moment of S_{alpha, q} (test oracle):
-    Gamma(q+p+1)Gamma(q*alpha+1) / (Gamma(q+1)Gamma(q*alpha+p*alpha+1))."""
-    from scipy.special import gammaln
-
-    return float(
-        np.exp(
-            gammaln(q + p + 1.0)
-            - gammaln(q + 1.0)
-            + gammaln(q * alpha + 1.0)
-            - gammaln(q * alpha + p * alpha + 1.0)
-        )
-    )
-
-
 def sample_ml_limit(params: PYParams, sample: SampleSummary, m: int, rng: RngStream, size=None):
     """Draws of the scaled Mittag-Leffler approximation to the posterior:
     c(m) * Beta(j + theta/alpha, n/alpha - j) * S_{alpha, (theta+n)/alpha}."""

@@ -6,7 +6,29 @@ parameter quadruples are (alpha, theta, n, j).
 
 import pytest
 
-from unseen import PYParams, SampleSummary
+from unseen import DomainError, PYParams, SampleSummary
+
+
+# Mean and variance functions of the binomial-mixing stage of the CLT; the
+# constants M and S^2 must satisfy mu(m_frak) = M and
+# sigma^2(m_frak) + s_frak^2 * mu'^2 = S^2.
+def mu_z(z, alpha, ratios):
+    if z <= 0:
+        raise DomainError("z must be positive")
+    return z * (ratios.tau + ratios.rho * alpha) / ratios.lam
+
+
+def mu_z_prime(alpha, ratios):
+    return (ratios.tau + ratios.rho * alpha) / ratios.lam
+
+
+def sigma_sq_z(z, alpha, ratios):
+    if z <= 0:
+        raise DomainError("z must be positive")
+    g = ratios.tau + ratios.rho * alpha
+    h = ratios.nu - ratios.rho * alpha
+    lam = ratios.lam
+    return z * g * h / (lam * lam) * (1.0 + alpha * z / lam)
 
 
 # Synthetic datasets: empirical-Bayes estimates as published (two decimals).

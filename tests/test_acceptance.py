@@ -25,12 +25,9 @@ from unseen.asymptotics import (
     RegimeRatios,
     gaussian_interval,
     m_frak,
-    mu_z,
-    mu_z_prime,
     s_frak_sq,
     script_M,
     script_S_sq,
-    sigma_sq_z,
 )
 from unseen.combinatorics import GfcTable, stirling_noncentral
 from unseen.empirical_bayes import ep_log_likelihood, fit_empirical_bayes
@@ -57,7 +54,10 @@ from conftest import (
     TABLE3,
     TABLE4,
     TABLE_FAV,
+    mu_z,
+    mu_z_prime,
     params_sample,
+    sigma_sq_z,
 )
 
 SEED = 20260810  # pre-registered; all Monte Carlo criteria derive streams from it

@@ -9,16 +9,15 @@ from unseen.asymptotics import (
     gaussian_approx,
     gaussian_interval,
     m_frak,
-    mu_z,
-    mu_z_prime,
     norm_quantile,
     s_frak_sq,
     script_M,
     script_S_sq,
-    sigma_sq_z,
 )
 from unseen.errors import DomainError
 from unseen.model import PYParams, SampleSummary, posterior_mean
+
+from conftest import mu_z, mu_z_prime, sigma_sq_z
 
 IDENTITY_GRID = [
     (alpha, tau, nu, rho_frac * nu)
@@ -133,6 +132,14 @@ class TestGaussianInterval:
     def test_m_zero_before_theta_check(self):
         ci = gaussian_interval(PYParams(0.5, 0.0), SampleSummary(10, 3), 0)
         assert (ci.lo, ci.hi, ci.method) == (0.0, 0.0, "gaussian")
+
+    @pytest.mark.parametrize("theta", [1e200, 2.547624275338125e18])
+    def test_dirichlet_at_huge_theta(self, theta):
+        # at 1e200 lam * (lam + 1) overflows; at 2.5e18 S^2 rounds to -1.1e-15
+        params, sample = PYParams(0.0, theta), SampleSummary(100, 40)
+        assert math.isfinite(gaussian_approx(params, sample, 10).variance)
+        ci = gaussian_interval(params, sample, 10)
+        assert (ci.lo, ci.hi) == (pytest.approx(10.0, abs=1e-6), pytest.approx(10.0))
 
     def test_clamped_to_support(self):
         params, sample = PYParams(0.0, 100.0, ), SampleSummary(2, 1)

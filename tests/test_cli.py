@@ -1,12 +1,23 @@
 import csv
 import io
 import json
+import os
+import threading
+from types import SimpleNamespace
 
 import pytest
 
 from unseen import cli, samplers
 from unseen.cli import CSV_HEADER, _parse_m_grid, main
 from unseen.datasets import export_label_counts, standin_freqs
+from unseen.errors import (
+    DegenerateSampleError,
+    DomainError,
+    MethodUnavailableError,
+    NumericalIntegrityError,
+    ParseError,
+    SizeLimitError,
+)
 
 
 def run_cli(capsys, *argv):
@@ -27,8 +38,6 @@ class TestMGrid:
         assert _parse_m_grid("n..2n:2", 40) == [40, 80]
 
     def test_bad_spec(self):
-        from unseen.errors import DomainError
-
         with pytest.raises(DomainError):
             _parse_m_grid("5", 10)
 
@@ -197,13 +206,15 @@ class TestPmfCommand:
         )
         assert code == 2 and "u_max" in err
 
-    def test_closed_form_overflow_exit_2(self, capsys):
-        # exp of the alpha = 0 weights overflows at theta = 1e200
-        code, out, err = run_cli(
-            capsys, "pmf", "--n", "20", "--j", "10", "--alpha", "0", "--theta", "1e200",
-            "--m", "30", "--method", "closed",
-        )
-        assert code == 2 and err.startswith("error:") and "overflow" in err and out == ""
+    @pytest.mark.parametrize("alpha,theta", [("0", "1e200"), ("0.5", "1e300")])
+    def test_closed_form_at_huge_theta(self, capsys, alpha, theta):
+        # every further draw founds a new species, as the dp recursion says
+        args = ["pmf", "--n", "20", "--j", "10", "--alpha", alpha, "--theta", theta, "--m", "30"]
+        for method in ("closed", "dp"):
+            code, out, _ = run_cli(capsys, *args, "--method", method)
+            probs = [float(r[1]) for r in list(csv.reader(io.StringIO(out)))[1:]]
+            assert code == 0 and len(probs) == 31
+            assert probs[30] == 1.0 and sum(probs[:30]) < 1e-12, method
 
 
 class TestBenchmarkCommand:
@@ -290,3 +301,105 @@ class TestBenchmarkCommand:
         assert len(covs) == 12
         ok = sum(c >= 93.0 for c in covs)
         assert ok >= 0.9 * len(covs), covs
+
+
+def _no_data_work(monkeypatch):
+    """Make generating or fitting a dataset fail the test."""
+    def fail(*args, **kwargs):
+        raise AssertionError("a dataset was generated or fitted before the check")
+
+    monkeypatch.setattr(cli, "generate", fail)
+    monkeypatch.setattr(cli, "fit_empirical_bayes", fail)
+
+
+class TestExitCodePolicy:
+    PMF_ARGV = ["pmf", "--n", "2", "--j", "1", "--alpha", "0.5", "--theta", "1", "--m", "2"]
+
+    @pytest.mark.parametrize("exc,expected", [
+        (DomainError("outside the domain"), 2),
+        (SizeLimitError("table too large"), 2),
+        (NumericalIntegrityError("did not converge"), 2),
+        (ParseError("not a count", line=3), 2),
+        (MethodUnavailableError("no such method here"), 2),
+        (OSError("disk full"), 2),
+        (DegenerateSampleError("a single observation"), 3),
+    ])
+    def test_package_and_io_errors(self, capsys, monkeypatch, exc, expected):
+        def cmd(args):
+            raise exc
+
+        monkeypatch.setattr(cli, "cmd_pmf", cmd)
+        code, out, err = run_cli(capsys, *self.PMF_ARGV)
+        assert code == expected and out == ""
+        assert err.count("\n") == 1 and err.startswith("error:") and str(exc) in err
+        assert ("degenerate sample" in err) == (expected == 3)
+
+    def test_bug_keeps_its_traceback(self, monkeypatch):
+        def cmd(args):
+            raise ZeroDivisionError("a bug")
+
+        monkeypatch.setattr(cli, "cmd_pmf", cmd)
+        with pytest.raises(ZeroDivisionError):
+            main(self.PMF_ARGV)
+
+    def test_error_inside_worker_pool(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setenv("UNSEEN_THREADS", "2")
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(cli, "fit_empirical_bayes",
+                            lambda sample: SimpleNamespace(alpha_hat=0.5, theta_hat=10.0))
+        threads = []
+
+        def compute_row(*args):
+            threads.append(threading.current_thread())
+            raise NumericalIntegrityError("row failed")
+
+        monkeypatch.setattr(cli, "compute_row", compute_row)
+        code, out, err = run_cli(capsys, "benchmark", "--suite", "est", "--m-grid", "n..2n:2",
+                                 "--out", str(tmp_path / "x.csv"))
+        assert code == 2 and out == "" and err == "error: row failed\n"
+        assert threads and threading.main_thread() not in threads
+
+    @pytest.mark.parametrize("argv", [
+        ["benchmark", "--suite", "synthetic", "--out", "{tmp}/missing/x.csv"],
+        ["benchmark", "--suite", "synthetic", "--out", "{tmp}"],
+        ["benchmark", "--suite", "est", "--est-dir", "{tmp}/file.tsv", "--out", "{tmp}/x.csv"],
+        ["fit", "--input", "{tmp}"],
+    ])
+    def test_unusable_path_exit_2_before_any_work(self, capsys, tmp_path, monkeypatch, argv):
+        (tmp_path / "file.tsv").write_text("a\t1\n", encoding="utf-8")
+        _no_data_work(monkeypatch)
+        code, out, err = run_cli(capsys, *(a.format(tmp=tmp_path) for a in argv))
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and err.startswith("error:") and str(tmp_path) in err
+
+    @pytest.mark.parametrize("threads", ["abc", "-1", "2.5"])
+    def test_bad_thread_count_exit_2_before_any_work(self, capsys, tmp_path, monkeypatch, threads):
+        monkeypatch.setenv("UNSEEN_THREADS", threads)
+        _no_data_work(monkeypatch)
+        code, out, err = run_cli(capsys, "benchmark", "--suite", "synthetic",
+                                 "--out", str(tmp_path / "x.csv"))
+        assert code == 2 and out == "" and err.startswith("error:") and "UNSEEN_THREADS" in err
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_sampler_failure_at_huge_theta(self, capsys):
+        code, out, err = run_cli(
+            capsys, "estimate", "--n", "100", "--j", "40", "--alpha", "0.5", "--theta", "1e9",
+            "--m", "10", "--samples", "100",
+        )
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and err.startswith("error:") and "Mittag-Leffler" in err
+
+    @pytest.mark.parametrize("m_list", ["1,x", "5,-3", "", "1.5"])
+    def test_bad_m_list_exit_2(self, capsys, m_list):
+        code, out, err = run_cli(
+            capsys, "estimate", "--n", "100", "--j", "40", "--alpha", "0.5", "--theta", "5",
+            "--m", m_list, "--methods", "gaussian",
+        )
+        assert code == 2 and out == "" and err.startswith("error:") and "m must be" in err
+
+    def test_unknown_method_exit_2(self, capsys):
+        code, out, err = run_cli(
+            capsys, "estimate", "--n", "100", "--j", "40", "--alpha", "0.5", "--theta", "5",
+            "--m", "10", "--methods", "gaussian,magic",
+        )
+        assert code == 2 and out == "" and err.startswith("error:") and "magic" in err

@@ -197,6 +197,20 @@ def test_oracle_equivalence_spot_grid(alpha, theta):
             )
 
 
+
+@pytest.mark.parametrize("alpha,theta,n,j,m", [
+    (0.52, 990869.54, 2843, 1582, 55),
+    (0.45, 431807.38, 1115, 314, 54),
+    (0.5, 1e300, 20, 10, 30),
+])
+def test_closed_form_at_large_theta(alpha, theta, n, j, m):
+    """The rising factorials of the closed form are products, not log-gamma
+    differences, which lose about 1e-10 near theta = 1e6."""
+    params, sample = PYParams(alpha, theta), SampleSummary(n, j)
+    dp = posterior_pmf_dp(params, sample, m)
+    cl = posterior_pmf_closed(params, sample, m)
+    assert np.max(np.abs(dp.probs - cl.probs)) <= 1e-12
+
 # (alpha, theta, n, j, m) with a band that trims, and the SHA-256 of the pmf
 # with entries below 1e-250 zeroed, its mean and its variance, as computed
 # by the full (unbanded) recursion that the banded one replaced.

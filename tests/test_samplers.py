@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import gammaln
 
 from unseen import samplers
 from unseen.asymptotics import m_frak, s_frak_sq
@@ -10,7 +11,6 @@ from unseen.model import PYParams, SampleSummary, posterior_mean, posterior_pmf_
 from unseen.samplers import (
     MLLimitParams,
     RngStream,
-    ml_moment,
     sample_beta,
     sample_k_future,
     sample_mittag_leffler,
@@ -18,6 +18,19 @@ from unseen.samplers import (
     sample_prior_kstar,
     sample_prior_partition,
 )
+
+
+def ml_moment(alpha: float, q: float, p: float) -> float:
+    """Exact p-th moment of S_{alpha, q}:
+    Gamma(q+p+1)Gamma(q*alpha+1) / (Gamma(q+1)Gamma(q*alpha+p*alpha+1))."""
+    return float(
+        np.exp(
+            gammaln(q + p + 1.0)
+            - gammaln(q + 1.0)
+            + gammaln(q * alpha + 1.0)
+            - gammaln(q * alpha + p * alpha + 1.0)
+        )
+    )
 
 
 class TestRngStream:
