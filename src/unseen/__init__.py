@@ -41,12 +41,14 @@ from .model import (
     posterior_mean,
     posterior_pmf_closed,
     posterior_pmf_dp,
+    posterior_pmfs,
     predictive_new_prob,
 )
 from .samplers import (
     MLLimitParams,
     RngStream,
     sample_beta,
+    sample_from_pmf,
     sample_k_future,
     sample_mittag_leffler,
     sample_ml_limit,
@@ -66,8 +68,9 @@ __all__ = [
     "gaussian_approx", "gaussian_interval", "generate", "gfc_noncentral",
     "gfc_noncentral_sum", "ingest", "log_rising_factorial", "m_frak",
     "ml_interval", "norm_quantile", "posterior_mean",
-    "posterior_pmf_closed", "posterior_pmf_dp", "predictive_new_prob",
-    "s_frak_sq", "sample_beta", "sample_k_future", "sample_mittag_leffler",
+    "posterior_pmf_closed", "posterior_pmf_dp", "posterior_pmfs",
+    "predictive_new_prob", "s_frak_sq", "sample_beta", "sample_from_pmf",
+    "sample_k_future", "sample_mittag_leffler",
     "sample_ml_limit", "sample_prior_kstar", "sample_prior_partition",
     "script_M", "script_S_sq", "stirling_noncentral",
 ]

@@ -136,7 +136,8 @@ def norm_quantile(p: float) -> float:
 
 
 def gaussian_approx(params: PYParams, sample: SampleSummary, m: int) -> GaussianApprox:
-    """Gaussian approximation of the posterior count at additional sample m."""
+    """Gaussian approximation of the posterior count at additional sample
+    m; the variance is clamped at 0."""
     if m < 1:
         raise DomainError("m must be >= 1")
     if params.theta <= 0:
@@ -145,9 +146,11 @@ def gaussian_approx(params: PYParams, sample: SampleSummary, m: int) -> Gaussian
             "use the exact Monte Carlo method for theta <= 0"
         )
     ratios = RegimeRatios.from_sample(params, sample, m)
+    # S^2 is a difference that cancels at large theta: rounding can leave it
+    # a few ulps below 0
     return GaussianApprox(
         mean=m * script_M(params.alpha, ratios),
-        variance=m * script_S_sq(params.alpha, ratios),
+        variance=max(m * script_S_sq(params.alpha, ratios), 0.0),
     )
 
 
@@ -162,9 +165,7 @@ def gaussian_interval(
         return CredibleInterval(0.0, 0.0, level, "gaussian")
     approx = gaussian_approx(params, sample, m)
     z = norm_quantile(0.5 + level / 2.0)
-    # S^2 is a difference that cancels at large theta: rounding can leave it
-    # a few ulps below 0
-    half = z * math.sqrt(max(approx.variance, 0.0))
+    half = z * math.sqrt(approx.variance)
     return CredibleInterval(
         lo=max(0.0, approx.mean - half),
         hi=min(float(m), approx.mean + half),

@@ -30,7 +30,16 @@ from .errors import (
     UnseenError,
 )
 from .intervals import _check_mc_args, coverage, exact_interval, ml_interval
-from .model import PYParams, SampleSummary, posterior_mean, posterior_pmf_closed, posterior_pmf_dp
+from .model import (
+    DP_MAX,
+    Pmf,
+    PYParams,
+    SampleSummary,
+    posterior_mean,
+    posterior_pmf_closed,
+    posterior_pmf_dp,
+    posterior_pmfs,
+)
 from .samplers import RngStream
 
 CSV_HEADER = [
@@ -103,10 +112,13 @@ def compute_row(
     samples: int,
     methods: tuple[str, ...],
     stream: RngStream,
+    pmf: Pmf | None = None,
 ) -> BenchmarkRow:
     """One benchmark row: point estimate plus the requested interval
     families and, when the exact interval is present, their coverages.
-    The Mittag-Leffler family is skipped at alpha = 0."""
+    The Mittag-Leffler family is skipped at alpha = 0.  With `pmf`, the
+    exact posterior pmf at m, the exact interval draws from it instead of
+    running the chain."""
     row = BenchmarkRow(
         dataset_id=dataset_id, n=sample.n, j=sample.j,
         alpha_hat=params.alpha, theta_hat=params.theta,
@@ -114,7 +126,7 @@ def compute_row(
     )
     exact = None
     if "exact" in methods:
-        exact = exact_interval(params, sample, m, level, samples, stream.split(0))
+        exact = exact_interval(params, sample, m, level, samples, stream.split(0), pmf)
         row.exact_lo, row.exact_hi = exact.lo, exact.hi
     if "ml" in methods and params.alpha > 0:
         mlci = ml_interval(params, sample, m, level, samples, stream.split(1))
@@ -276,13 +288,16 @@ def cmd_benchmark(args) -> int:
         for (name, sample), grid in zip(datasets, grids):
             fit = fit_empirical_bayes(sample)
             params = PYParams(alpha=fit.alpha_hat, theta=fit.theta_hat)
-            tasks.extend((name, params, sample, m) for m in grid)
+            # one pmf pass per dataset serves every row up to DP_MAX; the
+            # rows above it run the chain
+            pmfs = posterior_pmfs(params, sample, [m for m in grid if 0 < m <= DP_MAX])
+            tasks.extend((name, params, sample, m, pmfs.get(m)) for m in grid)
 
         def run(idx):
-            name, params, sample, m = tasks[idx]
+            name, params, sample, m, pmf = tasks[idx]
             return compute_row(
                 name, params, sample, m, args.level, args.samples,
-                ("exact", "ml", "gaussian"), base.split(idx),
+                ("exact", "ml", "gaussian"), base.split(idx), pmf,
             )
 
         if workers == 1:

@@ -9,8 +9,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .model import PYParams, SampleSummary
-from .samplers import RngStream, sample_k_future, sample_ml_limit
+from .model import Pmf, PYParams, SampleSummary
+from .samplers import RngStream, sample_from_pmf, sample_k_future, sample_ml_limit
 
 _METHODS = ("exact_mc", "mittag_leffler", "gaussian")
 
@@ -69,15 +69,25 @@ def exact_interval(
     level: float = 0.95,
     samples: int = 2000,
     rng: RngStream | None = None,
+    pmf: Pmf | None = None,
 ) -> CredibleInterval:
-    """Monte Carlo interval from the exact posterior, via the predictive
-    Bernoulli chain run over `samples` replicates."""
+    """Monte Carlo interval from the exact posterior over `samples`
+    replicates.  Without `pmf` each replicate runs the predictive chain
+    (`sample_k_future`).  With `pmf`, the exact posterior pmf at this m
+    (for instance from `posterior_pmfs`), the replicates are drawn from it
+    by inverse CDF instead: the same law, up to the tail mass below 1e-300
+    that the pmf recursion drops, from different draws."""
     _check_mc_args(samples, level)
+    if pmf is not None and pmf.support_max != m:
+        raise DomainError(f"pmf has support_max={pmf.support_max}, expected m={m}")
     if rng is None:
         rng = RngStream(0)
     if m == 0:
         return CredibleInterval(0.0, 0.0, level, "exact_mc", mc_samples=samples)
-    draws = sample_k_future(params, sample, m, rng, size=samples)
+    if pmf is None:
+        draws = sample_k_future(params, sample, m, rng, size=samples)
+    else:
+        draws = sample_from_pmf(pmf, rng, size=samples)
     lo, hi = _equal_tailed(draws.astype(float), level)
     return CredibleInterval(
         lo=max(0.0, lo), hi=min(float(m), hi), level=level,

@@ -171,8 +171,9 @@ def _dp_steps(alpha: float, theta: float, n: int, j: int, m: int):
     for i in range(m):
         hi = min(hi + 1, m + 1)
         band = probs[lo:hi]
+        # p >= 0 already: the numerator is clipped at 0 and theta + n + i > 0
         p = p_new_numer[lo:hi] / (theta + n + i)
-        np.clip(p, 0.0, 1.0, out=p)
+        np.minimum(p, 1.0, out=p)
         move = band * p
         band *= 1.0 - p
         band[1:] += move[:-1]
@@ -185,18 +186,34 @@ def _dp_steps(alpha: float, theta: float, n: int, j: int, m: int):
         yield probs
 
 
+def posterior_pmfs(params: PYParams, sample: SampleSummary, ms) -> dict[int, Pmf]:
+    """Exact posterior pmfs at every m of `ms` from one forward recursion
+    over the predictive chain, run to max(ms); O(max(ms) * band) time in
+    all, m capped at DP_MAX.  The recursion state after m draws does not
+    depend on how far the pass runs, so each pmf is the one a pass stopped
+    at m gives.  Entries below `_DP_FLOOR` at the edges of the band are
+    dropped (set to 0), a total mass of at most (2m + 2) * _DP_FLOOR."""
+    wanted = set(ms)
+    if not wanted:
+        return {}
+    if min(wanted) < 0:
+        raise DomainError("m must be >= 0")
+    top = max(wanted)
+    if top > DP_MAX:
+        raise SizeLimitError(f"m={top} exceeds dp_max={DP_MAX}")
+    out = {}
+    for i, probs in enumerate(_dp_steps(params.alpha, params.theta, sample.n, sample.j, top)):
+        if i in wanted:
+            # entries past i are still 0
+            head = probs[: i + 1]
+            out[i] = Pmf(head / head.sum())
+    return out
+
+
 def posterior_pmf_dp(params: PYParams, sample: SampleSummary, m: int) -> Pmf:
     """Exact posterior pmf of the new-species count by forward recursion
-    over the predictive chain; O(m * band) time, O(m) memory, m capped at
-    DP_MAX.  Entries below `_DP_FLOOR` at the edges of the band are dropped
-    (set to 0), a total mass of at most (2m + 2) * _DP_FLOOR."""
-    if m < 0:
-        raise DomainError("m must be >= 0")
-    if m > DP_MAX:
-        raise SizeLimitError(f"m={m} exceeds dp_max={DP_MAX}")
-    for probs in _dp_steps(params.alpha, params.theta, sample.n, sample.j, m):
-        pass
-    return Pmf(probs / probs.sum())
+    over the predictive chain; see `posterior_pmfs`."""
+    return posterior_pmfs(params, sample, [m])[m]
 
 
 def _closed_log_weights_py(params: PYParams, sample: SampleSummary, m: int):

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, MethodUnavailableError, NumericalIntegrityError
-from .model import PYParams, SampleSummary, posterior_mean
+from .model import Pmf, PYParams, SampleSummary, posterior_mean
 
 _CHUNK = 1 << 14
 
@@ -216,6 +216,18 @@ def sample_k_future(params: PYParams, sample: SampleSummary, m: int, rng: RngStr
         k = _k_future_jump(params, sample, m, gen, count)
     else:
         k = _bernoulli_chain(gen, count, m, t + a * j, a, t + n)
+    return int(k[0]) if scalar else k
+
+
+def sample_from_pmf(pmf: Pmf, rng: RngStream, size=None):
+    """Draws from a pmf on {0, ..., support_max} by inverse CDF, one
+    uniform per draw: the smallest k with Pr[K <= k] > u.  Entries of
+    probability 0 are never drawn."""
+    count, scalar = _as_batch(size)
+    cdf = pmf.cdf()
+    u = rng.generator().random(count)
+    _count(count)
+    k = np.searchsorted(cdf / cdf[-1], u, side="right")
     return int(k[0]) if scalar else k
 
 

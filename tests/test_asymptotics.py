@@ -141,6 +141,16 @@ class TestGaussianInterval:
         ci = gaussian_interval(params, sample, 10)
         assert (ci.lo, ci.hi) == (pytest.approx(10.0, abs=1e-6), pytest.approx(10.0))
 
+    @pytest.mark.parametrize("alpha,theta,n,j,m", [
+        (0.5, 3.2005e16, 5, 5, 1),
+        (0.0, 2.547624275338125e18, 100, 40, 10),
+    ])
+    def test_variance_clamped_at_zero(self, alpha, theta, n, j, m):
+        # S^2 cancels here and rounded to -1.1e-16 and -1.1e-15 before the clamp
+        approx = gaussian_approx(PYParams(alpha, theta), SampleSummary(n, j), m)
+        assert approx.variance >= 0.0
+        assert approx.mean == pytest.approx(m)
+
     def test_clamped_to_support(self):
         params, sample = PYParams(0.0, 100.0, ), SampleSummary(2, 1)
         ci = gaussian_interval(params, sample, 3, level=0.999999)

@@ -4,6 +4,7 @@ import pytest
 from unseen.errors import DomainError, MethodUnavailableError
 from unseen.intervals import CredibleInterval, coverage, exact_interval, ml_interval
 from unseen.model import PYParams, SampleSummary, posterior_mean, posterior_pmf_dp
+from unseen import samplers
 from unseen.samplers import RngStream
 
 from conftest import TAB0
@@ -45,6 +46,23 @@ class TestExactInterval:
         ci = exact_interval(params, sample, 977, 0.95, samples=2000, rng=RngStream(3))
         assert abs(round(ci.lo) - 130) <= 3
         assert abs(round(ci.hi) - 184) <= 3
+
+    def test_from_pmf_draws_once_per_replicate(self):
+        params, sample, m = PYParams(0.5, 0.5), SampleSummary(2, 1), 10
+        pmf = posterior_pmf_dp(params, sample, m)
+        before = samplers.draw_count()
+        ci = exact_interval(params, sample, m, 0.95, samples=10 ** 6, rng=RngStream(2), pmf=pmf)
+        assert samplers.draw_count() - before == 10 ** 6
+        assert ci.lo == float(pmf.quantile(0.025))
+        assert ci.hi == float(pmf.quantile(0.975))
+
+    def test_from_pmf_checks_its_support(self):
+        params, sample = PYParams(0.5, 0.5), SampleSummary(2, 1)
+        pmf = posterior_pmf_dp(params, sample, 10)
+        with pytest.raises(DomainError, match="support_max"):
+            exact_interval(params, sample, 11, pmf=pmf)
+        with pytest.raises(DomainError, match="support_max"):
+            exact_interval(params, sample, 0, pmf=pmf)
 
 
 class TestMlInterval:

@@ -18,6 +18,7 @@ from unseen.model import (
     posterior_mean,
     posterior_pmf_closed,
     posterior_pmf_dp,
+    posterior_pmfs,
     predictive_new_prob,
 )
 
@@ -169,6 +170,14 @@ class TestPmfs:
         with pytest.raises(SizeLimitError, match="dp_max"):
             posterior_pmf_dp(PYParams(0.5, 0.5), SampleSummary(2, 1), 20001)
 
+    def test_pmfs_size_cap_and_domain(self):
+        params, sample = PYParams(0.5, 0.5), SampleSummary(2, 1)
+        with pytest.raises(SizeLimitError, match="dp_max"):
+            posterior_pmfs(params, sample, [5, 20001])
+        with pytest.raises(DomainError):
+            posterior_pmfs(params, sample, [-1, 5])
+        assert posterior_pmfs(params, sample, []) == {}
+
     def test_closed_size_cap(self):
         with pytest.raises(SizeLimitError):
             posterior_pmf_closed(PYParams(0.5, 0.5), SampleSummary(2, 1), 61)
@@ -243,3 +252,18 @@ def test_banded_dp_pinned(case, sha, mean, var):
     assert (lo, hi) != (0, m + 1)  # the band did trim
     assert np.all(band[lo:hi] >= _DP_FLOOR)
     assert not band[:lo].any() and not band[hi:].any()
+
+
+@pytest.mark.parametrize("case", [c for c, *_ in PINNED_DP] + [(0.5, 0.5, 2, 1, 300)])
+def test_one_pass_pmfs_equal_single_runs(case):
+    """Every snapshot of one pass to the top of a grid is bitwise equal to a
+    pass stopped at that m, m = 0 and the top included."""
+    alpha, theta, n, j, top = case
+    params, sample = PYParams(alpha, theta), SampleSummary(n, j)
+    grid = [0, 1, top // 7, top // 2, top - 1, top]
+    pmfs = posterior_pmfs(params, sample, reversed(grid))
+    assert sorted(pmfs) == sorted(set(grid))
+    for m in grid:
+        single = posterior_pmf_dp(params, sample, m)
+        assert pmfs[m].support_max == m
+        assert pmfs[m].probs.tobytes() == single.probs.tobytes(), m

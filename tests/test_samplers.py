@@ -7,11 +7,12 @@ from scipy.special import gammaln
 from unseen import samplers
 from unseen.asymptotics import m_frak, s_frak_sq
 from unseen.errors import DomainError, MethodUnavailableError
-from unseen.model import PYParams, SampleSummary, posterior_mean, posterior_pmf_dp
+from unseen.model import Pmf, PYParams, SampleSummary, posterior_mean, posterior_pmf_dp
 from unseen.samplers import (
     MLLimitParams,
     RngStream,
     sample_beta,
+    sample_from_pmf,
     sample_k_future,
     sample_mittag_leffler,
     sample_ml_limit,
@@ -194,6 +195,42 @@ class TestKFutureDispatch:
         k = sample_k_future(PYParams(alpha, theta), SampleSummary(n, j), m, RngStream(seed),
                             size=400)
         assert hashlib.sha256(np.asarray(k, dtype="<i8").tobytes()).hexdigest() == digest
+
+
+class TestSampleFromPmf:
+    """Inverse-CDF draws from an exact pmf: one uniform per draw."""
+
+    @pytest.mark.parametrize("make_pmf", [
+        lambda: posterior_pmf_dp(PYParams(0.54, 26.67), SampleSummary(977, 300), 977),
+        lambda: posterior_pmf_dp(PYParams(0.0, 206.07), SampleSummary(2000, 489), 5000),
+        lambda: Pmf(np.array([0.0, 0.25, 0.0, 0.5, 0.25, 0.0])),
+    ], ids=["pitman_yor", "dirichlet", "zero_entries"])
+    def test_dkw_bound(self, make_pmf):
+        """sup_k |F_N(k) - F(k)| stays within the DKW bound at false-alarm
+        1e-6, and entries of probability 0 are never drawn."""
+        pmf, reps = make_pmf(), 100_000
+        before = samplers.draw_count()
+        draws = sample_from_pmf(pmf, RngStream(41), size=reps)
+        assert samplers.draw_count() - before == reps
+        counts = np.bincount(draws, minlength=pmf.probs.size)
+        assert counts.size == pmf.probs.size
+        assert not counts[pmf.probs == 0.0].any()
+        gap = np.max(np.abs(np.cumsum(counts) / reps - pmf.cdf()))
+        assert gap <= math.sqrt(math.log(2.0 / 1e-6) / (2.0 * reps)), gap
+
+    def test_scalar(self):
+        k = sample_from_pmf(Pmf(np.array([0.0, 1.0])), RngStream(1))
+        assert isinstance(k, int) and k == 1
+
+    def test_same_law_as_chain(self):
+        """Draws from the DP pmf and from the predictive chain at the same
+        (params, m) have the same law."""
+        from scipy.stats import ks_2samp
+
+        params, sample, m, reps = PYParams(0.54, 26.67), SampleSummary(977, 300), 2000, 20_000
+        from_pmf = sample_from_pmf(posterior_pmf_dp(params, sample, m), RngStream(27, 1), size=reps)
+        chain = sample_k_future(params, sample, m, RngStream(27, 0), size=reps)
+        assert ks_2samp(from_pmf, chain).pvalue > 1e-4
 
 
 class TestPriorChain:
