@@ -8,12 +8,16 @@ are provided: a banded forward recursion over the predictive chain
 coefficients (small-m validation path).  The recursion keeps only the band
 of counts whose probability is at least `_DP_FLOOR`, so it costs
 O(m * band) rather than O(m^2); the mass it drops is at most
-(2m + 2) * _DP_FLOOR.
+(2m + 2) * _DP_FLOOR.  It forms the transition probabilities of a block of
+up to 64 draws (about `_DP_BLOCK` entries) in one 2-D divide, rounded
+entry by entry as a divide per draw would be, and clamps them at 1 only
+when the block's largest entry exceeds 1.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,6 +39,12 @@ DP_MAX = 20000
 # Trimming exact zeros alone would not narrow it: the smallest denormal
 # times (1 - p) > 0.5 rounds back to itself.
 _DP_FLOOR = 1e-300
+
+# The recursion forms its transition probabilities for a block of at most
+# 64 draws and about this many entries at a time (two such arrays, p and
+# 1 - p, live at once): enough draws to spread the per-block calls, few
+# enough entries that the arrays stay small.
+_DP_BLOCK = 1 << 14
 
 _NEG_CLAMP = -1e-12
 
@@ -123,10 +133,16 @@ class Pmf:
         return np.cumsum(self.probs)
 
     def quantile(self, p: float) -> int:
-        """Smallest k with Pr[K <= k] >= p."""
+        """Smallest k with Pr[K <= k] >= p; support_max when p exceeds the
+        float cdf's last entry, which can round to just below 1."""
         if not 0.0 < p <= 1.0:
             raise DomainError("quantile level must lie in (0, 1]")
-        return int(np.searchsorted(self.cdf(), p))
+        return min(int(np.searchsorted(self.cdf(), p)), self.support_max)
+
+
+def _check_draw_count(m) -> None:
+    if not isinstance(m, numbers.Integral) or m < 0:
+        raise DomainError(f"m must be an integer >= 0, got {m!r}")
 
 
 def predictive_new_prob(
@@ -161,29 +177,53 @@ def _dp_steps(alpha: float, theta: float, n: int, j: int, m: int):
     after 0, 1, ..., m draws.  Each draw updates only the live band
     [lo, hi); afterwards band entries at either edge below `_DP_FLOOR` are
     set to 0 and dropped, so every entry outside the band is 0.
+
+    The probabilities p = (theta + alpha * (j + k))^+ / (theta + n + i) of
+    a new species are formed a block of draws at a time: one 2-D divide
+    over the columns the block can reach, [lo, hi + rows), and one subtract
+    for 1 - p, every entry rounded as a draw-by-draw divide would round
+    it.  p is largest in the block's first row and last column (the
+    numerator rises with k, the denominator with i), so the clamp at 1
+    runs only when that entry exceeds 1.  A draw then makes three in-place
+    calls: band * p into a move buffer, band *= 1 - p, and the shifted add.
     """
     probs = np.zeros(m + 1)
     probs[0] = 1.0
     k = np.arange(m + 1, dtype=float)
     p_new_numer = np.clip(theta + alpha * (j + k), 0.0, None)
+    move_buf = np.empty(m + 1)
+    # Per-call overhead is most of a draw at the usual band widths, so the
+    # ufuncs take `out` by position and the names they use are local.
+    multiply, add, floor = np.multiply, np.add, _DP_FLOOR
     lo, hi = 0, 1
     yield probs
-    for i in range(m):
-        hi = min(hi + 1, m + 1)
-        band = probs[lo:hi]
+    i = 0
+    while i < m:
+        rows = min(64, m - i, max(1, _DP_BLOCK // (hi - lo + 64)))
+        b_lo, b_hi = lo, min(hi + rows, m + 1)
         # p >= 0 already: the numerator is clipped at 0 and theta + n + i > 0
-        p = p_new_numer[lo:hi] / (theta + n + i)
-        np.minimum(p, 1.0, out=p)
-        move = band * p
-        band *= 1.0 - p
-        band[1:] += move[:-1]
-        while probs[lo] < _DP_FLOOR:
-            probs[lo] = 0.0
-            lo += 1
-        while probs[hi - 1] < _DP_FLOOR:
-            probs[hi - 1] = 0.0
-            hi -= 1
-        yield probs
+        p = p_new_numer[b_lo:b_hi] / (theta + n + np.arange(i, i + rows))[:, None]
+        if p[0, -1] > 1.0:
+            np.minimum(p, 1.0, out=p)
+        q = 1.0 - p
+        for r in range(rows):
+            if hi <= m:
+                hi += 1
+            band, width = probs[lo:hi], hi - lo
+            c = lo - b_lo
+            move = move_buf[:width]
+            multiply(band, p[r, c : c + width], move)
+            band *= q[r, c : c + width]
+            tail = band[1:]
+            add(tail, move[:-1], tail)
+            while probs[lo] < floor:
+                probs[lo] = 0.0
+                lo += 1
+            while probs[hi - 1] < floor:
+                probs[hi - 1] = 0.0
+                hi -= 1
+            yield probs
+        i += rows
 
 
 def posterior_pmfs(params: PYParams, sample: SampleSummary, ms) -> dict[int, Pmf]:
@@ -196,8 +236,8 @@ def posterior_pmfs(params: PYParams, sample: SampleSummary, ms) -> dict[int, Pmf
     wanted = set(ms)
     if not wanted:
         return {}
-    if min(wanted) < 0:
-        raise DomainError("m must be >= 0")
+    for m in wanted:
+        _check_draw_count(m)
     top = max(wanted)
     if top > DP_MAX:
         raise SizeLimitError(f"m={top} exceeds dp_max={DP_MAX}")
@@ -230,8 +270,7 @@ def posterior_pmf_closed(params: PYParams, sample: SampleSummary, m: int) -> Pmf
     """Posterior pmf from the closed form: generalized factorial
     coefficients for alpha > 0, non-central Stirling numbers at alpha = 0;
     m capped at U_MAX."""
-    if m < 0:
-        raise DomainError("m must be >= 0")
+    _check_draw_count(m)
     if m > U_MAX:
         raise SizeLimitError(f"m={m} exceeds u_max={U_MAX}")
     if m == 0:

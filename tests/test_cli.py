@@ -358,6 +358,16 @@ class TestBenchmarkCommand:
         digest = hashlib.sha256(text.encode()).hexdigest()
         assert digest == "1bc196f2fe143fc50814f29454917cf206a48e310aab811c7c3e2b5648c153d1"
 
+    def test_est_suite_pinned(self, capsys, tmp_path):
+        """Every column of an EST sweep, exact-MC cells included, keeps its
+        bytes: a change to the pmf pass that moves any cell fails here."""
+        out = tmp_path / "est3.csv"
+        code = main(["benchmark", "--suite", "est", "--m-grid", "0..2n:3",
+                     "--samples", "300", "--seed", "3", "--out", str(out)])
+        assert code == 0
+        digest = hashlib.sha256(out.read_bytes()).hexdigest()
+        assert digest == "467dcd22fa5e31883c6d6cdd94927d65ad2fef5076d0b91e134057262839351a"
+
     def test_chain_runs_above_dp_max(self, capsys, tmp_path, monkeypatch):
         """Rows up to DP_MAX draw from the shared pmf pass; rows above it
         run the predictive chain."""

@@ -86,6 +86,13 @@ class TestTypes:
         assert pmf.quantile(0.25) == 1
         assert pmf.quantile(0.95) == 2
 
+    def test_pmf_quantile_one_stays_in_support(self):
+        """The float cdf can end just below 1; quantile(1.0) is then still
+        the top of the support, not one past it."""
+        pmf = posterior_pmf_dp(PYParams(0.465, 0.658), SampleSummary(977, 43), 15)
+        assert pmf.cdf()[-1] < 1.0
+        assert pmf.quantile(1.0) == pmf.support_max == 15
+
 
 class TestPredictive:
     def test_direct_substitution(self):
@@ -178,6 +185,16 @@ class TestPmfs:
             posterior_pmfs(params, sample, [-1, 5])
         assert posterior_pmfs(params, sample, []) == {}
 
+    @pytest.mark.parametrize("pmf_at", [
+        posterior_pmf_dp,
+        posterior_pmf_closed,
+        lambda params, sample, m: posterior_pmfs(params, sample, [1, m]),
+    ])
+    @pytest.mark.parametrize("m", [2.5, 3.0, "3"])
+    def test_non_integer_m_rejected(self, pmf_at, m):
+        with pytest.raises(DomainError, match="integer"):
+            pmf_at(PYParams(0.5, 0.5), SampleSummary(2, 1), m)
+
     def test_closed_size_cap(self):
         with pytest.raises(SizeLimitError):
             posterior_pmf_closed(PYParams(0.5, 0.5), SampleSummary(2, 1), 61)
@@ -267,3 +284,49 @@ def test_one_pass_pmfs_equal_single_runs(case):
         single = posterior_pmf_dp(params, sample, m)
         assert pmfs[m].support_max == m
         assert pmfs[m].probs.tobytes() == single.probs.tobytes(), m
+
+
+# SHA-256 of the raw `_dp_steps` buffer (tail bits included) at draws
+# i < 130, every 61st draw and the last, as computed by the draw-by-draw
+# recursion before the transition probabilities were formed in blocks.
+# The first case is one where the clamp of p at 1 binds; in the last, lo
+# moves inside a block.
+PINNED_DP_BUFFERS = [
+    ((0.999999999, 1e17, 1, 1, 50),
+     "b9fa7a41e232da6ef3713a695d1457d9109c164b0dd35b9425e137acd220d2b7"),
+    ((0.0, 206.07, 2000, 489, 5000),
+     "8857126deea106fdebe48adf414eea9644f1eab427820914b3fd97cd27d0c634"),
+    ((0.3, -0.2, 50, 10, 3000),
+     "9783ed0bc5a162c795da378cb8fb28387c6541f7df38c4383a980fe6e3e79ad4"),
+    ((0.5, 1e300, 20, 10, 30),
+     "a264c981b5e34f14ad8a4bbaa2c3c7ec073e425e1c77d432fc40d634e346135d"),
+    ((0.5, 0.5, 2, 1, 0),
+     "6c3c396ed6b5c36dcae172271f462051b1266b851e92df3deea8ac65478fd712"),
+    ((0.5, 0.5, 2, 1, 1),
+     "c419aaebb9dfebcbfb65f1043f490d8c4b789967f2aa15f08b85e399ff8e2fe8"),
+    ((0.9, 29.6, 2586, 1825, 12930),
+     "cd247006675974ee76d0a7439539eba9a7873dd02804d5ea9efdb8e29f92728a"),
+]
+
+
+@pytest.mark.parametrize("case,sha", PINNED_DP_BUFFERS)
+def test_dp_buffers_pinned(case, sha):
+    m = case[-1]
+    digest = hashlib.sha256()
+    for i, buf in enumerate(_dp_steps(*case)):
+        assert buf.size == m + 1
+        if i < 130 or i % 61 == 0 or i == m:
+            digest.update(buf.tobytes())
+    assert i == m
+    assert digest.hexdigest() == sha
+
+
+def test_one_pass_pmfs_pinned_across_block_edges():
+    """A band this narrow takes blocks of 64 draws; the grid has points on
+    both sides of two block edges."""
+    grid = [0, 1, 63, 64, 65, 127, 128, 129, 200]
+    pmfs = posterior_pmfs(PYParams(0.25, 3.0), SampleSummary(40, 12), grid)
+    digest = hashlib.sha256()
+    for m in grid:
+        digest.update(pmfs[m].probs.tobytes())
+    assert digest.hexdigest() == "c7c2168c571a58f8e35443b8bb8ced81e8949f48539694fc929cd49ab9f6df2f"
