@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .errors import DomainError
 from .intervals import CredibleInterval
-from .model import PYParams, SampleSummary
+from .model import PYParams, SampleSummary, _check_draw_count
 
 
 @dataclass(frozen=True)
@@ -138,8 +138,7 @@ def norm_quantile(p: float) -> float:
 def gaussian_approx(params: PYParams, sample: SampleSummary, m: int) -> GaussianApprox:
     """Gaussian approximation of the posterior count at additional sample
     m; the variance is clamped at 0."""
-    if m < 1:
-        raise DomainError("m must be >= 1")
+    _check_draw_count(m, 1)
     if params.theta <= 0:
         raise DomainError(
             "the Gaussian approximation requires theta > 0; "
@@ -161,6 +160,7 @@ def gaussian_interval(
     mM + z*sqrt(mS^2)], clamped to the support [0, m]; (0, 0) at m = 0."""
     if not 0.0 < level < 1.0:
         raise DomainError("level must lie in (0, 1)")
+    _check_draw_count(m)
     if m == 0:
         return CredibleInterval(0.0, 0.0, level, "gaussian")
     approx = gaussian_approx(params, sample, m)

@@ -15,7 +15,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from importlib import resources
 
@@ -181,14 +180,6 @@ def _parse_m_grid(spec: str, n: int, default_points: int = 50) -> list[int]:
     return grid
 
 
-def _worker_count() -> int:
-    env = os.environ.get("UNSEEN_THREADS", "")
-    if env and not env.isdecimal():
-        raise DomainError(f"UNSEEN_THREADS must be a non-negative integer, got {env!r}")
-    cap = int(env) if env else 4
-    return max(1, min(cap, os.cpu_count() or 1))
-
-
 def _emit_rows(rows, out_fh) -> None:
     writer = csv.writer(out_fh, lineterminator="\n")
     writer.writerow(CSV_HEADER)
@@ -267,7 +258,6 @@ def cmd_benchmark(args) -> int:
     # reject bad arguments before the (slow) generation and fits
     _check_mc_args(args.samples, args.level)
     _m_grid_spec(args.m_grid)
-    workers = _worker_count()
     if args.suite == "synthetic":
         # drawn only once --out is open; each draw has exactly spec.n observations
         specs = sorted(SYNTHETIC_SUITE.items())
@@ -284,31 +274,18 @@ def cmd_benchmark(args) -> int:
                 (name, generate(spec, base.split(1000 + d_idx)))
                 for d_idx, (name, spec) in enumerate(specs)
             ]
-        tasks = []
+        rows = []
         for (name, sample), grid in zip(datasets, grids):
             fit = fit_empirical_bayes(sample)
             params = PYParams(alpha=fit.alpha_hat, theta=fit.theta_hat)
             # one pmf pass per dataset serves every row up to DP_MAX; the
             # rows above it run the chain
             pmfs = posterior_pmfs(params, sample, [m for m in grid if 0 < m <= DP_MAX])
-            tasks.extend((name, params, sample, m, pmfs.get(m)) for m in grid)
-
-        def run(idx):
-            name, params, sample, m, pmf = tasks[idx]
-            return compute_row(
-                name, params, sample, m, args.level, args.samples,
-                ("exact", "ml", "gaussian"), base.split(idx), pmf,
-            )
-
-        if workers == 1:
-            rows = [run(idx) for idx in range(len(tasks))]
-        else:
-            pool = ThreadPoolExecutor(max_workers=workers)
-            try:
-                rows = list(pool.map(run, range(len(tasks))))
-            finally:
-                # after a failed row, drop the rows not yet started
-                pool.shutdown(cancel_futures=True)
+            for m in grid:
+                rows.append(compute_row(
+                    name, params, sample, m, args.level, args.samples,
+                    ("exact", "ml", "gaussian"), base.split(len(rows)), pmfs.get(m),
+                ))
         _emit_rows(rows, fh)
     return 0
 

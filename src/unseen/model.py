@@ -140,9 +140,10 @@ class Pmf:
         return min(int(np.searchsorted(self.cdf(), p)), self.support_max)
 
 
-def _check_draw_count(m) -> None:
-    if not isinstance(m, numbers.Integral) or m < 0:
-        raise DomainError(f"m must be an integer >= 0, got {m!r}")
+def _check_draw_count(m, least: int = 0) -> None:
+    # the exact-type test spares the common case the slower ABC check
+    if (type(m) is not int and not isinstance(m, numbers.Integral)) or m < least:
+        raise DomainError(f"m must be an integer >= {least}, got {m!r}")
 
 
 def predictive_new_prob(
@@ -159,8 +160,7 @@ def predictive_new_prob(
 
 def posterior_mean(params: PYParams, sample: SampleSummary, m: int) -> float:
     """Posterior expected number of new species in m additional draws."""
-    if m < 0:
-        raise DomainError("m must be >= 0")
+    _check_draw_count(m)
     if m == 0:
         return 0.0
     a, t, n, j = params.alpha, params.theta, sample.n, sample.j

@@ -3,8 +3,8 @@ predictive chains, Beta draws, and the exact sampler for the scaled
 Mittag-Leffler limit law.
 
 Streams are counter-based (Philox keyed by (seed, stream_id)), so a
-replicate index maps to an independent stream in O(1) and results are
-reproducible for any worker schedule.
+replicate index maps to an independent stream in O(1).  Each benchmark
+row has its own stream, so its draws do not depend on the other rows.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, MethodUnavailableError, NumericalIntegrityError
-from .model import Pmf, PYParams, SampleSummary, posterior_mean
+from .model import Pmf, PYParams, SampleSummary, _check_draw_count, posterior_mean
 
 _CHUNK = 1 << 14
 
@@ -206,8 +206,7 @@ def sample_k_future(params: PYParams, sample: SampleSummary, m: int, rng: RngStr
     exact: the expected event rate posterior_mean(m) / m is at most
     _JUMP_MAX_RATE, and n - alpha*j >= _JUMP_MIN_MARGIN.  Otherwise it takes
     one Bernoulli step per draw."""
-    if m < 0:
-        raise DomainError("m must be >= 0")
+    _check_draw_count(m)
     count, scalar = _as_batch(size)
     gen = rng.generator()
     a, t, n, j = params.alpha, params.theta, sample.n, sample.j
@@ -238,8 +237,7 @@ def sample_prior_kstar(alpha: float, theta_total: float, m: int, rng: RngStream,
         raise DomainError("alpha must lie in [0, 1)")
     if theta_total <= 0:
         raise DomainError("theta_total must be positive")
-    if m < 1:
-        raise DomainError("m must be >= 1")
+    _check_draw_count(m, 1)
     count, scalar = _as_batch(size)
     gen = rng.generator()
     k = _bernoulli_chain(gen, count, m, theta_total, alpha, theta_total)
@@ -338,8 +336,7 @@ def sample_mittag_leffler(alpha: float, q: float, rng: RngStream, size=None):
 def sample_ml_limit(params: PYParams, sample: SampleSummary, m: int, rng: RngStream, size=None):
     """Draws of the scaled Mittag-Leffler approximation to the posterior:
     c(m) * Beta(j + theta/alpha, n/alpha - j) * S_{alpha, (theta+n)/alpha}."""
-    if m < 0:
-        raise DomainError("m must be >= 0")
+    _check_draw_count(m)
     ml = MLLimitParams.from_posterior(params, sample, m)
     count, scalar = _as_batch(size)
     if ml.scale_c == 0.0:

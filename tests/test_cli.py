@@ -3,8 +3,6 @@ import hashlib
 import io
 import json
 import math
-import os
-import threading
 from types import SimpleNamespace
 
 import numpy as np
@@ -239,8 +237,7 @@ class TestPmfCommand:
 
 
 class TestBenchmarkCommand:
-    def test_synthetic_suite_shape_and_determinism(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.setenv("UNSEEN_THREADS", "2")
+    def test_synthetic_suite_shape_and_determinism(self, capsys, tmp_path):
         out1, out2 = tmp_path / "b1.csv", tmp_path / "b2.csv"
         for out in (out1, out2):
             code = main([
@@ -252,16 +249,6 @@ class TestBenchmarkCommand:
         rows = list(csv.reader(out1.read_text(encoding="utf-8").splitlines()))
         assert rows[0] == CSV_HEADER
         assert len(rows) == 1 + 4 * 2  # four datasets, two mesh points
-
-    def test_worker_count_does_not_change_bytes(self, capsys, tmp_path, monkeypatch):
-        outs = []
-        for threads in ("1", "3"):
-            monkeypatch.setenv("UNSEEN_THREADS", threads)
-            out = tmp_path / f"t{threads}.csv"
-            main(["benchmark", "--suite", "synthetic", "--m-grid", "n..n:1",
-                  "--samples", "200", "--seed", "5", "--out", str(out)])
-            outs.append(out.read_bytes())
-        assert outs[0] == outs[1]
 
     def test_est_suite_runs_on_fixtures(self, capsys, tmp_path):
         out = tmp_path / "est.csv"
@@ -433,22 +420,21 @@ class TestExitCodePolicy:
         with pytest.raises(ZeroDivisionError):
             main(self.PMF_ARGV)
 
-    def test_error_inside_worker_pool(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.setenv("UNSEEN_THREADS", "2")
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    def test_failing_row_exit_2_without_partial_csv(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setattr(cli, "fit_empirical_bayes",
                             lambda sample: SimpleNamespace(alpha_hat=0.5, theta_hat=10.0))
-        threads = []
+        calls = []
 
         def compute_row(*args):
-            threads.append(threading.current_thread())
+            calls.append(args)
             raise NumericalIntegrityError("row failed")
 
         monkeypatch.setattr(cli, "compute_row", compute_row)
+        out_csv = tmp_path / "x.csv"
         code, out, err = run_cli(capsys, "benchmark", "--suite", "est", "--m-grid", "n..2n:2",
-                                 "--out", str(tmp_path / "x.csv"))
+                                 "--out", str(out_csv))
         assert code == 2 and out == "" and err == "error: row failed\n"
-        assert threads and threading.main_thread() not in threads
+        assert len(calls) == 1 and out_csv.read_bytes() == b""
 
     @pytest.mark.parametrize("argv", [
         ["benchmark", "--suite", "synthetic", "--out", "{tmp}/missing/x.csv"],
@@ -462,15 +448,6 @@ class TestExitCodePolicy:
         code, out, err = run_cli(capsys, *(a.format(tmp=tmp_path) for a in argv))
         assert code == 2 and out == ""
         assert err.count("\n") == 1 and err.startswith("error:") and str(tmp_path) in err
-
-    @pytest.mark.parametrize("threads", ["abc", "-1", "2.5"])
-    def test_bad_thread_count_exit_2_before_any_work(self, capsys, tmp_path, monkeypatch, threads):
-        monkeypatch.setenv("UNSEEN_THREADS", threads)
-        _no_data_work(monkeypatch)
-        code, out, err = run_cli(capsys, "benchmark", "--suite", "synthetic",
-                                 "--out", str(tmp_path / "x.csv"))
-        assert code == 2 and out == "" and err.startswith("error:") and "UNSEEN_THREADS" in err
-        assert not (tmp_path / "x.csv").exists()
 
     def test_sampler_failure_at_huge_theta(self, capsys):
         code, out, err = run_cli(

@@ -9,6 +9,7 @@ from unseen.asymptotics import gaussian_interval
 from unseen.datasets import export_label_counts, standin_freqs
 from unseen.empirical_bayes import ep_log_likelihood, fit_empirical_bayes
 from unseen.errors import DomainError, NumericalIntegrityError, SizeLimitError
+from unseen.intervals import exact_interval
 from unseen.model import (
     _DP_FLOOR,
     Pmf,
@@ -21,6 +22,7 @@ from unseen.model import (
     posterior_pmfs,
     predictive_new_prob,
 )
+from unseen.samplers import RngStream, sample_k_future, sample_ml_limit, sample_prior_kstar
 
 
 class TestTypes:
@@ -189,6 +191,18 @@ class TestPmfs:
         posterior_pmf_dp,
         posterior_pmf_closed,
         lambda params, sample, m: posterior_pmfs(params, sample, [1, m]),
+        posterior_mean,
+        gaussian_interval,
+        pytest.param(lambda params, sample, m: exact_interval(params, sample, m, 0.95, 100,
+                                                              RngStream(0)),
+                     id="exact_interval"),
+        pytest.param(lambda params, sample, m: sample_k_future(params, sample, m, RngStream(0)),
+                     id="sample_k_future"),
+        pytest.param(lambda params, sample, m: sample_ml_limit(params, sample, m, RngStream(0)),
+                     id="sample_ml_limit"),
+        pytest.param(lambda params, sample, m: sample_prior_kstar(params.alpha, params.theta, m,
+                                                                  RngStream(0)),
+                     id="sample_prior_kstar"),
     ])
     @pytest.mark.parametrize("m", [2.5, 3.0, "3"])
     def test_non_integer_m_rejected(self, pmf_at, m):
