@@ -1,9 +1,10 @@
 """Three credible-interval families side by side.
 
-For one dataset, builds the exact Monte Carlo interval (posterior chain),
-the Mittag-Leffler interval (large-m limit law, alpha > 0 only) and the
-fully analytic Gaussian interval, at several additional sample sizes, and
-reports how much of the exact interval each approximation covers.
+For one dataset, builds the exact Monte Carlo interval (draws from the
+exact posterior), the Mittag-Leffler interval (large-m limit law, alpha > 0
+only) and the fully analytic Gaussian interval, at several additional
+sample sizes, and reports how much of the exact interval each
+approximation covers.
 """
 
 from unseen import (

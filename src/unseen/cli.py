@@ -115,9 +115,10 @@ def compute_row(
 ) -> BenchmarkRow:
     """One benchmark row: point estimate plus the requested interval
     families and, when the exact interval is present, their coverages.
-    The Mittag-Leffler family is skipped at alpha = 0.  With `pmf`, the
-    exact posterior pmf at m, the exact interval draws from it instead of
-    running the chain."""
+    The Mittag-Leffler family is skipped at alpha = 0.  The exact interval
+    draws from `pmf`, the exact posterior pmf at m, when given, and
+    otherwise from its own pmf pass (m <= DP_MAX) or the chain; see
+    `exact_interval`."""
     row = BenchmarkRow(
         dataset_id=dataset_id, n=sample.n, j=sample.j,
         alpha_hat=params.alpha, theta_hat=params.theta,
@@ -278,8 +279,8 @@ def cmd_benchmark(args) -> int:
         for (name, sample), grid in zip(datasets, grids):
             fit = fit_empirical_bayes(sample)
             params = PYParams(alpha=fit.alpha_hat, theta=fit.theta_hat)
-            # one pmf pass per dataset serves every row up to DP_MAX; the
-            # rows above it run the chain
+            # one pmf pass per dataset serves every row up to DP_MAX, instead
+            # of one pass per row; the rows above it run the chain
             pmfs = posterior_pmfs(params, sample, [m for m in grid if 0 < m <= DP_MAX])
             for m in grid:
                 rows.append(compute_row(

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .model import Pmf, PYParams, SampleSummary
+from .model import DP_MAX, Pmf, PYParams, SampleSummary, _check_draw_count, posterior_pmf_dp
 from .samplers import RngStream, sample_from_pmf, sample_k_future, sample_ml_limit
 
 _METHODS = ("exact_mc", "mittag_leffler", "gaussian")
@@ -72,11 +72,14 @@ def exact_interval(
     pmf: Pmf | None = None,
 ) -> CredibleInterval:
     """Monte Carlo interval from the exact posterior over `samples`
-    replicates.  Without `pmf` each replicate runs the predictive chain
-    (`sample_k_future`).  With `pmf`, the exact posterior pmf at this m
-    (for instance from `posterior_pmfs`), the replicates are drawn from it
-    by inverse CDF instead: the same law, up to the tail mass below 1e-300
-    that the pmf recursion drops, from different draws."""
+    replicates.  For 0 < m <= DP_MAX the replicates are drawn by inverse
+    CDF from the exact posterior pmf at m: `pmf` when given (for instance
+    from `posterior_pmfs`, one pass for many m), else one
+    `posterior_pmf_dp` pass.  Above DP_MAX, where no pass runs, each
+    replicate runs the predictive chain (`sample_k_future`).  The pmf draws
+    have the chain's law up to the tail mass below 1e-30 that the pmf
+    recursion drops."""
+    _check_draw_count(m)
     _check_mc_args(samples, level)
     if pmf is not None and pmf.support_max != m:
         raise DomainError(f"pmf has support_max={pmf.support_max}, expected m={m}")
@@ -84,6 +87,8 @@ def exact_interval(
         rng = RngStream(0)
     if m == 0:
         return CredibleInterval(0.0, 0.0, level, "exact_mc", mc_samples=samples)
+    if pmf is None and m <= DP_MAX:
+        pmf = posterior_pmf_dp(params, sample, m)
     if pmf is None:
         draws = sample_k_future(params, sample, m, rng, size=samples)
     else:

@@ -6,12 +6,14 @@ on the data only through (n, j).  Two independent evaluations of that law
 are provided: a banded forward recursion over the predictive chain
 (production path) and the closed form in terms of generalized factorial
 coefficients (small-m validation path).  The recursion keeps only the band
-of counts whose probability is at least `_DP_FLOOR`, so it costs
+of counts whose probability is at least `_DP_FLOOR` (1e-30), so it costs
 O(m * band) rather than O(m^2); the mass it drops is at most
-(2m + 2) * _DP_FLOOR.  It forms the transition probabilities of a block of
-up to 64 draws (about `_DP_BLOCK` entries) in one 2-D divide, rounded
-entry by entry as a divide per draw would be, and clamps them at 1 only
-when the block's largest entry exceeds 1.
+(2m + 2) * _DP_FLOOR, too little for the 2**-53 grid of a uniform to see.
+Every exact interval with 0 < m <= DP_MAX draws its replicates from this
+pmf by inverse CDF.  The recursion forms the transition probabilities of a
+block of up to 64 draws (about `_DP_BLOCK` entries) in one 2-D divide,
+rounded entry by entry as a divide per draw would be, and clamps them at 1
+only when the block's largest entry exceeds 1.
 """
 
 from __future__ import annotations
@@ -36,9 +38,11 @@ from .errors import DomainError, NumericalIntegrityError, SizeLimitError
 DP_MAX = 20000
 
 # Edge entries of the DP band below this are set to 0 and leave the band.
-# Trimming exact zeros alone would not narrow it: the smallest denormal
-# times (1 - p) > 0.5 rounds back to itself.
-_DP_FLOOR = 1e-300
+# The mass dropped, at most (2 * DP_MAX + 2) * 1e-30 ~ 4e-26, lies far
+# below the 2**-53 grid of the uniforms that draw from the pmf, so a lower
+# floor would only widen the band (this one keeps about 12 sd of tail on
+# each side) and slow every draw of the recursion.
+_DP_FLOOR = 1e-30
 
 # The recursion forms its transition probabilities for a block of at most
 # 64 draws and about this many entries at a time (two such arrays, p and
@@ -231,8 +235,9 @@ def posterior_pmfs(params: PYParams, sample: SampleSummary, ms) -> dict[int, Pmf
     over the predictive chain, run to max(ms); O(max(ms) * band) time in
     all, m capped at DP_MAX.  The recursion state after m draws does not
     depend on how far the pass runs, so each pmf is the one a pass stopped
-    at m gives.  Entries below `_DP_FLOOR` at the edges of the band are
-    dropped (set to 0), a total mass of at most (2m + 2) * _DP_FLOOR."""
+    at m gives.  Entries below `_DP_FLOOR` (1e-30) at the edges of the band
+    are dropped (set to 0), a total mass of at most (2m + 2) * _DP_FLOOR,
+    about 4e-26 at DP_MAX."""
     wanted = set(ms)
     if not wanted:
         return {}

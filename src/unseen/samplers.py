@@ -69,7 +69,8 @@ class MLLimitParams:
                 "(the posterior concentrates at theta on the log-m scale); "
                 "use the exact or Gaussian method instead"
             )
-        scale_c = (t + n + m) ** a - (t + n) ** a
+        # (t+n+m)^a - (t+n)^a without the cancellation at t + n >> m
+        scale_c = (t + n) ** a * math.expm1(a * math.log1p(m / (t + n)))
         return cls(
             alpha=a,
             beta_a=j + t / a,
@@ -296,7 +297,13 @@ def sample_mittag_leffler(alpha: float, q: float, rng: RngStream, size=None):
     u_knee = min(3.0 / (math.pi * math.sqrt(alpha * max(b, 1e-12))), 1.0) if b > 0 else 1.0
     if u_knee < 1.0:
         g_knee = float(_log_zolotarev(np.array([u_knee]), alpha)[0]) - la0
-        w_head, w_tail = u_knee, (1.0 - u_knee) * math.exp(-b * g_knee)
+        try:
+            w_tail = (1.0 - u_knee) * math.exp(-b * g_knee)
+        except OverflowError:
+            raise NumericalIntegrityError(
+                f"Mittag-Leffler angle envelope overflows (alpha={alpha}, q={q})"
+            ) from None
+        w_head = u_knee
     else:
         g_knee, w_head, w_tail = 0.0, 1.0, 0.0
     p_tail = w_tail / (w_head + w_tail)

@@ -190,6 +190,19 @@ class TestEstimateCommand:
         )
         assert code == 2 and "100 Monte Carlo samples" in err
 
+    @pytest.mark.parametrize("theta", ["1e16", "1e17", "1e18"])
+    def test_ml_interval_at_huge_theta(self, capsys, theta):
+        """At theta this large nearly every draw founds a species, so the
+        Mittag-Leffler interval sits at m, where its scale c used to cancel
+        to a wrong value or to 0."""
+        code, out, _ = run_cli(
+            capsys, "estimate", "--n", "100", "--j", "40", "--alpha", "0.5", "--theta", theta,
+            "--m", "10", "--samples", "100", "--methods", "ml,gaussian",
+        )
+        assert code == 0
+        row = dict(zip(CSV_HEADER, list(csv.reader(io.StringIO(out)))[1]))
+        assert 9.999 <= float(row["ml_lo"]) <= float(row["ml_hi"]) == 10.0
+
     def test_reproducible(self, capsys):
         argv = ["estimate", "--n", "50", "--j", "20", "--alpha", "0.4",
                 "--theta", "2", "--m", "75", "--samples", "300", "--seed", "9"]
@@ -453,6 +466,15 @@ class TestExitCodePolicy:
         code, out, err = run_cli(
             capsys, "estimate", "--n", "100", "--j", "40", "--alpha", "0.5", "--theta", "1e9",
             "--m", "10", "--samples", "100",
+        )
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and err.startswith("error:") and "Mittag-Leffler" in err
+
+    @pytest.mark.parametrize("theta", ["1e19", "1e20"])
+    def test_ml_envelope_overflow_exit_2(self, capsys, theta):
+        code, out, err = run_cli(
+            capsys, "estimate", "--n", "100", "--j", "40", "--alpha", "0.5", "--theta", theta,
+            "--m", "10", "--samples", "100", "--methods", "ml,gaussian",
         )
         assert code == 2 and out == ""
         assert err.count("\n") == 1 and err.startswith("error:") and "Mittag-Leffler" in err

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from unseen.errors import DomainError, MethodUnavailableError
-from unseen.intervals import CredibleInterval, coverage, exact_interval, ml_interval
-from unseen.model import PYParams, SampleSummary, posterior_mean, posterior_pmf_dp
-from unseen import samplers
+from unseen import intervals, samplers
+from unseen.intervals import CredibleInterval, _equal_tailed, coverage, exact_interval, ml_interval
+from unseen.model import DP_MAX, PYParams, SampleSummary, posterior_mean, posterior_pmf_dp
 from unseen.samplers import RngStream
 
 from conftest import TAB0
@@ -63,6 +63,31 @@ class TestExactInterval:
             exact_interval(params, sample, 11, pmf=pmf)
         with pytest.raises(DomainError, match="support_max"):
             exact_interval(params, sample, 0, pmf=pmf)
+
+    @pytest.mark.parametrize("params,sample,m", [
+        (PYParams(0.5, 0.5), SampleSummary(2, 1), 1),
+        (PYParams(0.0, 10.0), SampleSummary(4, 2), 12),
+        (PYParams(*TAB0["zipf_a"][:2]), SampleSummary(977, 300), DP_MAX),
+    ])
+    def test_pmf_pass_up_to_dp_max(self, params, sample, m):
+        """Without a pmf, 0 < m <= DP_MAX still draws once per replicate,
+        from its own pmf pass: the interval a given pmf gives."""
+        before = samplers.draw_count()
+        ci = exact_interval(params, sample, m, 0.95, 300, RngStream(9))
+        assert samplers.draw_count() - before == 300
+        pmf = posterior_pmf_dp(params, sample, m)
+        assert ci == exact_interval(params, sample, m, 0.95, 300, RngStream(9), pmf=pmf)
+
+    def test_chain_above_dp_max(self, monkeypatch):
+        def no_pmf(*args, **kwargs):
+            raise AssertionError("no pmf pass above DP_MAX")
+
+        monkeypatch.setattr(intervals, "posterior_pmf_dp", no_pmf)
+        monkeypatch.setattr(intervals, "sample_from_pmf", no_pmf)
+        params, sample, m = PYParams(0.5, 0.5), SampleSummary(2, 1), DP_MAX + 1
+        ci = exact_interval(params, sample, m, 0.95, 100, RngStream(10))
+        chain = samplers.sample_k_future(params, sample, m, RngStream(10), size=100)
+        assert (ci.lo, ci.hi) == _equal_tailed(chain.astype(float), 0.95)
 
 
 class TestMlInterval:

@@ -9,9 +9,9 @@ from unseen.asymptotics import gaussian_interval
 from unseen.datasets import export_label_counts, standin_freqs
 from unseen.empirical_bayes import ep_log_likelihood, fit_empirical_bayes
 from unseen.errors import DomainError, NumericalIntegrityError, SizeLimitError
+from unseen import model
 from unseen.intervals import exact_interval
 from unseen.model import (
-    _DP_FLOOR,
     Pmf,
     PYParams,
     SampleSummary,
@@ -251,6 +251,30 @@ def test_closed_form_at_large_theta(alpha, theta, n, j, m):
     cl = posterior_pmf_closed(params, sample, m)
     assert np.max(np.abs(dp.probs - cl.probs)) <= 1e-12
 
+@pytest.fixture
+def floor_1e300(monkeypatch):
+    """The band floor the older pins were computed at; `_dp_steps` reads
+    the floor when it starts."""
+    monkeypatch.setattr(model, "_DP_FLOOR", 1e-300)
+
+
+def _check_banded_pmf(case, sha, mean, var):
+    alpha, theta, n, j, m = case
+    pmf = posterior_pmf_dp(PYParams(alpha, theta), SampleSummary(n, j), m)
+    kept = np.where(pmf.probs >= 1e-250, pmf.probs, 0.0)
+    assert hashlib.sha256(kept.tobytes()).hexdigest() == sha
+    assert repr(pmf.mean()) == mean
+    assert repr(pmf.variance()) == var
+
+    for band in _dp_steps(alpha, theta, n, j, m):
+        pass
+    live = np.flatnonzero(band)
+    lo, hi = live[0], live[-1] + 1
+    assert (lo, hi) != (0, m + 1)  # the band did trim
+    assert np.all(band[lo:hi] >= model._DP_FLOOR)
+    assert not band[:lo].any() and not band[hi:].any()
+
+
 # (alpha, theta, n, j, m) with a band that trims, and the SHA-256 of the pmf
 # with entries below 1e-250 zeroed, its mean and its variance, as computed
 # by the full (unbanded) recursion that the banded one replaced.
@@ -267,22 +291,30 @@ PINNED_DP = [
 ]
 
 
+@pytest.mark.usefixtures("floor_1e300")
 @pytest.mark.parametrize("case,sha,mean,var", PINNED_DP)
 def test_banded_dp_pinned(case, sha, mean, var):
-    alpha, theta, n, j, m = case
-    pmf = posterior_pmf_dp(PYParams(alpha, theta), SampleSummary(n, j), m)
-    kept = np.where(pmf.probs >= 1e-250, pmf.probs, 0.0)
-    assert hashlib.sha256(kept.tobytes()).hexdigest() == sha
-    assert repr(pmf.mean()) == mean
-    assert repr(pmf.variance()) == var
+    _check_banded_pmf(case, sha, mean, var)
 
-    for band in _dp_steps(alpha, theta, n, j, m):
-        pass
-    live = np.flatnonzero(band)
-    lo, hi = live[0], live[-1] + 1
-    assert (lo, hi) != (0, m + 1)  # the band did trim
-    assert np.all(band[lo:hi] >= _DP_FLOOR)
-    assert not band[:lo].any() and not band[hi:].any()
+
+# The same cases at the band floor of 1e-30, as computed when the floor
+# was raised to it.
+PINNED_DP_FLOOR_1E30 = [
+    ((0.465, 0.658, 977, 43, 4885),
+     "64f66db04f96b87c2270dfb7a1ffbc554b675c8bda09176785285d6cc5e573b2",
+     "57.75021188260696", "130.87260131637157"),
+    ((0.0, 206.07, 2000, 489, 5000),
+     "49d64bd10bd2be7233bfcf3d4ead9b826ac45e014d51492f7d463e9dcf5b2a51",
+     "243.9597511716558", "230.5996314894653"),
+    ((0.9, 29.6, 2586, 1825, 2586),
+     "30a3edcbe6610ad96c641aaeac92206623b76101b9b2249e5b08b21e4f2fe181",
+     "1591.423378018907", "1122.4077096205924"),
+]
+
+
+@pytest.mark.parametrize("case,sha,mean,var", PINNED_DP_FLOOR_1E30)
+def test_banded_dp_pinned_at_floor(case, sha, mean, var):
+    _check_banded_pmf(case, sha, mean, var)
 
 
 @pytest.mark.parametrize("case", [c for c, *_ in PINNED_DP] + [(0.5, 0.5, 2, 1, 300)])
@@ -300,9 +332,21 @@ def test_one_pass_pmfs_equal_single_runs(case):
         assert pmfs[m].probs.tobytes() == single.probs.tobytes(), m
 
 
-# SHA-256 of the raw `_dp_steps` buffer (tail bits included) at draws
-# i < 130, every 61st draw and the last, as computed by the draw-by-draw
-# recursion before the transition probabilities were formed in blocks.
+def _buffers_digest(case):
+    """SHA-256 of the raw `_dp_steps` buffer (tail bits included) at draws
+    i < 130, every 61st draw and the last."""
+    m = case[-1]
+    digest = hashlib.sha256()
+    for i, buf in enumerate(_dp_steps(*case)):
+        assert buf.size == m + 1
+        if i < 130 or i % 61 == 0 or i == m:
+            digest.update(buf.tobytes())
+    assert i == m
+    return digest.hexdigest()
+
+
+# `_buffers_digest` as computed by the draw-by-draw recursion before the
+# transition probabilities were formed in blocks, at the floor of 1e-300.
 # The first case is one where the clamp of p at 1 binds; in the last, lo
 # moves inside a block.
 PINNED_DP_BUFFERS = [
@@ -323,19 +367,37 @@ PINNED_DP_BUFFERS = [
 ]
 
 
+@pytest.mark.usefixtures("floor_1e300")
 @pytest.mark.parametrize("case,sha", PINNED_DP_BUFFERS)
 def test_dp_buffers_pinned(case, sha):
-    m = case[-1]
-    digest = hashlib.sha256()
-    for i, buf in enumerate(_dp_steps(*case)):
-        assert buf.size == m + 1
-        if i < 130 or i % 61 == 0 or i == m:
-            digest.update(buf.tobytes())
-    assert i == m
-    assert digest.hexdigest() == sha
+    assert _buffers_digest(case) == sha
 
 
-def test_one_pass_pmfs_pinned_across_block_edges():
+# The same cases at the floor of 1e-30, as computed when it was raised.
+PINNED_DP_BUFFERS_FLOOR_1E30 = [
+    ((0.999999999, 1e17, 1, 1, 50),
+     "b9fa7a41e232da6ef3713a695d1457d9109c164b0dd35b9425e137acd220d2b7"),
+    ((0.0, 206.07, 2000, 489, 5000),
+     "f9774c97e4324235fe740daf75357dda1e7cc706c5c99a705a4accf3e20fbf3a"),
+    ((0.3, -0.2, 50, 10, 3000),
+     "fd67b28f06c02bfc8dbc64a7ffbc9c0c3f9c59a2b7000bb4608361d0263f4130"),
+    ((0.5, 1e300, 20, 10, 30),
+     "a264c981b5e34f14ad8a4bbaa2c3c7ec073e425e1c77d432fc40d634e346135d"),
+    ((0.5, 0.5, 2, 1, 0),
+     "6c3c396ed6b5c36dcae172271f462051b1266b851e92df3deea8ac65478fd712"),
+    ((0.5, 0.5, 2, 1, 1),
+     "c419aaebb9dfebcbfb65f1043f490d8c4b789967f2aa15f08b85e399ff8e2fe8"),
+    ((0.9, 29.6, 2586, 1825, 12930),
+     "ccb37583365672c3100238db4adc18a45242effa9d4031ed9d17fb9889a41fe3"),
+]
+
+
+@pytest.mark.parametrize("case,sha", PINNED_DP_BUFFERS_FLOOR_1E30)
+def test_dp_buffers_pinned_at_floor(case, sha):
+    assert _buffers_digest(case) == sha
+
+
+def _block_edge_digest():
     """A band this narrow takes blocks of 64 draws; the grid has points on
     both sides of two block edges."""
     grid = [0, 1, 63, 64, 65, 127, 128, 129, 200]
@@ -343,4 +405,33 @@ def test_one_pass_pmfs_pinned_across_block_edges():
     digest = hashlib.sha256()
     for m in grid:
         digest.update(pmfs[m].probs.tobytes())
-    assert digest.hexdigest() == "c7c2168c571a58f8e35443b8bb8ced81e8949f48539694fc929cd49ab9f6df2f"
+    return digest.hexdigest()
+
+
+@pytest.mark.usefixtures("floor_1e300")
+def test_one_pass_pmfs_pinned_across_block_edges():
+    assert _block_edge_digest() == (
+        "c7c2168c571a58f8e35443b8bb8ced81e8949f48539694fc929cd49ab9f6df2f")
+
+
+def test_one_pass_pmfs_pinned_across_block_edges_at_floor():
+    assert _block_edge_digest() == (
+        "c6372bc49dd9a4da105256948ede0687b5214af3916b78dbc380d529d681957e")
+
+
+@pytest.mark.parametrize("case", sorted(
+    {c for c, *_ in PINNED_DP + PINNED_DP_BUFFERS if c[-1] > 0}))
+def test_raised_floor_moves_only_the_far_tail(case, monkeypatch):
+    """The pmf at the floor of 1e-30 against the pmf at 1e-300: the two
+    differ by no more than the mass the higher floor drops, (2m + 2) *
+    1e-30, entries above 1e-14 agree to 1e-15 relative, and the means are
+    equal."""
+    alpha, theta, n, j, m = case
+    params, sample = PYParams(alpha, theta), SampleSummary(n, j)
+    new = posterior_pmf_dp(params, sample, m)
+    monkeypatch.setattr(model, "_DP_FLOOR", 1e-300)
+    old = posterior_pmf_dp(params, sample, m)
+    assert np.max(np.abs(new.probs - old.probs)) <= (2 * m + 2) * 1e-30
+    big = old.probs >= 1e-14
+    assert np.all(np.abs(new.probs[big] - old.probs[big]) <= 1e-15 * old.probs[big])
+    assert new.mean() == old.mean()

@@ -1,12 +1,13 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.special import gammaln
 
 from unseen import samplers
 from unseen.asymptotics import m_frak, s_frak_sq
-from unseen.errors import DomainError, MethodUnavailableError
+from unseen.errors import DomainError, MethodUnavailableError, NumericalIntegrityError
 from unseen.model import Pmf, PYParams, SampleSummary, posterior_mean, posterior_pmf_dp
 from unseen.samplers import (
     MLLimitParams,
@@ -304,6 +305,10 @@ class TestMittagLeffler:
         b = sample_mittag_leffler(0.6, 5.0, RngStream(37, 1), size=100_000)
         assert ks_2samp(a, b).statistic <= 0.01
 
+    def test_envelope_overflow_is_reported(self):
+        with pytest.raises(NumericalIntegrityError, match="envelope overflows"):
+            sample_mittag_leffler(0.5, 2e19, RngStream(0), size=10)
+
     def test_domain(self):
         with pytest.raises(DomainError):
             sample_mittag_leffler(0.0, 1.0, RngStream(0))
@@ -328,6 +333,17 @@ class TestMlLimit:
         assert ml.stable_q == pytest.approx(1003.67 / 0.54)
         assert ml.scale_c == pytest.approx(1980.67 ** 0.54 - 1003.67 ** 0.54)
         assert ml.scale_c > 0
+
+    @pytest.mark.parametrize("theta", [1e6, 1e12, 1e17, 1e20])
+    def test_scale_c_at_large_theta(self, theta):
+        """c = (theta+n+m)^alpha - (theta+n)^alpha keeps its relative
+        accuracy where theta + n >> m and the two powers cancel."""
+        n, m, alpha = 100, 10, 0.5
+        ml = MLLimitParams.from_posterior(PYParams(alpha, theta), SampleSummary(n, 40), m)
+        with mpmath.workdps(50):
+            base = mpmath.mpf(theta) + n
+            ref = float((base + m) ** alpha - base ** alpha)
+        assert ml.scale_c == pytest.approx(ref, rel=1e-13)
 
     def test_centering_on_posterior_mean(self):
         """mean(c*B*S) tracks the exact posterior mean within 2%."""
