@@ -14,14 +14,7 @@ from .asymptotics import (
     script_M,
     script_S_sq,
 )
-from .combinatorics import (
-    GfcTable,
-    SignedLog,
-    gfc_noncentral,
-    gfc_noncentral_sum,
-    log_rising_factorial,
-    stirling_noncentral,
-)
+from .combinatorics import GfcTable, log_rising_factorial
 from .datasets import DatasetSpec, export_label_counts, generate, ingest
 from .empirical_bayes import FitResult, ep_log_likelihood, fit_empirical_bayes
 from .errors import (
@@ -62,15 +55,13 @@ __all__ = [
     "CredibleInterval", "DatasetSpec", "DegenerateSampleError", "DomainError",
     "FitResult", "GaussianApprox", "GfcTable", "MethodUnavailableError",
     "MLLimitParams", "NumericalIntegrityError", "ParseError", "Pmf",
-    "PYParams", "RegimeRatios", "RngStream", "SampleSummary", "SignedLog",
-    "SizeLimitError", "UnseenError", "coverage", "ep_log_likelihood",
-    "exact_interval", "export_label_counts", "fit_empirical_bayes",
-    "gaussian_approx", "gaussian_interval", "generate", "gfc_noncentral",
-    "gfc_noncentral_sum", "ingest", "log_rising_factorial", "m_frak",
-    "ml_interval", "norm_quantile", "posterior_mean",
+    "PYParams", "RegimeRatios", "RngStream", "SampleSummary", "SizeLimitError",
+    "UnseenError", "coverage", "ep_log_likelihood", "exact_interval",
+    "export_label_counts", "fit_empirical_bayes", "gaussian_approx",
+    "gaussian_interval", "generate", "ingest", "log_rising_factorial",
+    "m_frak", "ml_interval", "norm_quantile", "posterior_mean",
     "posterior_pmf_closed", "posterior_pmf_dp", "posterior_pmfs",
     "predictive_new_prob", "s_frak_sq", "sample_beta", "sample_from_pmf",
-    "sample_k_future", "sample_mittag_leffler",
-    "sample_ml_limit", "sample_prior_kstar", "sample_prior_partition",
-    "script_M", "script_S_sq", "stirling_noncentral",
+    "sample_k_future", "sample_mittag_leffler", "sample_ml_limit",
+    "sample_prior_kstar", "sample_prior_partition", "script_M", "script_S_sq",
 ]

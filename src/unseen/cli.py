@@ -141,6 +141,30 @@ def compute_row(
     return row
 
 
+def _grid_rows(
+    dataset_id: str,
+    params: PYParams,
+    sample: SampleSummary,
+    grid: list[int],
+    level: float,
+    samples: int,
+    methods: tuple[str, ...],
+    base: RngStream,
+    first: int,
+) -> list[BenchmarkRow]:
+    """`compute_row` at every m of `grid`, row i on stream
+    base.split(first + i).  When the exact interval is asked for, one pmf
+    pass (`posterior_pmfs`) serves every m with 0 < m <= DP_MAX instead of
+    one pass per row; the rows above DP_MAX run the chain."""
+    wanted = [m for m in grid if 0 < m <= DP_MAX] if "exact" in methods else []
+    pmfs = posterior_pmfs(params, sample, wanted)
+    return [
+        compute_row(dataset_id, params, sample, m, level, samples, methods,
+                    base.split(first + i), pmfs.get(m))
+        for i, m in enumerate(grid)
+    ]
+
+
 def _m_grid_spec(spec: str, default_points: int = 50):
     """Split 'LO..HI[:POINTS]' into its bounds and point count.  Each bound
     is (value, per_n): an 'n' suffix makes it a multiple of the dataset
@@ -224,12 +248,8 @@ def cmd_estimate(args) -> int:
     m_tokens = args.m.split(",")
     if not all(tok.strip().isdecimal() for tok in m_tokens):
         raise DomainError(f"m must be a comma-separated list of integers >= 0, got {args.m!r}")
-    base = RngStream(args.seed)
-    rows = [
-        compute_row("cli", params, sample, int(m), args.level, args.samples,
-                    methods, base.split(idx))
-        for idx, m in enumerate(m_tokens)
-    ]
+    rows = _grid_rows("cli", params, sample, [int(m) for m in m_tokens], args.level,
+                      args.samples, methods, RngStream(args.seed), 0)
     _emit_rows(rows, sys.stdout)
     return 0
 
@@ -259,6 +279,7 @@ def cmd_benchmark(args) -> int:
     # reject bad arguments before the (slow) generation and fits
     _check_mc_args(args.samples, args.level)
     _m_grid_spec(args.m_grid)
+    base = RngStream(args.seed)
     if args.suite == "synthetic":
         # drawn only once --out is open; each draw has exactly spec.n observations
         specs = sorted(SYNTHETIC_SUITE.items())
@@ -268,7 +289,6 @@ def cmd_benchmark(args) -> int:
         sizes = [sample.n for _, sample in datasets]
     # a grid mixing absolute and n-relative bounds is checked per dataset
     grids = [_parse_m_grid(args.m_grid, n) for n in sizes]
-    base = RngStream(args.seed)
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
         if args.suite == "synthetic":
             datasets = [
@@ -279,14 +299,8 @@ def cmd_benchmark(args) -> int:
         for (name, sample), grid in zip(datasets, grids):
             fit = fit_empirical_bayes(sample)
             params = PYParams(alpha=fit.alpha_hat, theta=fit.theta_hat)
-            # one pmf pass per dataset serves every row up to DP_MAX, instead
-            # of one pass per row; the rows above it run the chain
-            pmfs = posterior_pmfs(params, sample, [m for m in grid if 0 < m <= DP_MAX])
-            for m in grid:
-                rows.append(compute_row(
-                    name, params, sample, m, args.level, args.samples,
-                    ("exact", "ml", "gaussian"), base.split(len(rows)), pmfs.get(m),
-                ))
+            rows += _grid_rows(name, params, sample, grid, args.level, args.samples,
+                               ("exact", "ml", "gaussian"), base, len(rows))
         _emit_rows(rows, fh)
     return 0
 

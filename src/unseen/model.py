@@ -5,7 +5,8 @@ posterior law of the number of new species among m further draws depends
 on the data only through (n, j).  Two independent evaluations of that law
 are provided: a banded forward recursion over the predictive chain
 (production path) and the closed form in terms of generalized factorial
-coefficients (small-m validation path).  The recursion keeps only the band
+coefficients (small-m validation path), one positive log-space triangle
+at every alpha, the Dirichlet case included.  The recursion keeps only the band
 of counts whose probability is at least `_DP_FLOOR` (1e-30), so it costs
 O(m * band) rather than O(m^2); the mass it drops is at most
 (2m + 2) * _DP_FLOOR, too little for the 2**-53 grid of a uniform to see.
@@ -25,13 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import digamma
 
-from .combinatorics import (
-    U_MAX,
-    GfcTable,
-    _signed_log_rising_prefix,
-    log_rising_factorial,
-    stirling_noncentral,
-)
+from .combinatorics import U_MAX, GfcTable, log_rising_factorial
 from .errors import DomainError, NumericalIntegrityError, SizeLimitError
 
 # Largest m of the pmf recursion.
@@ -49,8 +44,6 @@ _DP_FLOOR = 1e-30
 # 1 - p, live at once): enough draws to spread the per-block calls, few
 # enough entries that the arrays stay small.
 _DP_BLOCK = 1 << 14
-
-_NEG_CLAMP = -1e-12
 
 
 @dataclass(frozen=True)
@@ -82,6 +75,8 @@ class SampleSummary:
     freqs: tuple[int, ...] | None = None
 
     def __post_init__(self):
+        if not (isinstance(self.n, numbers.Integral) and isinstance(self.j, numbers.Integral)):
+            raise DomainError(f"n and j must be integers, got n={self.n!r}, j={self.j!r}")
         if self.n < 1 or self.j < 1 or self.j > self.n:
             raise DomainError(f"need 1 <= j <= n, got n={self.n}, j={self.j}")
         if self.freqs is None:
@@ -261,48 +256,33 @@ def posterior_pmf_dp(params: PYParams, sample: SampleSummary, m: int) -> Pmf:
     return posterior_pmfs(params, sample, [m])[m]
 
 
-def _closed_log_weights_py(params: PYParams, sample: SampleSummary, m: int):
-    """Unnormalized signed log weights of the closed-form pmf, alpha > 0."""
-    a, t, n, j = params.alpha, params.theta, sample.n, sample.j
-    table = GfcTable(m, a, -n + j * a)
-    signs, logs = table.log_row(m)
-    # theta > -alpha makes j + theta/alpha > j - 1 >= 0, so every factor is positive
-    _, log_rising = _signed_log_rising_prefix(j + t / a, m)
-    return signs, log_rising + logs
-
-
 def posterior_pmf_closed(params: PYParams, sample: SampleSummary, m: int) -> Pmf:
-    """Posterior pmf from the closed form: generalized factorial
-    coefficients for alpha > 0, non-central Stirling numbers at alpha = 0;
-    m capped at U_MAX."""
+    """Posterior pmf from the closed form, m capped at U_MAX:
+
+        P(K = k) = prod_{i<k} (theta + alpha (j + i)) * D(m, k) / (theta + n)_(m)
+
+    with D(m, k) = C(m, k; alpha, -n + j alpha) / alpha^k the rescaled
+    generalized factorial coefficients (non-central Stirling numbers
+    |s(m, k; n)| at alpha = 0) of `GfcTable`.  Every factor is positive,
+    so the weights are summed in log space after subtracting the largest;
+    their sum must reproduce (theta + n)_(m), the expansion identity, to
+    within 1e-9 in log."""
     _check_draw_count(m)
     if m > U_MAX:
         raise SizeLimitError(f"m={m} exceeds u_max={U_MAX}")
-    if m == 0:
-        return Pmf(np.ones(1))
-    a, t, n = params.alpha, params.theta, sample.n
-    if a == 0.0:
-        k = np.arange(m + 1)
-        log_s = np.array(
-            [
-                v.log_abs if v.sign > 0 else -np.inf
-                for v in (stirling_noncentral(m, int(kk), float(n)) for kk in k)
-            ]
-        )
-        log_w = k * np.log(t) + log_s
-        signs = np.ones(m + 1, dtype=np.int8)
-    else:
-        signs, log_w = _closed_log_weights_py(params, sample, m)
-    log_norm = _signed_log_rising_prefix(t + n, m)[1][-1]
-    with np.errstate(over="ignore"):
-        probs = np.where(signs == 0, 0.0, signs * np.exp(log_w - log_norm))
-    if np.any(probs < _NEG_CLAMP):
+    a, t, n, j = params.alpha, params.theta, sample.n, sample.j
+    log_w = GfcTable(m, a, -n + j * a).log_row(m)
+    # theta + alpha * (j + i) >= theta + alpha > 0; products, not log-gamma
+    # differences, which lose digits at large theta
+    log_w[1:] += np.cumsum(np.log(t + a * (j + np.arange(m))))
+    top = log_w.max()
+    w = np.exp(log_w - top)
+    total = w.sum()
+    log_total = top + math.log(total)
+    log_norm = float(np.log(t + n + np.arange(m)).sum())
+    if abs(log_total - log_norm) > 1e-9:
         raise NumericalIntegrityError(
-            f"closed-form pmf produced probability {probs.min():.3e} < {_NEG_CLAMP}"
+            f"closed-form weights sum to exp({log_total:.17g}), "
+            f"expected (theta + n)_(m) = exp({log_norm:.17g})"
         )
-    probs = np.clip(probs, 0.0, None)
-    with np.errstate(over="ignore"):
-        total = probs.sum()
-    if not np.isfinite(total):
-        raise NumericalIntegrityError("closed-form pmf weights overflow double precision")
-    return Pmf(probs / total)
+    return Pmf(w / total)

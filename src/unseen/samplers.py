@@ -10,6 +10,7 @@ row has its own stream, so its draws do not depend on the other rows.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,6 +40,10 @@ class RngStream:
 
     seed: int
     stream_id: int = 0
+
+    def __post_init__(self):
+        if not isinstance(self.seed, numbers.Integral) or self.seed < 0:
+            raise DomainError(f"seed must be an integer >= 0, got {self.seed!r}")
 
     def generator(self) -> np.random.Generator:
         ss = np.random.SeedSequence(entropy=self.seed, spawn_key=(self.stream_id,))

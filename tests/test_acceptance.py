@@ -29,7 +29,7 @@ from unseen.asymptotics import (
     script_M,
     script_S_sq,
 )
-from unseen.combinatorics import GfcTable, stirling_noncentral
+from unseen.combinatorics import GfcTable
 from unseen.empirical_bayes import ep_log_likelihood, fit_empirical_bayes
 from unseen.intervals import coverage, exact_interval, ml_interval
 from unseen.model import (
@@ -405,30 +405,15 @@ def test_c6_oracle_equivalence_full_grid():
             # at alpha = 0 neither evaluation depends on j
             js = (1,) if alpha == 0.0 else range(1, n + 1)
             for j in js:
-                if alpha > 0:
-                    table = GfcTable(m_max, alpha, -n + j * alpha)
-                    tri = [table.log_row(m)[1] for m in range(m_max + 1)]
-                else:
-                    tri = [
-                        np.array([
-                            stirling_noncentral(m, k, float(n)).log_abs
-                            if stirling_noncentral(m, k, float(n)).sign > 0
-                            else -np.inf
-                            for k in range(m + 1)
-                        ])
-                        for m in range(m_max + 1)
-                    ]
+                table = GfcTable(m_max, alpha, -n + j * alpha)
+                tri = [table.log_row(m) for m in range(m_max + 1)]
                 for theta in thetas:
                     # the production recursion's buffer after m = 0..m_max draws
                     traj = [b.copy() for b in _dp_steps(alpha, theta, n, j, m_max)]
-                    kk = np.arange(m_max + 1)
-                    if alpha > 0:
-                        from scipy.special import gammaln
-
-                        base = j + theta / alpha
-                        lr = gammaln(base + kk) - gammaln(base)
-                    else:
-                        lr = kk * math.log(theta)
+                    # log prod_{i<k} (theta + alpha (j + i)), k = 0..m_max
+                    lr = np.concatenate(
+                        [[0.0], np.cumsum(np.log(theta + alpha * (j + np.arange(m_max))))]
+                    )
                     for m in range(m_max + 1):
                         logw = lr[: m + 1] + tri[m]
                         logw -= logw.max()

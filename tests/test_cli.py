@@ -203,6 +203,24 @@ class TestEstimateCommand:
         row = dict(zip(CSV_HEADER, list(csv.reader(io.StringIO(out)))[1]))
         assert 9.999 <= float(row["ml_lo"]) <= float(row["ml_hi"]) == 10.0
 
+    def test_one_pmf_pass_for_all_m(self, capsys, monkeypatch):
+        """Every m in (0, DP_MAX] draws from one pmf pass; m = 0 needs none
+        and m above DP_MAX runs the chain."""
+        passes = []
+
+        def counted(params, sample, ms):
+            passes.append(sorted(ms))
+            return posterior_pmfs(params, sample, ms)
+
+        monkeypatch.setattr(cli, "posterior_pmfs", counted)
+        monkeypatch.setattr(intervals, "posterior_pmf_dp", None)  # no per-row pass
+        code, out, _ = run_cli(
+            capsys, "estimate", "--n", "100", "--j", "40", "--alpha", "0.5", "--theta", "10",
+            "--m", f"0,12,5,12,{DP_MAX + 1}", "--samples", "100", "--methods", "exact",
+        )
+        assert code == 0 and len(out.splitlines()) == 6
+        assert passes == [[5, 12, 12]]
+
     def test_reproducible(self, capsys):
         argv = ["estimate", "--n", "50", "--j", "20", "--alpha", "0.4",
                 "--theta", "2", "--m", "75", "--samples", "300", "--seed", "9"]
@@ -493,3 +511,17 @@ class TestExitCodePolicy:
             "--m", "10", "--methods", "gaussian,magic",
         )
         assert code == 2 and out == "" and err.startswith("error:") and "magic" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["estimate", "--n", "100", "--j", "40", "--alpha", "0.5", "--theta", "10",
+         "--m", "10", "--samples", "100"],
+        ["benchmark", "--suite", "est", "--m-grid", "n..2n:2", "--out", "{tmp}/x.csv"],
+        ["benchmark", "--suite", "synthetic", "--m-grid", "n..2n:2", "--out", "{tmp}/x.csv"],
+    ])
+    def test_negative_seed_exit_2_before_any_work(self, capsys, tmp_path, monkeypatch, argv):
+        _no_data_work(monkeypatch)
+        code, out, err = run_cli(capsys, *(a.format(tmp=tmp_path) for a in argv),
+                                 "--seed", "-1")
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and err.startswith("error:") and "seed" in err
+        assert not (tmp_path / "x.csv").exists()

@@ -50,6 +50,14 @@ class TestRngStream:
         assert RngStream(5, 2).split(9) == RngStream(5, 2).split(9)
         assert RngStream(5, 2).split(9) != RngStream(5, 2).split(10)
 
+    @pytest.mark.parametrize("seed", [-1, 1.5, 2.0, "3", None])
+    def test_bad_seed_rejected(self, seed):
+        with pytest.raises(DomainError, match="seed"):
+            RngStream(seed)
+
+    def test_numpy_integer_seed_accepted(self):
+        assert RngStream(np.int64(5), 2).split(9) == RngStream(5, 2).split(9)
+
     def test_sampler_level_determinism(self):
         params, sample = PYParams(0.5, 1.0), SampleSummary(10, 4)
         rng = RngStream(99)
