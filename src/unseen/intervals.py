@@ -4,6 +4,7 @@ metric used to compare an approximate interval against the exact one."""
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,6 +57,8 @@ def _equal_tailed(draws: np.ndarray, level: float) -> tuple[float, float]:
 
 
 def _check_mc_args(samples: int, level: float) -> None:
+    if not isinstance(samples, numbers.Integral):
+        raise DomainError(f"samples must be an integer, got {samples!r}")
     if samples < 100:
         raise DomainError("need at least 100 Monte Carlo samples")
     if not 0.0 < level < 1.0:

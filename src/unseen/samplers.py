@@ -1,6 +1,6 @@
-"""Random-variate generation: seedable streams, posterior and prior
-predictive chains, Beta draws, and the exact sampler for the scaled
-Mittag-Leffler limit law.
+"""Random-variate generation: seedable streams, the posterior and prior
+predictive chains (one exact thinning chain serves both), Beta draws, and
+the exact sampler for the scaled Mittag-Leffler limit law.
 
 Streams are counter-based (Philox keyed by (seed, stream_id)), so a
 replicate index maps to an independent stream in O(1).  Each benchmark
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, MethodUnavailableError, NumericalIntegrityError
-from .model import Pmf, PYParams, SampleSummary, _check_draw_count, posterior_mean
+from .model import Pmf, PYParams, SampleSummary, _check_draw_count
 
 _CHUNK = 1 << 14
 
@@ -42,8 +42,10 @@ class RngStream:
     stream_id: int = 0
 
     def __post_init__(self):
-        if not isinstance(self.seed, numbers.Integral) or self.seed < 0:
-            raise DomainError(f"seed must be an integer >= 0, got {self.seed!r}")
+        for name in ("seed", "stream_id"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) or value < 0:
+                raise DomainError(f"{name} must be an integer >= 0, got {value!r}")
 
     def generator(self) -> np.random.Generator:
         ss = np.random.SeedSequence(entropy=self.seed, spawn_key=(self.stream_id,))
@@ -89,138 +91,51 @@ def _as_batch(size):
     return (1, True) if size is None else (int(size), False)
 
 
-def _bernoulli_chain(gen, count: int, m: int, numer0: float, alpha: float, denom0: float):
-    """Run `count` lockstep chains for m steps: success prob at step i is
-    (numer0 + alpha*k) / (denom0 + i).  Uniforms are drawn in step-major
-    blocks to amortize generator-call overhead."""
-    k = np.zeros(count, dtype=np.float64)
-    block = max(1, 2_000_000 // max(count, 1))  # ~16 MB of buffered uniforms
-    i = 0
-    while i < m:
-        steps = min(block, m - i)
-        u = gen.random((steps, count))
-        _count(steps * count)
-        for s in range(steps):
-            p = (numer0 + alpha * k) / (denom0 + i + s)
-            k += u[s] < p
-        i += steps
+def _chain(gen, count: int, m: int, numer0: float, alpha: float, denom0: float):
+    """Run `count` independent predictive chains of m draws each: with k
+    species so far, draw i founds a new one with probability
+    p(i, k) = (numer0 + alpha*k) / (denom0 + i).
+
+    The chains are run by thinning (Lewis & Shedler, 1979).  From lane
+    state (i, k), p falls as i grows until k changes, so every later draw
+    has p(t, k) <= p_bar = min(p(i, k), 1).  A geometric gap with rate
+    p_bar proposes the next candidate draw t, which founds a species with
+    probability p(t, k) / p_bar; the lane then moves on to t + 1.  The
+    number of rounds is about the number of events plus rejections, not m,
+    and each round moves every unfinished lane on by at least one draw.
+    Every round draws two uniforms per lane, finished or not, so a lane's
+    draws do not depend on the progress of the other lanes."""
+    k = np.zeros(count)
+    i = np.zeros(count)
+    while count and i.min() < m:
+        # at most m - min(i) rounds remain; ~16 MB of buffered uniforms
+        rounds = min(max(1, 1_000_000 // count), m - int(i.min()))
+        u = gen.random((rounds, 2, count))
+        _count(u.size)
+        for u1, u2 in u:
+            c = numer0 + alpha * k
+            p_bar = np.minimum(c / (denom0 + i), 1.0)
+            # the gap is 0 at p_bar = 1, as log1p(-u1) is finite on [0, 1)
+            with np.errstate(divide="ignore"):
+                t = i + np.floor(np.log1p(-u1) / np.log1p(-p_bar))
+            k += (t < m) & (u2 * p_bar < c / (denom0 + t))
+            i = np.minimum(t + 1.0, m)
+            if i.min() >= m:
+                break
     return k.astype(np.int64)
 
 
-# The event-jump path evaluates the survival function by Stirling series,
-# exact to double rounding only while n - alpha*j stays well above zero.
-_JUMP_MIN_MARGIN = 300.0
-# Above this expected event rate E[K]/m, Bernoulli steps are cheaper than
-# jumps.  Measured on a 2-vCPU Xeon VM at 2000 lanes: one Bernoulli step
-# costs 17-20 ns per lane, one jump event 500-570 ns per lane, so the two
-# paths break even at a rate of ~0.03-0.04.
-_JUMP_MAX_RATE = 0.03
-
-
-def _log_gamma_ratio(z, c):
-    """log Gamma(z - c) - log Gamma(z) by the Stirling series; exact to
-    double rounding for z - c >= ~300 (enforced by the caller)."""
-    zc = z - c
-    out = (zc - 0.5) * np.log(zc) - (z - 0.5) * np.log(z) + c
-    out += (1.0 / zc - 1.0 / z) / 12.0
-    out -= (zc ** -3.0 - z ** -3.0) / 360.0
-    out += (zc ** -5.0 - z ** -5.0) / 1260.0
-    return out
-
-
-def _k_future_jump(params: PYParams, sample: SampleSummary, m: int, gen, count: int):
-    """Waiting-time simulation of the predictive chain: instead of one
-    Bernoulli per step, draw the number of failures before the next new
-    species from its exact survival function
-
-        S(s) = (D - c)_(s) / (D)_(s),   c = theta + alpha*K,  D = theta + n + i,
-
-    one uniform per founding event.  Distributionally identical to the
-    step-by-step chain, at a cost proportional to the number of events
-    rather than to m; requires n - alpha*j well above zero, where the
-    Stirling evaluation of the survival function is exact.
-
-    Only lanes that still have a founding event ahead are carried through
-    the solve; a finished lane writes its K once.  Each round still draws
-    `count` uniforms and uses those of the live lanes, so a lane's draws
-    do not depend on which other lanes are still live."""
-    a, t, n, j = params.alpha, params.theta, sample.n, sample.j
-    d0 = t + n
-    out = np.zeros(count, dtype=np.int64)
-    live = np.arange(count)
-    k = np.zeros(count)
-    i = np.zeros(count)
-    guard = 0
-    while live.size:
-        guard += 1
-        if guard > m + 2:
-            raise NumericalIntegrityError("waiting-time chain failed to terminate")
-        u = gen.random(count)
-        _count(count)
-        log_u = np.log(u[live])
-        c = t + a * (j + k)
-        d = d0 + i
-        r = m - i
-        # no further species if the survival at the remaining horizon wins
-        h0 = _log_gamma_ratio(d, c)
-        hit = _log_gamma_ratio(d + r, c) - h0 < log_u
-        if not hit.all():
-            out[live[~hit]] = k[~hit]
-            live, k, i, log_u, c, d, r, h0 = (
-                x[hit] for x in (live, k, i, log_u, c, d, r, h0)
-            )
-            if not live.size:
-                break
-        # Newton solve G(s) = log u, G(s) = h(d+s) - h(d), then snap to the
-        # largest integer with S(t) >= u
-        with np.errstate(over="ignore", invalid="ignore"):
-            s = d * np.expm1(-log_u / np.maximum(c, 1e-300))
-        s = np.clip(np.where(np.isfinite(s), s, r), 0.0, r)
-        for _ in range(24):
-            g = _log_gamma_ratio(d + s, c) - h0 - log_u
-            dg = np.log1p(-c / (d + s))
-            step = g / dg
-            s = np.clip(s - step, 0.0, r)
-            if np.max(np.abs(step)) < 0.25:
-                break
-        tt = np.floor(s)
-        # S(tt) >= u must hold; walk down while it fails, up while S(tt+1) >= u
-        for _ in range(64):
-            bad = _log_gamma_ratio(d + tt, c) - h0 < log_u
-            if not np.any(bad):
-                break
-            tt = np.where(bad, tt - 1.0, tt)
-        for _ in range(64):
-            more = (tt + 1.0 <= r - 1.0) & (_log_gamma_ratio(d + tt + 1.0, c) - h0 >= log_u)
-            if not np.any(more):
-                break
-            tt = np.where(more, tt + 1.0, tt)
-        tt = np.clip(tt, 0.0, r - 1.0)
-        k = k + 1.0
-        i = i + tt + 1.0
-    return out
-
-
 def sample_k_future(params: PYParams, sample: SampleSummary, m: int, rng: RngStream, size=None):
-    """Number of new species among m posterior-predictive draws, simulated
-    as m sequential Bernoulli steps with success prob (theta + alpha*K) /
+    """Number of new species among m posterior-predictive draws, where draw
+    i founds a new species with probability (theta + alpha*K) /
     (theta + n + i).  With size given, that many independent replicates are
-    run in lockstep from the single stream.
-
-    Both paths are exact; the choice affects speed only.  The chain is run
-    by exact waiting times between founding events when that is cheaper and
-    exact: the expected event rate posterior_mean(m) / m is at most
-    _JUMP_MAX_RATE, and n - alpha*j >= _JUMP_MIN_MARGIN.  Otherwise it takes
-    one Bernoulli step per draw."""
+    run side by side from the single stream, by the thinning chain
+    `_chain`, at a cost that grows with the number of new species and
+    rejected candidates rather than with m."""
     _check_draw_count(m)
     count, scalar = _as_batch(size)
-    gen = rng.generator()
     a, t, n, j = params.alpha, params.theta, sample.n, sample.j
-    if (m > 0 and n - a * j >= _JUMP_MIN_MARGIN
-            and posterior_mean(params, sample, m) <= _JUMP_MAX_RATE * m):
-        k = _k_future_jump(params, sample, m, gen, count)
-    else:
-        k = _bernoulli_chain(gen, count, m, t + a * j, a, t + n)
+    k = _chain(rng.generator(), count, m, t + a * j, a, t + n)
     return int(k[0]) if scalar else k
 
 
@@ -245,8 +160,7 @@ def sample_prior_kstar(alpha: float, theta_total: float, m: int, rng: RngStream,
         raise DomainError("theta_total must be positive")
     _check_draw_count(m, 1)
     count, scalar = _as_batch(size)
-    gen = rng.generator()
-    k = _bernoulli_chain(gen, count, m, theta_total, alpha, theta_total)
+    k = _chain(rng.generator(), count, m, theta_total, alpha, theta_total)
     return int(k[0]) if scalar else k
 
 

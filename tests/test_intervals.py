@@ -33,6 +33,15 @@ class TestExactInterval:
         with pytest.raises(DomainError):
             exact_interval(PYParams(0.5, 0.5), SampleSummary(2, 1), 5, samples=50)
 
+    @pytest.mark.parametrize("interval", [exact_interval, ml_interval])
+    def test_samples_must_be_integral(self, interval):
+        params, sample = PYParams(0.5, 1.0), SampleSummary(10, 3)
+        for bad in (100.5, 200.0, "200"):
+            with pytest.raises(DomainError, match="samples must be an integer"):
+                interval(params, sample, 5, 0.95, bad, RngStream(1))
+        ci = interval(params, sample, 5, 0.95, np.int64(100), RngStream(1))
+        assert ci.mc_samples == 100
+
     def test_matches_dp_quantiles_small_instance(self):
         """Large-sample empirical quantiles equal the exact pmf quantiles."""
         params, sample, m = PYParams(0.5, 0.5), SampleSummary(2, 1), 10

@@ -8,7 +8,7 @@ from scipy.special import gammaln
 from unseen import samplers
 from unseen.asymptotics import m_frak, s_frak_sq
 from unseen.errors import DomainError, MethodUnavailableError, NumericalIntegrityError
-from unseen.model import Pmf, PYParams, SampleSummary, posterior_mean, posterior_pmf_dp
+from unseen.model import DP_MAX, Pmf, PYParams, SampleSummary, posterior_mean, posterior_pmf_dp
 from unseen.samplers import (
     MLLimitParams,
     RngStream,
@@ -35,6 +35,16 @@ def ml_moment(alpha: float, q: float, p: float) -> float:
     )
 
 
+def step_chain(gen, count: int, m: int, numer0: float, alpha: float, denom0: float):
+    """Reference predictive chain, one Bernoulli step per draw: with k
+    species so far, draw i founds a new one with probability
+    (numer0 + alpha*k) / (denom0 + i)."""
+    k = np.zeros(count)
+    for i in range(m):
+        k += gen.random(count) < (numer0 + alpha * k) / (denom0 + i)
+    return k.astype(np.int64)
+
+
 class TestRngStream:
     def test_determinism(self):
         a = RngStream(123, 7).generator().random(16)
@@ -50,10 +60,12 @@ class TestRngStream:
         assert RngStream(5, 2).split(9) == RngStream(5, 2).split(9)
         assert RngStream(5, 2).split(9) != RngStream(5, 2).split(10)
 
-    @pytest.mark.parametrize("seed", [-1, 1.5, 2.0, "3", None])
-    def test_bad_seed_rejected(self, seed):
+    @pytest.mark.parametrize("bad", [-1, 1.5, 2.0, "3", None])
+    def test_bad_seed_rejected(self, bad):
         with pytest.raises(DomainError, match="seed"):
-            RngStream(seed)
+            RngStream(bad)
+        with pytest.raises(DomainError, match="stream_id"):
+            RngStream(1, bad)
 
     def test_numpy_integer_seed_accepted(self):
         assert RngStream(np.int64(5), 2).split(9) == RngStream(5, 2).split(9)
@@ -100,6 +112,8 @@ class TestKFutureChain:
         for idx, (alpha, theta, n, j, m) in enumerate([
             (0.0, 1.0, 5, 3, 10), (0.25, 10.0, 12, 4, 8),
             (0.75, 0.5, 3, 2, 12), (0.5, 1.0, 30, 15, 6),
+            # p_bar = 1 from the start, or p clamped at 1 or near 0
+            (0.5, 1e300, 20, 10, 30), (0.999999999, 1e17, 1, 1, 50), (0.3, -0.29, 50, 1, 30),
         ]):
             params, sample = PYParams(alpha, theta), SampleSummary(n, j)
             draws = sample_k_future(params, sample, m, RngStream(21, idx), size=reps)
@@ -107,26 +121,9 @@ class TestKFutureChain:
             dp = posterior_pmf_dp(params, sample, m).probs
             assert 0.5 * np.abs(emp - dp).sum() <= bound
 
-    def test_waiting_time_path_small_m_matches_dp(self):
-        """The event-jump implementation agrees with the DP law when invoked
-        directly below its dispatch threshold."""
-        from unseen.samplers import _k_future_jump
-
-        reps = 200_000
-        for idx, (alpha, theta, n, j, m) in enumerate([
-            (0.5, 2.0, 400, 50, 60), (0.0, 5.0, 400, 10, 80), (0.8, 1.0, 2000, 100, 40),
-        ]):
-            params, sample = PYParams(alpha, theta), SampleSummary(n, j)
-            gen = RngStream(23, idx).generator()
-            draws = _k_future_jump(params, sample, m, gen, reps)
-            emp = np.bincount(draws, minlength=m + 1) / reps
-            dp = posterior_pmf_dp(params, sample, m).probs
-            assert 0.5 * np.abs(emp - dp).sum() <= 4.0 / math.sqrt(reps)
-
-    def test_waiting_time_path_large_m_matches_dp(self):
-        """At m past the dispatch threshold, the empirical cdf of jump draws
-        matches the exact DP cdf (KS; the support is too wide for the small-
-        instance TV bound)."""
+    def test_large_m_matches_dp(self):
+        """At m = 20000 the empirical cdf of chain draws matches the exact DP
+        cdf (KS; the support is too wide for the small-instance TV bound)."""
         params, sample, m = PYParams(0.5, 2.0), SampleSummary(400, 50), 20_000
         dp = posterior_pmf_dp(params, sample, m)
         reps = 100_000
@@ -137,68 +134,38 @@ class TestKFutureChain:
         se = draws.std() / math.sqrt(reps)
         assert abs(draws.mean() - dp.mean()) <= 4.0 * se
 
-    def test_step_and_jump_paths_same_law(self):
-        """The event-jump and Bernoulli-step implementations have the same
-        law at the same (params, m)."""
+    def test_same_law_as_step_chain_above_dp_max(self):
+        """Above DP_MAX, where no pmf pass runs, the thinning chain and the
+        step-by-step reference chain have the same law."""
         from scipy.stats import ks_2samp
 
-        from unseen.samplers import _bernoulli_chain, _k_future_jump
-
-        (a, t), (n, j), m, reps = (0.54, 26.67), (977, 300), 20_000, 30_000
-        params, sample = PYParams(a, t), SampleSummary(n, j)
-        steps = _bernoulli_chain(RngStream(27, 0).generator(), reps, m, t + a * j, a, t + n)
-        jumps = _k_future_jump(params, sample, m, RngStream(27, 1).generator(), reps)
-        assert ks_2samp(steps, jumps).pvalue > 1e-4
-
-
-class TestKFutureDispatch:
-    """Both chain paths are exact; sample_k_future picks the cheaper one.
-    The Bernoulli path draws exactly m uniforms per lane, the jump path one
-    per founding event plus one per lane to end it."""
-
-    @staticmethod
-    def _draws(alpha, theta, n, j, m, count=50):
-        before = samplers.draw_count()
-        sample_k_future(PYParams(alpha, theta), SampleSummary(n, j), m, RngStream(3), size=count)
-        return samplers.draw_count() - before
-
-    @pytest.mark.parametrize("alpha,theta,n,j,m", [
-        (0.54, 26.67, 977, 300, 2000),    # E[K]/m ~ 0.14
-        (0.54, 26.67, 977, 300, 20_000),  # E[K]/m ~ 0.07
-        (0.9, 50.0, 2000, 1500, 3000),    # margin 650, E[K]/m ~ 0.65
-    ])
-    def test_high_event_rate_takes_bernoulli_steps(self, alpha, theta, n, j, m):
-        assert self._draws(alpha, theta, n, j, m) == m * 50
-
-    @pytest.mark.parametrize("alpha,theta,n,j,m", [
-        (0.0, 5.0, 1000, 30, 2000),       # E[K]/m ~ 0.003
-        (0.5, 2.0, 400, 50, 20_000),      # E[K]/m ~ 0.017
-        (0.2, 5.0, 3000, 100, 543),       # E[K]/m ~ 0.008 at small m
-    ])
-    def test_low_event_rate_takes_jumps(self, alpha, theta, n, j, m):
-        assert 0 < self._draws(alpha, theta, n, j, m) < m * 50
-
-    @pytest.mark.parametrize("alpha,theta,n,j,m", [
-        (0.0, 5.0, 250, 30, 2000),        # margin 250, E[K]/m ~ 0.005
-        (0.5, 2.0, 400, 220, 20_000),     # margin 290, E[K]/m ~ 0.07
-    ])
-    def test_small_margin_takes_bernoulli_steps(self, alpha, theta, n, j, m):
-        assert self._draws(alpha, theta, n, j, m) == m * 50
+        (a, t), (n, j), m, reps = (0.54, 26.67), (977, 300), DP_MAX + 1, 10_000
+        steps = step_chain(RngStream(27, 0).generator(), reps, m, t + a * j, a, t + n)
+        chain = sample_k_future(PYParams(a, t), SampleSummary(n, j), m, RngStream(27, 1),
+                                size=reps)
+        assert ks_2samp(steps, chain).pvalue > 1e-4
 
     def test_m_zero_draws_nothing(self):
-        assert self._draws(0.0, 5.0, 1000, 30, 0) == 0
+        before = samplers.draw_count()
+        k = sample_k_future(PYParams(0.0, 5.0), SampleSummary(1000, 30), 0, RngStream(3), size=50)
+        assert samplers.draw_count() == before
+        assert np.array_equal(k, np.zeros(50, dtype=np.int64))
+
+    def test_size_zero_is_empty(self):
+        k = sample_k_future(PYParams(0.5, 2.0), SampleSummary(400, 50), 30_000, RngStream(3),
+                            size=0)
+        assert k.shape == (0,) and k.dtype == np.int64
 
     @pytest.mark.parametrize("alpha,theta,n,j,m,seed,digest", [
-        (0.5, 2.0, 400, 50, 20_000, 25,
-         "0642b2b29c8f0f3e7c4432b39990a9ccc4826f7916877ba76a7d90813a8b37d5"),
-        (0.0, 5.0, 1000, 30, 50_000, 26,
-         "4d8e6f2f02b79b65bde48677d4c6bad7eebcd3613b4b433ef8aed2a8a4d022cf"),
+        (0.54, 26.67, 977, 300, 97_700, 25,
+         "73621292c5a491e8ea3820b20407b7f707c61d3a0c5e18e81243461b9a6c73a4"),
+        (0.0, 178.48, 2000, 447, 50_000, 26,
+         "59f79b26cc8b38e7394395605d6972ac0d4841e66de8f08e83742a43329f181b"),
         (0.3, 10.0, 2000, 200, 30_000, 27,
-         "e1778f7d75418b96af17c3a5a613571274960bdfde66a40adac9b85981427873"),
+         "0a9258aca34f546ffa880bdb65d16a7b4c8ce9c9a8e88af66340b5cb605180f5"),
     ])
-    def test_jump_output_pinned(self, alpha, theta, n, j, m, seed, digest):
-        """Jump-path draws are byte-identical to those of the full-width
-        lane loop that preceded the active-lane one."""
+    def test_output_pinned(self, alpha, theta, n, j, m, seed, digest):
+        """Chain draws keep their bytes for a given stream."""
         import hashlib
 
         k = sample_k_future(PYParams(alpha, theta), SampleSummary(n, j), m, RngStream(seed),
