@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .model import DP_MAX, Pmf, PYParams, SampleSummary, _check_draw_count, posterior_pmf_dp
+from .model import DP_MAX, Pmf, PYParams, SampleSummary, _check_draw_count, posterior_pmfs
 from .samplers import RngStream, sample_from_pmf, sample_k_future, sample_ml_limit
 
 _METHODS = ("exact_mc", "mittag_leffler", "gaussian")
@@ -77,11 +77,12 @@ def exact_interval(
     """Monte Carlo interval from the exact posterior over `samples`
     replicates.  For 0 < m <= DP_MAX the replicates are drawn by inverse
     CDF from the exact posterior pmf at m: `pmf` when given (for instance
-    from `posterior_pmfs`, one pass for many m), else one
-    `posterior_pmf_dp` pass.  Above DP_MAX, where no pass runs, each
-    replicate runs the predictive chain (`sample_k_future`).  The pmf draws
-    have the chain's law up to the tail mass below 1e-30 that the pmf
-    recursion drops."""
+    from `posterior_pmfs` over a grid, one pass for many m), else
+    `posterior_pmfs` at m alone, which gives the same pmf.  Above DP_MAX,
+    where no pass runs, each replicate runs the predictive chain
+    (`sample_k_future`).  The pmf draws have the chain's law up to the mass
+    the pmf pass drops: the band entries below 1e-30 and, where the pmf
+    mixes prior passes over R ~ BetaBinomial, R's weights below 1e-30."""
     _check_draw_count(m)
     _check_mc_args(samples, level)
     if pmf is not None and pmf.support_max != m:
@@ -91,7 +92,7 @@ def exact_interval(
     if m == 0:
         return CredibleInterval(0.0, 0.0, level, "exact_mc", mc_samples=samples)
     if pmf is None and m <= DP_MAX:
-        pmf = posterior_pmf_dp(params, sample, m)
+        pmf = posterior_pmfs(params, sample, [m])[m]
     if pmf is None:
         draws = sample_k_future(params, sample, m, rng, size=samples)
     else:

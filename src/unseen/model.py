@@ -2,19 +2,28 @@
 
 Given a sample of n observations containing j distinct species, the
 posterior law of the number of new species among m further draws depends
-on the data only through (n, j).  Two independent evaluations of that law
-are provided: a banded forward recursion over the predictive chain
-(production path) and the closed form in terms of generalized factorial
+on the data only through (n, j).  Three evaluations of that law are
+provided.  A banded forward recursion over the posterior predictive chain
+(`posterior_pmf_dp`).  A mixture of the same recursion run on the prior
+chain: given (n, j), K_{n,m} has the law of K*_R, with R ~
+BetaBinomial(m; theta + alpha j, n - alpha j) the draws that leave the
+seen species and K*_r the species count of r prior draws with
+theta' = theta + alpha j (Pitman, 1996), so one prior pass to the top of
+R's window serves m.  `posterior_pmfs`, the production path, takes the
+mixture where that window is short enough and the posterior recursion
+elsewhere.  And the closed form in terms of generalized factorial
 coefficients (small-m validation path), one positive log-space triangle
 at every alpha, the Dirichlet case included.  The recursion keeps only the band
 of counts whose probability is at least `_DP_FLOOR` (1e-30), so it costs
 O(m * band) rather than O(m^2); the mass it drops is at most
 (2m + 2) * _DP_FLOOR, too little for the 2**-53 grid of a uniform to see.
-Every exact interval with 0 < m <= DP_MAX draws its replicates from this
-pmf by inverse CDF.  The recursion forms the transition probabilities of a
-block of up to 64 draws (about `_DP_BLOCK` entries) in one 2-D divide,
-rounded entry by entry as a divide per draw would be, and clamps them at 1
-only when the block's largest entry exceeds 1.
+The mixture also drops R's weights below `_DP_FLOOR`, at most
+(m + 1) * _DP_FLOOR.  Every exact interval with 0 < m <= DP_MAX draws its
+replicates from the `posterior_pmfs` pmf by inverse CDF.  The recursion
+forms the transition probabilities of a block of up to 64 draws (about
+`_DP_BLOCK` entries) in one 2-D divide, rounded entry by entry as a
+divide per draw would be, and clamps them at 1 only when the block's
+largest entry exceeds 1.
 """
 
 from __future__ import annotations
@@ -24,6 +33,7 @@ import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg.blas import daxpy
 from scipy.special import digamma
 
 from .combinatorics import U_MAX, GfcTable, log_rising_factorial
@@ -32,8 +42,9 @@ from .errors import DomainError, NumericalIntegrityError, SizeLimitError
 # Largest m of the pmf recursion.
 DP_MAX = 20000
 
-# Edge entries of the DP band below this are set to 0 and leave the band.
-# The mass dropped, at most (2 * DP_MAX + 2) * 1e-30 ~ 4e-26, lies far
+# Edge entries of the DP band below this are set to 0 and leave the band,
+# and weights of R below it fall outside the mixture's window.  The mass
+# the band drops, at most (2 * DP_MAX + 2) * 1e-30 ~ 4e-26, lies far
 # below the 2**-53 grid of the uniforms that draw from the pmf, so a lower
 # floor would only widen the band (this one keeps about 12 sd of tail on
 # each side) and slow every draw of the recursion.
@@ -172,10 +183,11 @@ def posterior_mean(params: PYParams, sample: SampleSummary, m: int) -> float:
 def _dp_steps(alpha: float, theta: float, n: int, j: int, m: int):
     """Forward recursion of the new-species count over m predictive draws.
 
-    Yields the unnormalised pmf buffer (length m + 1, updated in place)
-    after 0, 1, ..., m draws.  Each draw updates only the live band
-    [lo, hi); afterwards band entries at either edge below `_DP_FLOOR` are
-    set to 0 and dropped, so every entry outside the band is 0.
+    Yields (buffer, lo, hi) after 0, 1, ..., m draws: the unnormalised
+    pmf buffer (length m + 1, updated in place) and its live band
+    [lo, hi).  Each draw updates only the band; afterwards band entries at
+    either edge below `_DP_FLOOR` are set to 0 and dropped, so every entry
+    outside the band is 0.  With n = j = 0 it is the prior chain.
 
     The probabilities p = (theta + alpha * (j + k))^+ / (theta + n + i) of
     a new species are formed a block of draws at a time: one 2-D divide
@@ -195,7 +207,7 @@ def _dp_steps(alpha: float, theta: float, n: int, j: int, m: int):
     # ufuncs take `out` by position and the names they use are local.
     multiply, add, floor = np.multiply, np.add, _DP_FLOOR
     lo, hi = 0, 1
-    yield probs
+    yield probs, lo, hi
     i = 0
     while i < m:
         rows = min(64, m - i, max(1, _DP_BLOCK // (hi - lo + 64)))
@@ -221,28 +233,28 @@ def _dp_steps(alpha: float, theta: float, n: int, j: int, m: int):
             while probs[hi - 1] < floor:
                 probs[hi - 1] = 0.0
                 hi -= 1
-            yield probs
+            yield probs, lo, hi
         i += rows
 
 
-def posterior_pmfs(params: PYParams, sample: SampleSummary, ms) -> dict[int, Pmf]:
-    """Exact posterior pmfs at every m of `ms` from one forward recursion
-    over the predictive chain, run to max(ms); O(max(ms) * band) time in
-    all, m capped at DP_MAX.  The recursion state after m draws does not
-    depend on how far the pass runs, so each pmf is the one a pass stopped
-    at m gives.  Entries below `_DP_FLOOR` (1e-30) at the edges of the band
-    are dropped (set to 0), a total mass of at most (2m + 2) * _DP_FLOOR,
-    about 4e-26 at DP_MAX."""
+def _checked_grid(ms) -> set[int]:
     wanted = set(ms)
-    if not wanted:
-        return {}
     for m in wanted:
         _check_draw_count(m)
-    top = max(wanted)
-    if top > DP_MAX:
-        raise SizeLimitError(f"m={top} exceeds dp_max={DP_MAX}")
+    if wanted and max(wanted) > DP_MAX:
+        raise SizeLimitError(f"m={max(wanted)} exceeds dp_max={DP_MAX}")
+    return wanted
+
+
+def _recursion_pmfs(params: PYParams, sample: SampleSummary, wanted: set[int]) -> dict[int, Pmf]:
+    """The posterior recursion run once to max(wanted), keeping a pmf at
+    each wanted m.  The state after m draws does not depend on how far the
+    pass runs, so each pmf is the one a pass stopped at m gives."""
+    if not wanted:
+        return {}
     out = {}
-    for i, probs in enumerate(_dp_steps(params.alpha, params.theta, sample.n, sample.j, top)):
+    steps = _dp_steps(params.alpha, params.theta, sample.n, sample.j, max(wanted))
+    for i, (probs, _, _) in enumerate(steps):
         if i in wanted:
             # entries past i are still 0
             head = probs[: i + 1]
@@ -250,10 +262,85 @@ def posterior_pmfs(params: PYParams, sample: SampleSummary, ms) -> dict[int, Pmf
     return out
 
 
+def _beta_binomial_log_weights(a: float, b: float, m: int) -> np.ndarray:
+    """log P(R = r), r = 0..m, for R ~ BetaBinomial(m; a, b), from the
+    ratio w(r + 1) / w(r) = (m - r)(r + a) / ((r + 1)(m - r - 1 + b)).  The
+    log ratios are summed outward from the mode, so the partial sums across
+    the window stay small and keep their digits, and then normalised."""
+    r = np.arange(m, dtype=float)
+    step = np.log((m - r) / (r + 1.0)) + (np.log(r + a) - np.log(m - r - 1.0 + b))
+    mode = int(np.argmax(np.concatenate(([0.0], np.cumsum(step)))))
+    log_w = np.zeros(m + 1)
+    np.cumsum(step[mode:], out=log_w[mode + 1 :])
+    log_w[:mode] = -np.cumsum(step[:mode][::-1])[::-1]
+    return log_w - math.log(np.exp(log_w).sum())
+
+
+def _mixture_pmfs(
+    alpha: float, theta_total: float, windows: dict[int, tuple[int, np.ndarray]]
+) -> dict[int, Pmf]:
+    """Pmfs of K*_R by one pass of the prior chain (`_dp_steps` with n = j
+    = 0) to the top of every window: for each m, windows[m] = (r_lo, w)
+    holds the weights w of R = r_lo, r_lo + 1, ..., and the pass adds
+    w(r) times its band after r draws into the pmf at m, one in-place
+    BLAS axpy per step and m."""
+    if not windows:
+        return {}
+    accs = {m: np.zeros(m + 1) for m in windows}
+    # (first step, one past the last, weights, accumulator), popped by first step
+    pending = sorted(((r_lo, r_lo + w.size, w.tolist(), accs[m])
+                      for m, (r_lo, w) in windows.items()), key=lambda job: -job[0])
+    ends = {job[1] for job in pending}
+    active = []
+    for r, (probs, lo, hi) in enumerate(_dp_steps(alpha, theta_total, 0, 0, max(ends) - 1)):
+        while pending and pending[-1][0] == r:
+            active.append(pending.pop())
+        for r_lo, _, w, acc in active:
+            # acc[lo:hi] += w(r) * probs[lo:hi]
+            daxpy(probs, acc, hi - lo, w[r - r_lo], lo, 1, lo)
+        if r + 1 in ends:
+            active = [job for job in active if job[1] > r + 1]
+    return {m: Pmf(acc / acc.sum()) for m, acc in accs.items()}
+
+
+def posterior_pmfs(params: PYParams, sample: SampleSummary, ms) -> dict[int, Pmf]:
+    """Exact posterior pmfs at every m of `ms`, m capped at DP_MAX.
+
+    Given (n, j), K_{n,m} has the law of K*_R (Pitman, 1996): R ~
+    BetaBinomial(m; theta + alpha j, n - alpha j) of the m draws leave the
+    seen species, and K*_r is the species count of r draws of the prior
+    chain with theta' = theta + alpha j.  R's window is where its weight
+    is at least `_DP_FLOOR`, [r_lo, r_hi].  An m with
+    r_hi + (r_hi - r_lo) < m, which counts a mixing step as one recursion
+    step, takes the mixture (`_mixture_pmfs`): one prior pass to the
+    largest such r_hi serves them all.  Every other m takes the posterior
+    recursion (`_recursion_pmfs`), one pass to the largest such m, and
+    gets the bytes of `posterior_pmf_dp`.  The route depends only on
+    (alpha, theta, n, j, m), so a grid gives each m the pmf a call for m
+    alone gives.  The mass dropped is the band floor's, at most
+    (2m + 2) * _DP_FLOOR, plus, on the mixture, R's weight outside its
+    window, at most (m + 1) * _DP_FLOOR."""
+    wanted = _checked_grid(ms)
+    a, n, j = params.alpha, sample.n, sample.j
+    theta_total = params.theta + a * j
+    windows = {}
+    for m in wanted:
+        w = np.exp(_beta_binomial_log_weights(theta_total, n - a * j, m))
+        (kept,) = np.nonzero(w >= _DP_FLOOR)
+        r_lo, r_hi = int(kept[0]), int(kept[-1])
+        if r_hi + (r_hi - r_lo) < m:
+            windows[m] = (r_lo, w[r_lo : r_hi + 1])
+    out = _recursion_pmfs(params, sample, wanted - windows.keys())
+    out.update(_mixture_pmfs(a, theta_total, windows))
+    return out
+
+
 def posterior_pmf_dp(params: PYParams, sample: SampleSummary, m: int) -> Pmf:
-    """Exact posterior pmf of the new-species count by forward recursion
-    over the predictive chain; see `posterior_pmfs`."""
-    return posterior_pmfs(params, sample, [m])[m]
+    """Exact posterior pmf of the new-species count by the forward
+    recursion over the posterior predictive chain, whatever the route
+    `posterior_pmfs` would take; entries below `_DP_FLOOR` at the edges of
+    the band are dropped, at most (2m + 2) * _DP_FLOOR in all."""
+    return _recursion_pmfs(params, sample, _checked_grid([m]))[m]
 
 
 def posterior_pmf_closed(params: PYParams, sample: SampleSummary, m: int) -> Pmf:

@@ -88,7 +88,11 @@ class MLLimitParams:
 
 
 def _as_batch(size):
-    return (1, True) if size is None else (int(size), False)
+    if size is None:
+        return 1, True
+    if not isinstance(size, numbers.Integral) or size < 0:
+        raise DomainError(f"size must be an integer >= 0, got {size!r}")
+    return int(size), False
 
 
 def _chain(gen, count: int, m: int, numer0: float, alpha: float, denom0: float):

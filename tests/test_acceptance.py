@@ -15,6 +15,7 @@ back-fitting a single unrounded alpha per dataset reproduces every cell,
 and the "1000n" EST rows reproduce at 500n to the integer.
 """
 
+import functools
 import math
 import time
 
@@ -408,8 +409,8 @@ def test_c6_oracle_equivalence_full_grid():
                 table = GfcTable(m_max, alpha, -n + j * alpha)
                 tri = [table.log_row(m) for m in range(m_max + 1)]
                 for theta in thetas:
-                    # the production recursion's buffer after m = 0..m_max draws
-                    traj = [b.copy() for b in _dp_steps(alpha, theta, n, j, m_max)]
+                    # the posterior recursion's buffer after m = 0..m_max draws
+                    traj = [b.copy() for b, _, _ in _dp_steps(alpha, theta, n, j, m_max)]
                     # log prod_{i<k} (theta + alpha (j + i)), k = 0..m_max
                     lr = np.concatenate(
                         [[0.0], np.cumsum(np.log(theta + alpha * (j + np.arange(m_max))))]
@@ -436,7 +437,9 @@ _C7_GRID = [(lam, alpha) for lam in (0.5, 1.0, 5.0) for alpha in (0.0, 0.5)]
 _C7_M, _C7_REPS = 10_000, 10_000
 
 
+@functools.cache
 def _c7_draws(lam, alpha, idx):
+    """Drawn once per module: the three C7 tests read the same chains."""
     return sample_prior_kstar(
         alpha, lam * _C7_M, _C7_M, RngStream(SEED, 70_000 + idx), size=_C7_REPS
     )
@@ -451,16 +454,12 @@ def _empirical_ks(draws, mm, ss2):
 
 
 def _prior_chain_law(alpha, theta_total, m):
-    """Exact pmf of the prior-chain species count (forward recursion)."""
-    q = np.zeros(m + 1)
-    q[0] = 1.0
-    ks = np.arange(m + 1, dtype=float)
-    for i in range(m):
-        p = np.minimum((theta_total + alpha * ks) / (theta_total + i), 1.0)
-        nxt = q * (1.0 - p)
-        nxt[1:] += (q * p)[:-1]
-        q = nxt
-    return q
+    """Exact pmf of the prior-chain species count: the prior pass (n = j =
+    0) of the forward recursion, as the mixture route of `posterior_pmfs`
+    runs it, up to the band's dropped tail of at most (2m + 2) * 1e-30."""
+    for law, _, _ in _dp_steps(alpha, theta_total, 0, 0, m):
+        pass
+    return law
 
 
 def test_c7_prior_chain_clt_moments():

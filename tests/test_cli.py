@@ -213,7 +213,7 @@ class TestEstimateCommand:
             return posterior_pmfs(params, sample, ms)
 
         monkeypatch.setattr(cli, "posterior_pmfs", counted)
-        monkeypatch.setattr(intervals, "posterior_pmf_dp", None)  # no per-row pass
+        monkeypatch.setattr(intervals, "posterior_pmfs", None)  # no per-row pass
         code, out, _ = run_cli(
             capsys, "estimate", "--n", "100", "--j", "40", "--alpha", "0.5", "--theta", "10",
             "--m", f"0,12,5,12,{DP_MAX + 1}", "--samples", "100", "--methods", "exact",

@@ -304,10 +304,10 @@ def _check_banded_pmf(case, sha, mean, var):
     assert repr(pmf.mean()) == mean
     assert repr(pmf.variance()) == var
 
-    for band in _dp_steps(alpha, theta, n, j, m):
+    for band, lo, hi in _dp_steps(alpha, theta, n, j, m):
         pass
     live = np.flatnonzero(band)
-    lo, hi = live[0], live[-1] + 1
+    assert (lo, hi) == (live[0], live[-1] + 1)
     assert (lo, hi) != (0, m + 1)  # the band did trim
     assert np.all(band[lo:hi] >= model._DP_FLOOR)
     assert not band[:lo].any() and not band[hi:].any()
@@ -357,15 +357,15 @@ def test_banded_dp_pinned_at_floor(case, sha, mean, var):
 
 @pytest.mark.parametrize("case", [c for c, *_ in PINNED_DP] + [(0.5, 0.5, 2, 1, 300)])
 def test_one_pass_pmfs_equal_single_runs(case):
-    """Every snapshot of one pass to the top of a grid is bitwise equal to a
-    pass stopped at that m, m = 0 and the top included."""
+    """Every pmf of one pass over a grid is bitwise equal to the pmf of a
+    call for that m alone, m = 0 and the top included, on either route."""
     alpha, theta, n, j, top = case
     params, sample = PYParams(alpha, theta), SampleSummary(n, j)
     grid = [0, 1, top // 7, top // 2, top - 1, top]
     pmfs = posterior_pmfs(params, sample, reversed(grid))
     assert sorted(pmfs) == sorted(set(grid))
     for m in grid:
-        single = posterior_pmf_dp(params, sample, m)
+        single = posterior_pmfs(params, sample, [m])[m]
         assert pmfs[m].support_max == m
         assert pmfs[m].probs.tobytes() == single.probs.tobytes(), m
 
@@ -375,7 +375,7 @@ def _buffers_digest(case):
     i < 130, every 61st draw and the last."""
     m = case[-1]
     digest = hashlib.sha256()
-    for i, buf in enumerate(_dp_steps(*case)):
+    for i, (buf, _, _) in enumerate(_dp_steps(*case)):
         assert buf.size == m + 1
         if i < 130 or i % 61 == 0 or i == m:
             digest.update(buf.tobytes())
@@ -473,3 +473,126 @@ def test_raised_floor_moves_only_the_far_tail(case, monkeypatch):
     big = old.probs >= 1e-14
     assert np.all(np.abs(new.probs[big] - old.probs[big]) <= 1e-15 * old.probs[big])
     assert new.mean() == old.mean()
+
+
+# The empirical-Bayes fits (alpha, theta, n, j) behind the benchmark's
+# m = 20000 rows at seed 1; the four synthetic ones also fit the synthetic
+# sweep at seed 1.
+LARGE_M_FITS = {
+    "zipf_a": (0.46531667116373665, 0.657799734431501, 977, 43),
+    "zipf_b": (0.3364359984017909, 3.925268292759117, 1877, 82),
+    "polya_c": (0.0, 206.07367960501995, 2000, 489),
+    "uniform_d": (0.0, 210.19519369218702, 2000, 495),
+    "mastigamoeba_norm": (0.8072310137103939, 22.19838130779522, 363, 248),
+    "tomato_flower": (0.900182378954665, 29.603310811144823, 2586, 1825),
+}
+SWEEP_FITS = ("zipf_a", "zipf_b", "polya_c", "uniform_d")
+
+
+@pytest.fixture
+def routes(monkeypatch):
+    """The m values that `posterior_pmfs` served by the mixture of prior
+    passes."""
+    mixed = set()
+    real = model._mixture_pmfs
+
+    def spy(*args):
+        out = real(*args)
+        mixed.update(out)
+        return out
+
+    monkeypatch.setattr(model, "_mixture_pmfs", spy)
+    return mixed
+
+
+def _bb_log_weight_mpmath(a, b, m, r):
+    with mpmath.workdps(40):
+        a, b, lg = mpmath.mpf(a), mpmath.mpf(b), mpmath.loggamma
+        return float(lg(m + 1) - lg(r + 1) - lg(m - r + 1) + lg(r + a) + lg(m - r + b)
+                     - lg(m + a + b) + lg(a + b) - lg(a) - lg(b))
+
+
+@pytest.mark.parametrize("m", [1, 977, 20000])
+@pytest.mark.parametrize("a,b", [(1.0, 1.5), (1671.0, 787.0), (0.5, 0.3), (1e6, 500.5)])
+def test_beta_binomial_log_weights_against_mpmath(a, b, m):
+    """Each weight of R's window (>= 1e-30) within 1e-10 relative of a
+    40-digit reference; every log-weight within 1e-10 relative."""
+    log_w = model._beta_binomial_log_weights(a, b, m)
+    assert log_w.shape == (m + 1,)
+    window = np.flatnonzero(log_w >= math.log(1e-30))
+    rs = np.unique(np.concatenate([np.linspace(0, m, 401).astype(int), window[[0, -1]],
+                                   [int(np.argmax(log_w))]]))
+    ref = np.array([_bb_log_weight_mpmath(a, b, m, int(r)) for r in rs])
+    err = np.abs(log_w[rs] - ref)
+    inside = ref >= math.log(1e-30)
+    assert inside.any()
+    assert np.all(err[inside] <= 1e-10), err[inside].max()
+    assert np.all(err <= 1e-10 * np.maximum(1.0, np.abs(ref))), err.max()
+
+
+def test_mixture_matches_recursion_at_large_m(routes):
+    """At m = 20000 every fit of the benchmark's rows is within 1e-12 of the
+    posterior recursion, mixed or not."""
+    for alpha, theta, n, j in LARGE_M_FITS.values():
+        params, sample = PYParams(alpha, theta), SampleSummary(n, j)
+        got = posterior_pmfs(params, sample, [20000])[20000]
+        assert np.max(np.abs(got.probs - posterior_pmf_dp(params, sample, 20000).probs)) <= 1e-12
+    assert routes == {20000}
+
+
+@pytest.mark.parametrize("name", SWEEP_FITS)
+def test_mixture_matches_recursion_on_sweep_grid(name, routes):
+    """The README sweep's grid 0..5n, every point within 1e-12 of one
+    recursion pass over the same grid."""
+    from unseen.cli import _parse_m_grid
+
+    alpha, theta, n, j = LARGE_M_FITS[name]
+    params, sample = PYParams(alpha, theta), SampleSummary(n, j)
+    grid = _parse_m_grid("0..5n", n)
+    got = posterior_pmfs(params, sample, grid)
+    want = model._recursion_pmfs(params, sample, set(grid))
+    for m in grid:
+        assert np.max(np.abs(got[m].probs - want[m].probs)) <= 1e-12, m
+    assert routes and routes < set(grid)
+
+
+def test_mixture_matches_recursion_on_pinned_cases(routes):
+    for alpha, theta, n, j, m in [c for c, *_ in PINNED_DP] + [PINNED_DP_BUFFERS[-1][0]]:
+        params, sample = PYParams(alpha, theta), SampleSummary(n, j)
+        got = posterior_pmfs(params, sample, [m])[m]
+        assert np.max(np.abs(got.probs - posterior_pmf_dp(params, sample, m).probs)) <= 1e-12
+    assert routes == {4885, 5000, 12930}
+
+
+@pytest.mark.parametrize("alpha,theta,n,j,m", [
+    (0.5, 1.0, 100000, 10, 20),
+    (0.5, 1.0, 100000, 10, 60),
+    (0.0, 2.0, 5000, 3, 60),
+    (0.9, 0.5, 20000, 100, 60),
+    (0.0, 20.0, 3000, 100, 60),
+])
+def test_mixture_against_mpmath(alpha, theta, n, j, m, routes):
+    got = posterior_pmfs(PYParams(alpha, theta), SampleSummary(n, j), [m])[m]
+    assert routes == {m}
+    assert np.max(np.abs(got.probs - _pmf_mpmath(alpha, theta, n, j, m))) <= 1e-13
+
+
+@pytest.mark.parametrize("case,mixed", [
+    (LARGE_M_FITS["tomato_flower"] + (20000,), True),
+    (LARGE_M_FITS["zipf_a"] + (20000,), True),
+    (LARGE_M_FITS["mastigamoeba_norm"] + (20000,), False),
+    ((0.5, 0.5, 2, 1, 20000), False),
+    ((0.5, 0.5, 2, 1, 300), False),
+])
+def test_route_rule(case, mixed, routes):
+    """An m whose R window [r_lo, r_hi] has r_hi + (r_hi - r_lo) < m is
+    mixed; any other m keeps the posterior recursion's bytes."""
+    alpha, theta, n, j, m = case
+    params, sample = PYParams(alpha, theta), SampleSummary(n, j)
+    got = posterior_pmfs(params, sample, [m])[m]
+    w = np.exp(model._beta_binomial_log_weights(theta + alpha * j, n - alpha * j, m))
+    r_lo, r_hi = np.flatnonzero(w >= 1e-30)[[0, -1]]
+    assert (r_hi + (r_hi - r_lo) < m) == mixed
+    assert (m in routes) == mixed
+    if not mixed:
+        assert got.probs.tobytes() == posterior_pmf_dp(params, sample, m).probs.tobytes()

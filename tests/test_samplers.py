@@ -359,3 +359,32 @@ class TestPriorPartition:
         ]
         se = np.std(js) / math.sqrt(reps)
         assert abs(np.mean(js) - expect) <= 4.0 * se
+
+
+SIZED_SAMPLERS = {
+    "sample_k_future": lambda size: sample_k_future(
+        PYParams(0.5, 1.0), SampleSummary(10, 3), 5, RngStream(1), size=size),
+    "sample_from_pmf": lambda size: sample_from_pmf(
+        Pmf(np.array([0.25, 0.75])), RngStream(1), size=size),
+    "sample_prior_kstar": lambda size: sample_prior_kstar(0.5, 2.0, 5, RngStream(1), size=size),
+    "sample_beta": lambda size: sample_beta(2.0, 3.0, RngStream(1), size=size),
+    "sample_mittag_leffler": lambda size: sample_mittag_leffler(0.5, 3.0, RngStream(1),
+                                                                size=size),
+    "sample_ml_limit": lambda size: sample_ml_limit(
+        PYParams(0.5, 1.0), SampleSummary(10, 3), 5, RngStream(1), size=size),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SIZED_SAMPLERS))
+@pytest.mark.parametrize("size", [2.5, 3.0, "3", -0.5, -3])
+def test_bad_size_rejected(name, size):
+    """A size that is not an integer >= 0 is a DomainError, not a count
+    truncated by int() or numpy's ValueError."""
+    with pytest.raises(DomainError, match="size"):
+        SIZED_SAMPLERS[name](size)
+
+
+@pytest.mark.parametrize("name", sorted(SIZED_SAMPLERS))
+def test_integer_sizes_accepted(name):
+    assert SIZED_SAMPLERS[name](np.int64(3)).shape == (3,)
+    assert SIZED_SAMPLERS[name](0).shape == (0,)
