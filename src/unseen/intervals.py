@@ -81,8 +81,9 @@ def exact_interval(
     `posterior_pmfs` at m alone, which gives the same pmf.  Above DP_MAX,
     where no pass runs, each replicate runs the predictive chain
     (`sample_k_future`).  The pmf draws have the chain's law up to the mass
-    the pmf pass drops: the band entries below 1e-30 and, where the pmf
-    mixes prior passes over R ~ BetaBinomial, R's weights below 1e-30."""
+    the pmf pass drops: the band entries below 1e-30 and the weights below
+    1e-30 of R ~ BetaBinomial, over which the pass mixes the prior chain's
+    pmfs."""
     _check_draw_count(m)
     _check_mc_args(samples, level)
     if pmf is not None and pmf.support_max != m:

@@ -4,17 +4,15 @@ Given a sample of n observations containing j distinct species, the
 posterior law of the number of new species among m further draws depends
 on the data only through (n, j).  Three evaluations of that law are
 provided.  A banded forward recursion over the posterior predictive chain
-(`posterior_pmf_dp`).  A mixture of the same recursion run on the prior
-chain: given (n, j), K_{n,m} has the law of K*_R, with R ~
-BetaBinomial(m; theta + alpha j, n - alpha j) the draws that leave the
-seen species and K*_r the species count of r prior draws with
-theta' = theta + alpha j (Pitman, 1996), so one prior pass to the top of
-R's window serves m.  `posterior_pmfs`, the production path, takes the
-mixture where that window is short enough and the posterior recursion
-elsewhere.  And the closed form in terms of generalized factorial
-coefficients (small-m validation path), one positive log-space triangle
-at every alpha, the Dirichlet case included.  The recursion keeps only the band
-of counts whose probability is at least `_DP_FLOOR` (1e-30), so it costs
+(`posterior_pmf_dp`), the reference.  A mixture of the same recursion run
+on the prior chain (`posterior_pmfs`, the production path): given (n, j),
+K_{n,m} has the law of K*_R, with R ~ BetaBinomial(m; theta + alpha j,
+n - alpha j) the draws that leave the seen species and K*_r the species
+count of r prior draws with theta' = theta + alpha j (Pitman, 1996), so
+one prior pass to the top of R's window serves every m.  And the closed
+form in terms of generalized factorial coefficients (small-m validation
+path), one positive log-space triangle at every alpha, the Dirichlet case
+included.  The recursion keeps only the band of counts whose probability is at least `_DP_FLOOR` (1e-30), so it costs
 O(m * band) rather than O(m^2); the mass it drops is at most
 (2m + 2) * _DP_FLOOR, too little for the 2**-53 grid of a uniform to see.
 The mixture also drops R's weights below `_DP_FLOOR`, at most
@@ -246,22 +244,6 @@ def _checked_grid(ms) -> set[int]:
     return wanted
 
 
-def _recursion_pmfs(params: PYParams, sample: SampleSummary, wanted: set[int]) -> dict[int, Pmf]:
-    """The posterior recursion run once to max(wanted), keeping a pmf at
-    each wanted m.  The state after m draws does not depend on how far the
-    pass runs, so each pmf is the one a pass stopped at m gives."""
-    if not wanted:
-        return {}
-    out = {}
-    steps = _dp_steps(params.alpha, params.theta, sample.n, sample.j, max(wanted))
-    for i, (probs, _, _) in enumerate(steps):
-        if i in wanted:
-            # entries past i are still 0
-            head = probs[: i + 1]
-            out[i] = Pmf(head / head.sum())
-    return out
-
-
 def _beta_binomial_log_weights(a: float, b: float, m: int) -> np.ndarray:
     """log P(R = r), r = 0..m, for R ~ BetaBinomial(m; a, b), from the
     ratio w(r + 1) / w(r) = (m - r)(r + a) / ((r + 1)(m - r - 1 + b)).  The
@@ -310,16 +292,12 @@ def posterior_pmfs(params: PYParams, sample: SampleSummary, ms) -> dict[int, Pmf
     BetaBinomial(m; theta + alpha j, n - alpha j) of the m draws leave the
     seen species, and K*_r is the species count of r draws of the prior
     chain with theta' = theta + alpha j.  R's window is where its weight
-    is at least `_DP_FLOOR`, [r_lo, r_hi].  An m with
-    r_hi + (r_hi - r_lo) < m, which counts a mixing step as one recursion
-    step, takes the mixture (`_mixture_pmfs`): one prior pass to the
-    largest such r_hi serves them all.  Every other m takes the posterior
-    recursion (`_recursion_pmfs`), one pass to the largest such m, and
-    gets the bytes of `posterior_pmf_dp`.  The route depends only on
-    (alpha, theta, n, j, m), so a grid gives each m the pmf a call for m
-    alone gives.  The mass dropped is the band floor's, at most
-    (2m + 2) * _DP_FLOOR, plus, on the mixture, R's weight outside its
-    window, at most (m + 1) * _DP_FLOOR."""
+    is at least `_DP_FLOOR`, [r_lo, r_hi], and one prior pass to the
+    largest r_hi of the grid mixes every m (`_mixture_pmfs`).  Each m's
+    window and weights depend only on (alpha, theta, n, j, m), so a grid
+    gives each m the pmf a call for m alone gives.  The mass dropped is
+    the band floor's, at most (2m + 2) * _DP_FLOOR, plus R's weight
+    outside its window, at most (m + 1) * _DP_FLOOR."""
     wanted = _checked_grid(ms)
     a, n, j = params.alpha, sample.n, sample.j
     theta_total = params.theta + a * j
@@ -327,20 +305,20 @@ def posterior_pmfs(params: PYParams, sample: SampleSummary, ms) -> dict[int, Pmf
     for m in wanted:
         w = np.exp(_beta_binomial_log_weights(theta_total, n - a * j, m))
         (kept,) = np.nonzero(w >= _DP_FLOOR)
-        r_lo, r_hi = int(kept[0]), int(kept[-1])
-        if r_hi + (r_hi - r_lo) < m:
-            windows[m] = (r_lo, w[r_lo : r_hi + 1])
-    out = _recursion_pmfs(params, sample, wanted - windows.keys())
-    out.update(_mixture_pmfs(a, theta_total, windows))
-    return out
+        windows[m] = (int(kept[0]), w[kept[0] : kept[-1] + 1])
+    return _mixture_pmfs(a, theta_total, windows)
 
 
 def posterior_pmf_dp(params: PYParams, sample: SampleSummary, m: int) -> Pmf:
-    """Exact posterior pmf of the new-species count by the forward
-    recursion over the posterior predictive chain, whatever the route
-    `posterior_pmfs` would take; entries below `_DP_FLOOR` at the edges of
-    the band are dropped, at most (2m + 2) * _DP_FLOOR in all."""
-    return _recursion_pmfs(params, sample, _checked_grid([m]))[m]
+    """Exact posterior pmf of the new-species count by one pass of the
+    forward recursion over the posterior predictive chain to m, the
+    reference that `posterior_pmfs`' mixture is checked against; entries
+    below `_DP_FLOOR` at the edges of the band are dropped, at most
+    (2m + 2) * _DP_FLOOR in all."""
+    _checked_grid([m])
+    for probs, _, _ in _dp_steps(params.alpha, params.theta, sample.n, sample.j, m):
+        pass
+    return Pmf(probs / probs.sum())
 
 
 def posterior_pmf_closed(params: PYParams, sample: SampleSummary, m: int) -> Pmf:

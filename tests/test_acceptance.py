@@ -455,8 +455,8 @@ def _empirical_ks(draws, mm, ss2):
 
 def _prior_chain_law(alpha, theta_total, m):
     """Exact pmf of the prior-chain species count: the prior pass (n = j =
-    0) of the forward recursion, as the mixture route of `posterior_pmfs`
-    runs it, up to the band's dropped tail of at most (2m + 2) * 1e-30."""
+    0) of the forward recursion, as the mixture of `posterior_pmfs` runs
+    it, up to the band's dropped tail of at most (2m + 2) * 1e-30."""
     for law, _, _ in _dp_steps(alpha, theta_total, 0, 0, m):
         pass
     return law

@@ -358,7 +358,7 @@ def test_banded_dp_pinned_at_floor(case, sha, mean, var):
 @pytest.mark.parametrize("case", [c for c, *_ in PINNED_DP] + [(0.5, 0.5, 2, 1, 300)])
 def test_one_pass_pmfs_equal_single_runs(case):
     """Every pmf of one pass over a grid is bitwise equal to the pmf of a
-    call for that m alone, m = 0 and the top included, on either route."""
+    call for that m alone, m = 0 and the top included."""
     alpha, theta, n, j, top = case
     params, sample = PYParams(alpha, theta), SampleSummary(n, j)
     grid = [0, 1, top // 7, top // 2, top - 1, top]
@@ -438,11 +438,10 @@ def test_dp_buffers_pinned_at_floor(case, sha):
 def _block_edge_digest():
     """A band this narrow takes blocks of 64 draws; the grid has points on
     both sides of two block edges."""
-    grid = [0, 1, 63, 64, 65, 127, 128, 129, 200]
-    pmfs = posterior_pmfs(PYParams(0.25, 3.0), SampleSummary(40, 12), grid)
+    params, sample = PYParams(0.25, 3.0), SampleSummary(40, 12)
     digest = hashlib.sha256()
-    for m in grid:
-        digest.update(pmfs[m].probs.tobytes())
+    for m in [0, 1, 63, 64, 65, 127, 128, 129, 200]:
+        digest.update(posterior_pmf_dp(params, sample, m).probs.tobytes())
     return digest.hexdigest()
 
 
@@ -489,22 +488,6 @@ LARGE_M_FITS = {
 SWEEP_FITS = ("zipf_a", "zipf_b", "polya_c", "uniform_d")
 
 
-@pytest.fixture
-def routes(monkeypatch):
-    """The m values that `posterior_pmfs` served by the mixture of prior
-    passes."""
-    mixed = set()
-    real = model._mixture_pmfs
-
-    def spy(*args):
-        out = real(*args)
-        mixed.update(out)
-        return out
-
-    monkeypatch.setattr(model, "_mixture_pmfs", spy)
-    return mixed
-
-
 def _bb_log_weight_mpmath(a, b, m, r):
     with mpmath.workdps(40):
         a, b, lg = mpmath.mpf(a), mpmath.mpf(b), mpmath.loggamma
@@ -530,18 +513,48 @@ def test_beta_binomial_log_weights_against_mpmath(a, b, m):
     assert np.all(err <= 1e-10 * np.maximum(1.0, np.abs(ref))), err.max()
 
 
-def test_mixture_matches_recursion_at_large_m(routes):
+def test_mixture_matches_recursion_at_large_m():
     """At m = 20000 every fit of the benchmark's rows is within 1e-12 of the
-    posterior recursion, mixed or not."""
+    posterior recursion."""
     for alpha, theta, n, j in LARGE_M_FITS.values():
         params, sample = PYParams(alpha, theta), SampleSummary(n, j)
         got = posterior_pmfs(params, sample, [20000])[20000]
         assert np.max(np.abs(got.probs - posterior_pmf_dp(params, sample, 20000).probs)) <= 1e-12
-    assert routes == {20000}
+
+
+@pytest.mark.parametrize("case", [
+    pytest.param(LARGE_M_FITS["mastigamoeba_norm"] + (20000,), id="mastigamoeba_norm-20000"),
+    pytest.param((0.5, 0.5, 2, 1, 300), id="small-300"),
+    pytest.param((0.5, 0.5, 2, 1, 20000), id="small-20000"),
+    pytest.param((0.999999, 0.5, 40, 3, 20000), id="alpha_near_1-20000"),
+])
+def test_mixture_matches_recursion_on_wide_windows(case):
+    """Fits whose R window covers most of [0, m], where the prior pass runs
+    almost as far as the posterior one, within 1e-12 of the recursion."""
+    alpha, theta, n, j, m = case
+    params, sample = PYParams(alpha, theta), SampleSummary(n, j)
+    w = np.exp(model._beta_binomial_log_weights(theta + alpha * j, n - alpha * j, m))
+    r_lo, r_hi = np.flatnonzero(w >= 1e-30)[[0, -1]]
+    assert r_hi - r_lo > m // 2
+    got = posterior_pmfs(params, sample, [m])[m]
+    assert np.max(np.abs(got.probs - posterior_pmf_dp(params, sample, m).probs)) <= 1e-12
+
+
+def _recursion_grid(params, sample, grid):
+    """Pmfs of one posterior-recursion pass to max(grid), kept at every m
+    of the grid."""
+    out = {}
+    for i, (probs, _, _) in enumerate(_dp_steps(params.alpha, params.theta, sample.n, sample.j,
+                                                max(grid))):
+        if i in grid:
+            # entries past i are still 0
+            head = probs[: i + 1]
+            out[i] = head / head.sum()
+    return out
 
 
 @pytest.mark.parametrize("name", SWEEP_FITS)
-def test_mixture_matches_recursion_on_sweep_grid(name, routes):
+def test_mixture_matches_recursion_on_sweep_grid(name):
     """The README sweep's grid 0..5n, every point within 1e-12 of one
     recursion pass over the same grid."""
     from unseen.cli import _parse_m_grid
@@ -550,18 +563,16 @@ def test_mixture_matches_recursion_on_sweep_grid(name, routes):
     params, sample = PYParams(alpha, theta), SampleSummary(n, j)
     grid = _parse_m_grid("0..5n", n)
     got = posterior_pmfs(params, sample, grid)
-    want = model._recursion_pmfs(params, sample, set(grid))
+    want = _recursion_grid(params, sample, set(grid))
     for m in grid:
-        assert np.max(np.abs(got[m].probs - want[m].probs)) <= 1e-12, m
-    assert routes and routes < set(grid)
+        assert np.max(np.abs(got[m].probs - want[m])) <= 1e-12, m
 
 
-def test_mixture_matches_recursion_on_pinned_cases(routes):
+def test_mixture_matches_recursion_on_pinned_cases():
     for alpha, theta, n, j, m in [c for c, *_ in PINNED_DP] + [PINNED_DP_BUFFERS[-1][0]]:
         params, sample = PYParams(alpha, theta), SampleSummary(n, j)
         got = posterior_pmfs(params, sample, [m])[m]
         assert np.max(np.abs(got.probs - posterior_pmf_dp(params, sample, m).probs)) <= 1e-12
-    assert routes == {4885, 5000, 12930}
 
 
 @pytest.mark.parametrize("alpha,theta,n,j,m", [
@@ -571,28 +582,6 @@ def test_mixture_matches_recursion_on_pinned_cases(routes):
     (0.9, 0.5, 20000, 100, 60),
     (0.0, 20.0, 3000, 100, 60),
 ])
-def test_mixture_against_mpmath(alpha, theta, n, j, m, routes):
+def test_mixture_against_mpmath(alpha, theta, n, j, m):
     got = posterior_pmfs(PYParams(alpha, theta), SampleSummary(n, j), [m])[m]
-    assert routes == {m}
     assert np.max(np.abs(got.probs - _pmf_mpmath(alpha, theta, n, j, m))) <= 1e-13
-
-
-@pytest.mark.parametrize("case,mixed", [
-    (LARGE_M_FITS["tomato_flower"] + (20000,), True),
-    (LARGE_M_FITS["zipf_a"] + (20000,), True),
-    (LARGE_M_FITS["mastigamoeba_norm"] + (20000,), False),
-    ((0.5, 0.5, 2, 1, 20000), False),
-    ((0.5, 0.5, 2, 1, 300), False),
-])
-def test_route_rule(case, mixed, routes):
-    """An m whose R window [r_lo, r_hi] has r_hi + (r_hi - r_lo) < m is
-    mixed; any other m keeps the posterior recursion's bytes."""
-    alpha, theta, n, j, m = case
-    params, sample = PYParams(alpha, theta), SampleSummary(n, j)
-    got = posterior_pmfs(params, sample, [m])[m]
-    w = np.exp(model._beta_binomial_log_weights(theta + alpha * j, n - alpha * j, m))
-    r_lo, r_hi = np.flatnonzero(w >= 1e-30)[[0, -1]]
-    assert (r_hi + (r_hi - r_lo) < m) == mixed
-    assert (m in routes) == mixed
-    if not mixed:
-        assert got.probs.tobytes() == posterior_pmf_dp(params, sample, m).probs.tobytes()
