@@ -15,14 +15,14 @@ from unseen import (
     posterior_mean,
     posterior_pmf_closed,
     posterior_pmf_dp,
-    predictive_new_prob,
 )
 
 params = PYParams(alpha=0.54, theta=26.67)
 sample = SampleSummary(n=977, j=300)
 
-# The chance that observation n+1 founds a brand-new species.
-p_new = predictive_new_prob(params, sample.n, sample.j)
+# The chance that observation n+1 founds a brand-new species: the expected
+# number of new species in one more draw.
+p_new = posterior_mean(params, sample, 1)
 print(f"P(next draw is a new species) = {p_new:.4f}")
 
 # Posterior expectation of the number of new species in m more draws.

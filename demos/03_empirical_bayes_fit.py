@@ -29,7 +29,7 @@ for da, dt in ((0.02, 0.0), (-0.02, 0.0), (0.0, 5.0), (0.0, -5.0)):
     assert ll <= fit.log_likelihood + 1e-9
 print("local optimality spot-check passed")
 
-uniform = generate(DatasetSpec(kind="uniform", support_size=501, n=2000, seed=3))
+uniform = generate(DatasetSpec(kind="uniform", support_size=501, n=2000), RngStream(3))
 fit_u = fit_empirical_bayes(uniform)
 print(f"\niid-uniform sample (n = {uniform.n}, j = {uniform.j}) fits to "
       f"alpha = {fit_u.alpha_hat:.2f}, theta = {fit_u.theta_hat:.1f} "

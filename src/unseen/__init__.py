@@ -3,18 +3,8 @@ the Pitman-Yor prior: point estimates, exact Monte Carlo / Mittag-Leffler /
 Gaussian credible intervals, empirical-Bayes parameter fitting, synthetic
 data generation, and a benchmark harness."""
 
-from .asymptotics import (
-    GaussianApprox,
-    RegimeRatios,
-    gaussian_approx,
-    gaussian_interval,
-    m_frak,
-    norm_quantile,
-    s_frak_sq,
-    script_M,
-    script_S_sq,
-)
-from .combinatorics import GfcTable, log_rising_factorial
+from .asymptotics import GaussianApprox, gaussian_approx, gaussian_interval
+from .combinatorics import GfcTable
 from .datasets import DatasetSpec, export_label_counts, generate, ingest
 from .empirical_bayes import FitResult, ep_log_likelihood, fit_empirical_bayes
 from .errors import (
@@ -35,12 +25,9 @@ from .model import (
     posterior_pmf_closed,
     posterior_pmf_dp,
     posterior_pmfs,
-    predictive_new_prob,
 )
 from .samplers import (
-    MLLimitParams,
     RngStream,
-    sample_beta,
     sample_from_pmf,
     sample_k_future,
     sample_mittag_leffler,
@@ -54,14 +41,12 @@ __version__ = "0.1.0"
 __all__ = [
     "CredibleInterval", "DatasetSpec", "DegenerateSampleError", "DomainError",
     "FitResult", "GaussianApprox", "GfcTable", "MethodUnavailableError",
-    "MLLimitParams", "NumericalIntegrityError", "ParseError", "Pmf",
-    "PYParams", "RegimeRatios", "RngStream", "SampleSummary", "SizeLimitError",
-    "UnseenError", "coverage", "ep_log_likelihood", "exact_interval",
-    "export_label_counts", "fit_empirical_bayes", "gaussian_approx",
-    "gaussian_interval", "generate", "ingest", "log_rising_factorial",
-    "m_frak", "ml_interval", "norm_quantile", "posterior_mean",
-    "posterior_pmf_closed", "posterior_pmf_dp", "posterior_pmfs",
-    "predictive_new_prob", "s_frak_sq", "sample_beta", "sample_from_pmf",
-    "sample_k_future", "sample_mittag_leffler", "sample_ml_limit",
-    "sample_prior_kstar", "sample_prior_partition", "script_M", "script_S_sq",
+    "NumericalIntegrityError", "ParseError", "Pmf", "PYParams", "RngStream",
+    "SampleSummary", "SizeLimitError", "UnseenError", "coverage",
+    "ep_log_likelihood", "exact_interval", "export_label_counts",
+    "fit_empirical_bayes", "gaussian_approx", "gaussian_interval", "generate",
+    "ingest", "ml_interval", "posterior_mean", "posterior_pmf_closed",
+    "posterior_pmf_dp", "posterior_pmfs", "sample_from_pmf", "sample_k_future",
+    "sample_mittag_leffler", "sample_ml_limit", "sample_prior_kstar",
+    "sample_prior_partition",
 ]

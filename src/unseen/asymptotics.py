@@ -3,9 +3,8 @@ interval for the unseen-species posterior.
 
 In the regime theta = tau*m, n = nu*m, j = rho*m (lambda = tau + nu), the
 posterior of the new-species count is asymptotically Gaussian with mean
-m*M and variance m*S^2 for explicit constants M, S^2; the prior-chain
-species count has analogous constants m_frak, s_frak^2.  All four are
-continuous at alpha = 0, where they reduce to the Dirichlet forms.
+m*M and variance m*S^2 for explicit constants M, S^2, both continuous at
+alpha = 0, where they reduce to the Dirichlet forms.
 """
 
 from __future__ import annotations
@@ -53,27 +52,6 @@ class GaussianApprox:
     variance: float
 
 
-def m_frak(alpha: float, lam: float) -> float:
-    """Leading-order mean constant of the prior-chain species count."""
-    if lam <= 0:
-        raise DomainError("lam must be positive")
-    c = math.log1p(1.0 / lam)
-    if alpha == 0.0:
-        return lam * c
-    return (lam / alpha) * math.expm1(alpha * c)
-
-
-def s_frak_sq(alpha: float, lam: float) -> float:
-    """Leading-order variance constant of the prior-chain species count."""
-    if lam <= 0:
-        raise DomainError("lam must be positive")
-    c = math.log1p(1.0 / lam)
-    if alpha == 0.0:
-        return lam * c - lam / (lam + 1.0)
-    big_a = math.exp(alpha * c)
-    return (lam / alpha) * big_a * math.expm1(alpha * c) - lam * big_a * big_a / (lam + 1.0)
-
-
 def script_M(alpha: float, ratios: RegimeRatios) -> float:
     """Leading-order posterior mean constant."""
     lam = ratios.lam
@@ -97,13 +75,6 @@ def script_S_sq(alpha: float, ratios: RegimeRatios) -> float:
         raise DomainError("nu - rho*alpha must be positive")
     big_a = math.exp(alpha * c)
     return (g / lam) * big_a * ((lam / alpha) * math.expm1(alpha * c) - g * big_a / (lam + 1.0))
-
-
-def norm_quantile(p: float) -> float:
-    """Inverse standard normal cdf."""
-    if not 0.0 < p < 1.0:
-        raise DomainError("quantile level must lie strictly inside (0, 1)")
-    return float(ndtri(p))
 
 
 def gaussian_approx(params: PYParams, sample: SampleSummary, m: int) -> GaussianApprox:
@@ -135,7 +106,7 @@ def gaussian_interval(
     if m == 0:
         return CredibleInterval(0.0, 0.0, level, "gaussian")
     approx = gaussian_approx(params, sample, m)
-    z = norm_quantile(0.5 + level / 2.0)
+    z = float(ndtri(0.5 + level / 2.0))
     half = z * math.sqrt(approx.variance)
     return CredibleInterval(
         lo=max(0.0, approx.mean - half),

@@ -21,7 +21,6 @@ class DatasetSpec:
     kind: str
     support_size: int
     n: int
-    seed: int = 0
     shape: float | None = None
     weights: tuple[float, ...] | None = None
 
@@ -43,8 +42,9 @@ class DatasetSpec:
                 raise DomainError("all Polya weights must be positive")
 
 
-def generate(spec: DatasetSpec, rng: RngStream | None = None) -> SampleSummary:
-    """Draw a sample per the spec and return its (n, j, freqs) summary.
+def generate(spec: DatasetSpec, rng: RngStream) -> SampleSummary:
+    """Draw a sample per the spec from `rng` and return its (n, j, freqs)
+    summary.
 
     zipf: n iid draws with mass proportional to rank^(-shape), ranks 1..N
     (the 0-indexed support in the source descriptions only relabels the
@@ -53,8 +53,6 @@ def generate(spec: DatasetSpec, rng: RngStream | None = None) -> SampleSummary:
     distributionally identical to Dirichlet-multinomial sampling.
     uniform: n iid draws over N equiprobable labels.
     """
-    if rng is None:
-        rng = RngStream(spec.seed)
     gen = rng.generator()
     N, n = spec.support_size, spec.n
     if spec.kind == "zipf":
@@ -127,20 +125,3 @@ def export_label_counts(sample: SampleSummary, path: str) -> None:
         for i, f in enumerate(sample.freqs):
             fh.write(f"s{i:06d}\t{f}\n")
 
-
-def standin_freqs(n: int, j: int, shape: float = 1.3) -> SampleSummary:
-    """Deterministic power-law-profiled frequencies with exactly j species
-    summing to exactly n; used to build stand-in fixture files whose (n, j)
-    match published datasets that are not distributed."""
-    if not 1 <= j <= n:
-        raise DomainError("need 1 <= j <= n")
-    ranks = np.arange(1, j + 1, dtype=float)
-    profile = ranks ** (-shape)
-    extra = n - j
-    alloc = np.floor(profile / profile.sum() * extra).astype(np.int64)
-    remainder = extra - int(alloc.sum())
-    # largest-remainder: hand leftover units to the largest fractional parts
-    frac = profile / profile.sum() * extra - alloc
-    order = np.argsort(-frac, kind="stable")
-    alloc[order[:remainder]] += 1
-    return SampleSummary.from_freqs(alloc + 1)

@@ -154,18 +154,6 @@ def _check_draw_count(m, least: int = 0) -> None:
         raise DomainError(f"m must be an integer >= {least}, got {m!r}")
 
 
-def predictive_new_prob(
-    params: PYParams, n_current: int, k_current: int, offset: int = 0
-) -> float:
-    """Probability that the next draw founds a new species:
-    (theta + alpha * k) / (theta + n + offset)."""
-    denom = params.theta + n_current + offset
-    if denom <= 0:
-        raise DomainError(f"predictive denominator must be positive, got {denom}")
-    p = (params.theta + params.alpha * k_current) / denom
-    return min(max(p, 0.0), 1.0)
-
-
 def posterior_mean(params: PYParams, sample: SampleSummary, m: int) -> float:
     """Posterior expected number of new species in m additional draws."""
     _check_draw_count(m)

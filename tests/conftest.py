@@ -4,9 +4,51 @@ All reference numbers below are transcribed from the source tables; the
 parameter quadruples are (alpha, theta, n, j).
 """
 
+import math
+
+import numpy as np
 import pytest
 
 from unseen import DomainError, PYParams, SampleSummary
+
+
+# Leading-order mean and variance constants of the prior-chain species count
+# at theta = lam * m: E[K*_m] ~ m * m_frak and Var[K*_m] ~ m * s_frak^2.
+def m_frak(alpha, lam):
+    if lam <= 0:
+        raise DomainError("lam must be positive")
+    c = math.log1p(1.0 / lam)
+    if alpha == 0.0:
+        return lam * c
+    return (lam / alpha) * math.expm1(alpha * c)
+
+
+def s_frak_sq(alpha, lam):
+    if lam <= 0:
+        raise DomainError("lam must be positive")
+    c = math.log1p(1.0 / lam)
+    if alpha == 0.0:
+        return lam * c - lam / (lam + 1.0)
+    big_a = math.exp(alpha * c)
+    return (lam / alpha) * big_a * math.expm1(alpha * c) - lam * big_a * big_a / (lam + 1.0)
+
+
+def standin_freqs(n, j, shape=1.3):
+    """Deterministic power-law-profiled frequencies with exactly j species
+    summing to exactly n, for fixture files whose (n, j) match published
+    datasets that are not distributed."""
+    if not 1 <= j <= n:
+        raise DomainError("need 1 <= j <= n")
+    ranks = np.arange(1, j + 1, dtype=float)
+    profile = ranks ** (-shape)
+    extra = n - j
+    alloc = np.floor(profile / profile.sum() * extra).astype(np.int64)
+    remainder = extra - int(alloc.sum())
+    # largest-remainder: hand leftover units to the largest fractional parts
+    frac = profile / profile.sum() * extra - alloc
+    order = np.argsort(-frac, kind="stable")
+    alloc[order[:remainder]] += 1
+    return SampleSummary.from_freqs(alloc + 1)
 
 
 # Mean and variance functions of the binomial-mixing stage of the CLT; the

@@ -25,8 +25,6 @@ import pytest
 from unseen.asymptotics import (
     RegimeRatios,
     gaussian_interval,
-    m_frak,
-    s_frak_sq,
     script_M,
     script_S_sq,
 )
@@ -55,9 +53,11 @@ from conftest import (
     TABLE3,
     TABLE4,
     TABLE_FAV,
+    m_frak,
     mu_z,
     mu_z_prime,
     params_sample,
+    s_frak_sq,
     sigma_sq_z,
 )
 

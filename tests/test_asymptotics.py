@@ -2,22 +2,18 @@ import math
 
 import numpy as np
 import pytest
-from scipy.stats import norm
 
 from unseen.asymptotics import (
     RegimeRatios,
     gaussian_approx,
     gaussian_interval,
-    m_frak,
-    norm_quantile,
-    s_frak_sq,
     script_M,
     script_S_sq,
 )
 from unseen.errors import DomainError
 from unseen.model import PYParams, SampleSummary, posterior_mean
 
-from conftest import mu_z, mu_z_prime, sigma_sq_z
+from conftest import m_frak, mu_z, mu_z_prime, s_frak_sq, sigma_sq_z
 
 IDENTITY_GRID = [
     (alpha, tau, nu, rho_frac * nu)
@@ -77,29 +73,6 @@ class TestCltConstants:
         z = 0.7
         expect = z * 1.0 * 2.0 / 9.0
         assert sigma_sq_z(z, 0.0, r) == pytest.approx(expect, rel=1e-14)
-
-
-class TestNormQuantile:
-    def test_key_value(self):
-        assert norm_quantile(0.975) == pytest.approx(1.959964, abs=1e-6)
-
-    def test_against_scipy_sweep(self):
-        ps = np.concatenate([
-            np.array([1e-12, 1e-8, 0.02425, 0.5, 0.9, 0.999999]),
-            np.linspace(0.001, 0.999, 101),
-        ])
-        for p in ps:
-            assert norm_quantile(float(p)) == pytest.approx(
-                float(norm.ppf(p)), rel=1e-9, abs=1e-9
-            )
-
-    def test_symmetry(self):
-        assert norm_quantile(0.3) == pytest.approx(-norm_quantile(0.7), rel=1e-12)
-
-    def test_domain(self):
-        for bad in (0.0, 1.0, -0.2, 1.5):
-            with pytest.raises(DomainError):
-                norm_quantile(bad)
 
 
 class TestGaussianInterval:

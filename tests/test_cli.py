@@ -11,7 +11,7 @@ from scipy.stats import binom
 
 from unseen import cli, intervals, samplers
 from unseen.cli import CSV_HEADER, _parse_m_grid, main
-from unseen.datasets import export_label_counts, standin_freqs
+from unseen.datasets import export_label_counts
 from unseen.errors import (
     DegenerateSampleError,
     DomainError,
@@ -22,6 +22,8 @@ from unseen.errors import (
 )
 from unseen.intervals import CredibleInterval, coverage
 from unseen.model import DP_MAX, PYParams, SampleSummary, posterior_pmfs
+
+from conftest import standin_freqs
 
 
 def run_cli(capsys, *argv):

@@ -6,10 +6,11 @@ from unseen.datasets import (
     export_label_counts,
     generate,
     ingest,
-    standin_freqs,
 )
 from unseen.errors import DomainError, ParseError
 from unseen.samplers import RngStream
+
+from conftest import standin_freqs
 
 
 def occupancy_expectation(probs: np.ndarray, n: int) -> tuple[float, float]:
@@ -41,14 +42,13 @@ class TestSpecValidation:
 
 class TestGenerate:
     def test_deterministic_per_seed(self):
-        spec = DatasetSpec(kind="zipf", support_size=50, shape=1.5, n=400, seed=7)
-        assert generate(spec) == generate(spec)
-        other = DatasetSpec(kind="zipf", support_size=50, shape=1.5, n=400, seed=8)
-        assert generate(spec) != generate(other)
+        spec = DatasetSpec(kind="zipf", support_size=50, shape=1.5, n=400)
+        assert generate(spec, RngStream(7)) == generate(spec, RngStream(7))
+        assert generate(spec, RngStream(7)) != generate(spec, RngStream(8))
 
     def test_uniform_single_label(self):
         spec = DatasetSpec(kind="uniform", support_size=1, n=9)
-        s = generate(spec)
+        s = generate(spec, RngStream(0))
         assert (s.j, s.freqs) == (1, (9,))
 
     def test_zipf_occupancy_matches_exact_expectation(self):
@@ -59,7 +59,7 @@ class TestGenerate:
         probs /= probs.sum()
         mean, var = occupancy_expectation(probs, n)
         js = [
-            generate(DatasetSpec(kind="zipf", support_size=N, shape=shape, n=n, seed=s)).j
+            generate(DatasetSpec(kind="zipf", support_size=N, shape=shape, n=n), RngStream(s)).j
             for s in range(30)
         ]
         assert abs(np.mean(js) - mean) <= 5.0 * np.sqrt(var / len(js))
@@ -69,7 +69,7 @@ class TestGenerate:
         probs = np.full(N, 1.0 / N)
         mean, var = occupancy_expectation(probs, n)
         js = [
-            generate(DatasetSpec(kind="uniform", support_size=N, n=n, seed=s)).j
+            generate(DatasetSpec(kind="uniform", support_size=N, n=n), RngStream(s)).j
             for s in range(30)
         ]
         assert abs(np.mean(js) - mean) <= 5.0 * np.sqrt(var / len(js))

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from unseen.asymptotics import gaussian_interval
-from unseen.datasets import export_label_counts, standin_freqs
+from unseen.datasets import export_label_counts
 from unseen.empirical_bayes import ep_log_likelihood, fit_empirical_bayes
 from unseen.errors import DomainError, NumericalIntegrityError, SizeLimitError
 from unseen import model
@@ -21,9 +21,10 @@ from unseen.model import (
     posterior_pmf_closed,
     posterior_pmf_dp,
     posterior_pmfs,
-    predictive_new_prob,
 )
 from unseen.samplers import RngStream, sample_k_future, sample_ml_limit, sample_prior_kstar
+
+from conftest import standin_freqs
 
 
 class TestTypes:
@@ -108,17 +109,10 @@ class TestTypes:
 
 class TestPredictive:
     def test_direct_substitution(self):
-        assert predictive_new_prob(PYParams(0.0, 1.0), 1, 1) == pytest.approx(0.5)
-        assert predictive_new_prob(PYParams(0.5, 0.5), 2, 1) == pytest.approx(0.4)
-
-    def test_boundary_zero(self):
-        # theta + alpha*k = 0 at the admissibility boundary
-        p = predictive_new_prob(PYParams(0.5, -0.5 + 1e-16), 5, 1)
-        assert p == pytest.approx(0.0, abs=1e-15)
-
-    def test_domain_error(self):
-        with pytest.raises(DomainError):
-            predictive_new_prob(PYParams(0.5, 0.5), -3, 0, offset=0)
+        """One more draw founds a new species with probability
+        (theta + alpha j) / (theta + n), the posterior mean at m = 1."""
+        assert posterior_mean(PYParams(0.0, 1.0), SampleSummary(1, 1), 1) == pytest.approx(0.5)
+        assert posterior_mean(PYParams(0.5, 0.5), SampleSummary(2, 1), 1) == pytest.approx(0.4)
 
 
 class TestPosteriorMean:

@@ -6,7 +6,6 @@ import pytest
 from scipy.special import gammaln
 
 from unseen import samplers
-from unseen.asymptotics import m_frak, s_frak_sq
 from unseen.errors import DomainError, MethodUnavailableError, NumericalIntegrityError
 from unseen.model import DP_MAX, Pmf, PYParams, SampleSummary, posterior_mean, posterior_pmf_dp
 from unseen.samplers import (
@@ -20,6 +19,8 @@ from unseen.samplers import (
     sample_prior_kstar,
     sample_prior_partition,
 )
+
+from conftest import m_frak, s_frak_sq
 
 
 def ml_moment(alpha: float, q: float, p: float) -> float:
