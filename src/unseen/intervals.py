@@ -6,6 +6,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -47,12 +48,15 @@ class CredibleInterval:
 
 def _equal_tailed(draws: np.ndarray, level: float) -> tuple[float, float]:
     """Equal-tailed interval from order statistics at ceiling ranks (no
-    interpolation, so endpoints are realizable sample values)."""
+    interpolation, so endpoints are realizable sample values).  The tail
+    mass is formed exactly from the level's decimal form: in floats
+    1 - 0.95 = 0.05000000000000004, which would put the lower endpoint of
+    2000 draws at rank 51 rather than 50."""
     r = draws.size
-    delta = 1.0 - level
+    half_delta = (1 - Fraction(str(level))) / 2
     draws = np.sort(draws)
-    lo_rank = max(math.ceil(r * delta / 2.0), 1)
-    hi_rank = min(math.ceil(r * (1.0 - delta / 2.0)), r)
+    lo_rank = max(math.ceil(r * half_delta), 1)
+    hi_rank = min(math.ceil(r * (1 - half_delta)), r)
     return float(draws[lo_rank - 1]), float(draws[hi_rank - 1])
 
 

@@ -12,9 +12,10 @@ count of r prior draws with theta' = theta + alpha j (Pitman, 1996), so
 one prior pass to the top of R's window serves every m.  And the closed
 form in terms of generalized factorial coefficients (small-m validation
 path), one positive log-space triangle at every alpha, the Dirichlet case
-included.  The recursion keeps only the band of counts whose probability is at least `_DP_FLOOR` (1e-30), so it costs
-O(m * band) rather than O(m^2); the mass it drops is at most
-(2m + 2) * _DP_FLOOR, too little for the 2**-53 grid of a uniform to see.
+included.  The recursion keeps only the band of counts whose probability
+is at least `_DP_FLOOR` (1e-30), so it costs O(m * band) rather than
+O(m^2); the mass it drops is at most (2m + 2) * _DP_FLOOR, too little for
+the 2**-53 grid of a uniform to see.
 The mixture also drops R's weights below `_DP_FLOOR`, at most
 (m + 1) * _DP_FLOOR.  Every exact interval with 0 < m <= DP_MAX draws its
 replicates from the `posterior_pmfs` pmf by inverse CDF.  The recursion

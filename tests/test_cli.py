@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import math
+from fractions import Fraction
 from types import SimpleNamespace
 
 import numpy as np
@@ -344,8 +345,9 @@ class TestBenchmarkCommand:
         rows = [r for r in read_rows(out) if int(r["m"]) >= int(r["n"])]
         assert len(rows) == 12
         delta = 1.0 - level
-        ranks = (max(math.ceil(samples * delta / 2.0), 1),
-                 min(math.ceil(samples * (1.0 - delta / 2.0)), samples))
+        half_delta = (1 - Fraction(str(level))) / 2
+        ranks = (max(math.ceil(samples * half_delta), 1),
+                 min(math.ceil(samples * (1 - half_delta)), samples))
         by_dataset = {}
         for r in rows:
             by_dataset.setdefault((r["alpha"], r["theta"], r["n"], r["j"]), []).append(r)

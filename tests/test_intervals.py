@@ -24,6 +24,19 @@ class TestCredibleInterval:
             CredibleInterval(1.0, 2.0, 0.95, "bootstrap", mc_samples=100)
 
 
+@pytest.mark.parametrize("r,level,ranks", [
+    (2000, 0.95, (50, 1950)),
+    (1000, 0.99, (5, 995)),
+    (100, 0.95, (3, 98)),
+    (300, 0.9, (15, 285)),
+])
+def test_equal_tailed_ranks_exact_for_decimal_levels(r, level, ranks):
+    """Each tail holds ceil(r * (1 - level) / 2) draws of exact decimal
+    arithmetic, which 1 - level in floats can overshoot by a rank."""
+    draws = np.arange(1.0, r + 1.0)
+    assert _equal_tailed(draws[::-1].copy(), level) == tuple(float(k) for k in ranks)
+
+
 class TestExactInterval:
     def test_m_zero(self):
         ci = exact_interval(PYParams(0.5, 0.5), SampleSummary(2, 1), 0, rng=RngStream(1))
