@@ -534,6 +534,20 @@ def test_mixture_matches_recursion_on_wide_windows(case):
     assert np.max(np.abs(got.probs - posterior_pmf_dp(params, sample, m).probs)) <= 1e-12
 
 
+@pytest.mark.parametrize("name", ["tomato_flower", "zipf_a"])
+def test_mixture_matches_recursion_on_narrow_windows(name):
+    """Fits whose R window is short against m (r_hi + (r_hi - r_lo) < m),
+    where the prior pass stops far below m, within 1e-12 of the recursion."""
+    alpha, theta, n, j = LARGE_M_FITS[name]
+    m = 20000
+    params, sample = PYParams(alpha, theta), SampleSummary(n, j)
+    w = np.exp(model._beta_binomial_log_weights(theta + alpha * j, n - alpha * j, m))
+    r_lo, r_hi = np.flatnonzero(w >= 1e-30)[[0, -1]]
+    assert r_hi + (r_hi - r_lo) < m
+    got = posterior_pmfs(params, sample, [m])[m]
+    assert np.max(np.abs(got.probs - posterior_pmf_dp(params, sample, m).probs)) <= 1e-12
+
+
 def _recursion_grid(params, sample, grid):
     """Pmfs of one posterior-recursion pass to max(grid), kept at every m
     of the grid."""
