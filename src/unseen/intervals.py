@@ -60,6 +60,14 @@ def _equal_tailed(draws: np.ndarray, level: float) -> tuple[float, float]:
     return float(draws[lo_rank - 1]), float(draws[hi_rank - 1])
 
 
+def _mc_interval(draws: np.ndarray, m: int, level: float, method: str) -> CredibleInterval:
+    """Equal-tailed interval of `draws` with both endpoints clamped into
+    [0, m], the support of the count it approximates; rounding can put
+    every draw a few ulps above m."""
+    lo, hi = (min(max(x, 0.0), float(m)) for x in _equal_tailed(draws.astype(float), level))
+    return CredibleInterval(lo, hi, level, method, mc_samples=draws.size)
+
+
 def _check_mc_args(samples: int, level: float) -> None:
     if not isinstance(samples, numbers.Integral):
         raise DomainError(f"samples must be an integer, got {samples!r}")
@@ -102,11 +110,7 @@ def exact_interval(
         draws = sample_k_future(params, sample, m, rng, size=samples)
     else:
         draws = sample_from_pmf(pmf, rng, size=samples)
-    lo, hi = _equal_tailed(draws.astype(float), level)
-    return CredibleInterval(
-        lo=max(0.0, lo), hi=min(float(m), hi), level=level,
-        method="exact_mc", mc_samples=samples,
-    )
+    return _mc_interval(draws, m, level, "exact_mc")
 
 
 def ml_interval(
@@ -122,12 +126,8 @@ def ml_interval(
     _check_mc_args(samples, level)
     if rng is None:
         rng = RngStream(0)
-    draws = sample_ml_limit(params, sample, m, rng, size=samples)
-    lo, hi = _equal_tailed(np.asarray(draws, dtype=float), level)
-    return CredibleInterval(
-        lo=max(0.0, lo), hi=min(float(m), hi), level=level,
-        method="mittag_leffler", mc_samples=samples,
-    )
+    return _mc_interval(sample_ml_limit(params, sample, m, rng, size=samples), m, level,
+                        "mittag_leffler")
 
 
 def _round_half_up(x: float) -> int:

@@ -1,10 +1,13 @@
 """Random-variate generation: seedable streams, the posterior and prior
 predictive chains (one exact thinning chain serves both), Beta draws, and
-the exact sampler for the scaled Mittag-Leffler limit law.
+the exact sampler for the scaled Mittag-Leffler limit law, whose angle is
+drawn by rejection under one Gaussian envelope in about one round at any q.
 
 Streams are counter-based (Philox keyed by (seed, stream_id)), so a
-replicate index maps to an independent stream in O(1).  Each benchmark
-row has its own stream, so its draws do not depend on the other rows.
+replicate index maps to an independent stream in O(1); `split` numbers a
+stream's children as in a heap, so distinct split paths give distinct
+streams.  Each benchmark row has its own stream, so its draws do not
+depend on the other rows.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ import numbers
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import erfinv
 
 from .errors import DomainError, MethodUnavailableError, NumericalIntegrityError
 from .model import Pmf, PYParams, SampleSummary, _check_draw_count
@@ -52,7 +56,11 @@ class RngStream:
         return np.random.Generator(np.random.Philox(ss))
 
     def split(self, index: int) -> "RngStream":
-        """Derive the stream for replicate/pair `index` under this seed."""
+        """Derive the stream for replicate/pair `index` under this seed; with
+        index in [0, 1_000_003), every stream_id >= 1 has one parent and one
+        index."""
+        if not isinstance(index, numbers.Integral) or not 0 <= index < 1_000_003:
+            raise DomainError(f"split index must be an integer in [0, 1000003), got {index!r}")
         return RngStream(self.seed, self.stream_id * 1_000_003 + index + 1)
 
 
@@ -178,22 +186,25 @@ def sample_beta(a: float, b: float, rng: RngStream, size=None):
     return float(out[0]) if scalar else out
 
 
-def _log_zolotarev(u: np.ndarray, alpha: float) -> np.ndarray:
-    """log A(pi*u) for u in (0, 1), A the Zolotarev function."""
-    x = np.pi * u
-    return (
-        alpha * np.log(np.sin(alpha * x))
-        + (1.0 - alpha) * np.log(np.sin((1.0 - alpha) * x))
-        - np.log(np.sin(x))
-    ) / (1.0 - alpha)
+def _neg_log_sinc(y: np.ndarray) -> np.ndarray:
+    """-log(sin(y)/y) on [0, pi); below y = 0.1 its Taylor series
+    sum_k zeta(2k)/(k*pi^(2k)) * y^(2k), five terms, keeps relative accuracy."""
+    y2 = y * y
+    series = y2 * (1 / 6 + y2 * (1 / 180 + y2 * (1 / 2835 + y2 * (1 / 37800 + y2 / 467775))))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(y < 0.1, series, -np.log(np.sin(y) / y))
 
 
-def _log_zolotarev_at_zero(alpha: float) -> float:
-    return (alpha * math.log(alpha) + (1.0 - alpha) * math.log1p(-alpha)) / (1.0 - alpha)
+def _log_zolotarev_excess(u: np.ndarray, alpha: float) -> np.ndarray:
+    """g(u) = log A(pi*u) - log A(0) on [0, 1), A the Zolotarev function,
+    from -log(sin(y)/y) terms so that g keeps its relative accuracy at 0."""
+    x, h = np.pi * u, _neg_log_sinc
+    return (h(x) - alpha * h(alpha * x) - (1.0 - alpha) * h((1.0 - alpha) * x)) / (1.0 - alpha)
 
 
-# Rejection rounds after which the angle sampler reports a bug; with an
-# acceptance rate above ~1/4 the chance of reaching it is nil.
+# Rejection rounds after which the angle sampler reports a bug; the Gaussian
+# envelope accepts more than 0.85 of proposals at every (alpha, q), so the
+# chance of reaching it is nil.
 _ML_MAX_ROUNDS = 1000
 
 
@@ -204,9 +215,13 @@ def sample_mittag_leffler(alpha: float, q: float, rng: RngStream, size=None):
     positive stable density: conditionally on an angle U with density
     proportional to A(pi*U)^(-b), b = (1-alpha)*q, the variable
     G ~ Gamma(b+1, rate=A(pi*U)) satisfies S = G^(1-alpha) exactly.  The
-    angle is drawn by rejection under a two-piece envelope (flat head,
-    flat tail bounded through the monotonicity of A), which keeps the
-    acceptance rate above ~1/4 uniformly in q.
+    angle density is proportional to exp(-b*g(U)), g = log A(pi*U) - log A(0),
+    whose Taylor coefficients in u are all >= 0, the first being
+    pi^2*alpha/2.  So the Gaussian exp(-(s*u)^2), s^2 = b*pi^2*alpha/2, is
+    an envelope with the same peak at u = 0.  A proposal is that Gaussian
+    truncated to [0, 1), drawn by inverting its cdf erf(s*u)/erf(s), and it
+    is kept with probability exp((s*U)^2 - b*g(U)): one round, nearly
+    always, at every q.
     """
     if not 0.0 < alpha < 1.0:
         raise DomainError("alpha must lie strictly in (0, 1)")
@@ -215,22 +230,7 @@ def sample_mittag_leffler(alpha: float, q: float, rng: RngStream, size=None):
     count, scalar = _as_batch(size)
     gen = rng.generator()
     b = (1.0 - alpha) * q
-    la0 = _log_zolotarev_at_zero(alpha)
-    # curvature scale of the angle density near 0: sd ~ 1/(pi*sqrt(alpha*b))
-    u_knee = min(3.0 / (math.pi * math.sqrt(alpha * max(b, 1e-12))), 1.0) if b > 0 else 1.0
-    if u_knee < 1.0:
-        g_knee = float(_log_zolotarev(np.array([u_knee]), alpha)[0]) - la0
-        try:
-            w_tail = (1.0 - u_knee) * math.exp(-b * g_knee)
-        except OverflowError:
-            raise NumericalIntegrityError(
-                f"Mittag-Leffler angle envelope overflows (alpha={alpha}, q={q})"
-            ) from None
-        w_head = u_knee
-    else:
-        g_knee, w_head, w_tail = 0.0, 1.0, 0.0
-    p_tail = w_tail / (w_head + w_tail)
-
+    s = math.pi * math.sqrt(alpha * b / 2.0)
     angles = np.empty(count)
     filled = 0
     rounds = 0
@@ -243,24 +243,19 @@ def sample_mittag_leffler(alpha: float, q: float, rng: RngStream, size=None):
             )
         todo = count - filled
         k = max(todo, min(2 * todo, _CHUNK))
-        u01 = gen.random(3 * k)
-        _count(3 * k)
-        in_tail = u01[:k] < p_tail
-        u = np.where(
-            in_tail,
-            u_knee + (1.0 - u_knee) * u01[k : 2 * k],
-            u_knee * u01[k : 2 * k],
-        )
-        g = _log_zolotarev(u, alpha) - la0
-        log_accept = -b * np.where(in_tail, g - g_knee, g)
-        ok = np.log(u01[2 * k :]) <= log_accept
+        v = gen.random(2 * k)
+        _count(2 * k)
+        # s underflows to 0 only where the envelope is flat to rounding
+        u = erfinv(v[:k] * math.erf(s)) / s if s > 0.0 else v[:k]
+        ok = np.log(v[k:]) <= (s * u) ** 2 - b * _log_zolotarev_excess(u, alpha)
         take = u[ok][:todo]
         angles[filled : filled + take.size] = take
         filled += take.size
     gam = gen.gamma(b + 1.0, size=count)
     _count(count)
-    s = (gam / np.exp(_log_zolotarev(angles, alpha))) ** (1.0 - alpha)
-    return float(s[0]) if scalar else s
+    log_a0 = (alpha * math.log(alpha) + (1.0 - alpha) * math.log1p(-alpha)) / (1.0 - alpha)
+    out = np.exp((1.0 - alpha) * (np.log(gam) - log_a0 - _log_zolotarev_excess(angles, alpha)))
+    return float(out[0]) if scalar else out
 
 
 def sample_ml_limit(params: PYParams, sample: SampleSummary, m: int, rng: RngStream, size=None):

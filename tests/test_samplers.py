@@ -3,10 +3,9 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from scipy.special import gammaln
 
 from unseen import samplers
-from unseen.errors import DomainError, MethodUnavailableError, NumericalIntegrityError
+from unseen.errors import DomainError, MethodUnavailableError
 from unseen.model import DP_MAX, Pmf, PYParams, SampleSummary, posterior_mean, posterior_pmf_dp
 from unseen.samplers import (
     MLLimitParams,
@@ -25,15 +24,24 @@ from conftest import m_frak, s_frak_sq
 
 def ml_moment(alpha: float, q: float, p: float) -> float:
     """Exact p-th moment of S_{alpha, q}:
-    Gamma(q+p+1)Gamma(q*alpha+1) / (Gamma(q+1)Gamma(q*alpha+p*alpha+1))."""
-    return float(
-        np.exp(
-            gammaln(q + p + 1.0)
-            - gammaln(q + 1.0)
-            + gammaln(q * alpha + 1.0)
-            - gammaln(q * alpha + p * alpha + 1.0)
-        )
-    )
+    Gamma(q+p+1)Gamma(q*alpha+1) / (Gamma(q+1)Gamma(q*alpha+p*alpha+1)),
+    in 60-digit arithmetic: float log-gamma differences lose every digit
+    at q ~ 1e20."""
+    with mpmath.workdps(60):
+        a, q, p = mpmath.mpf(alpha), mpmath.mpf(q), mpmath.mpf(p)
+        lg = mpmath.loggamma
+        return float(mpmath.exp(lg(q + p + 1) - lg(q + 1) + lg(q * a + 1) - lg(q * a + p * a + 1)))
+
+
+def log_zolotarev_excess(u: float, alpha: float) -> mpmath.mpf:
+    """g(u) = log A(pi*u) - log A(0) from the Zolotarev function's own
+    formula, in 80-digit arithmetic (the caller's precision applies to
+    any further arithmetic on the result)."""
+    with mpmath.workdps(80):
+        a, x = mpmath.mpf(alpha), mpmath.pi * mpmath.mpf(u)
+        log_a = (a * mpmath.log(mpmath.sin(a * x)) + (1 - a) * mpmath.log(mpmath.sin((1 - a) * x))
+                 - mpmath.log(mpmath.sin(x))) / (1 - a)
+        return log_a - (a * mpmath.log(a) + (1 - a) * mpmath.log(1 - a)) / (1 - a)
 
 
 def step_chain(gen, count: int, m: int, numer0: float, alpha: float, denom0: float):
@@ -67,6 +75,30 @@ class TestRngStream:
             RngStream(bad)
         with pytest.raises(DomainError, match="stream_id"):
             RngStream(1, bad)
+
+    @pytest.mark.parametrize("stream,index", [(RngStream(1, 1), -1), (RngStream(1, 0), 1_000_003),
+                                              (RngStream(1, 0), 1.0)])
+    def test_split_index_out_of_range_rejected(self, stream, index):
+        """Indices outside [0, 1_000_003) would collide with another path:
+        RngStream(1, 1).split(-1) would be RngStream(1, 0).split(1_000_002),
+        and RngStream(1, 0).split(1_000_003) would be RngStream(1, 1).split(0)."""
+        with pytest.raises(DomainError, match="split index"):
+            stream.split(index)
+
+    def test_split_paths_distinct(self):
+        """Distinct split paths of depth 1 to 3 from one stream give
+        distinct streams."""
+        import itertools
+
+        indices = (0, 1, 999, 1000, 1_000_002)
+        paths = [p for depth in (1, 2, 3) for p in itertools.product(indices, repeat=depth)]
+        ids = set()
+        for path in paths:
+            stream = RngStream(1)
+            for index in path:
+                stream = stream.split(index)
+            ids.add(stream.stream_id)
+        assert len(ids) == len(paths) == 155
 
     def test_numpy_integer_seed_accepted(self):
         assert RngStream(np.int64(5), 2).split(9) == RngStream(5, 2).split(9)
@@ -263,7 +295,8 @@ class TestMittagLeffler:
         draws = sample_mittag_leffler(0.5, 3.0, RngStream(29), size=50_000)
         assert np.all(draws > 0)
 
-    @pytest.mark.parametrize("alpha,q", [(0.3, 0.7), (0.5, 2.0), (0.54, 1858.6), (0.9, 40.0)])
+    @pytest.mark.parametrize("alpha,q", [(0.3, 0.7), (0.5, 2.0), (0.54, 1858.6), (0.9, 40.0),
+                                         (0.5, 1e2), (0.5, 1e6), (0.5, 1e10), (0.5, 2e20)])
     def test_exact_moments(self, alpha, q):
         """Sample mean and second moment vs the exact Gamma-ratio moments."""
         reps = 200_000
@@ -281,9 +314,49 @@ class TestMittagLeffler:
         b = sample_mittag_leffler(0.6, 5.0, RngStream(37, 1), size=100_000)
         assert ks_2samp(a, b).statistic <= 0.01
 
-    def test_envelope_overflow_is_reported(self):
-        with pytest.raises(NumericalIntegrityError, match="envelope overflows"):
-            sample_mittag_leffler(0.5, 2e19, RngStream(0), size=10)
+    def test_one_round_at_extreme_q(self):
+        """2000 draws take one rejection round of 4000 proposals (two
+        uniforms each) and 2000 gamma draws, from a q so small that the
+        envelope's scale s underflows to 0 to far past the q ~ 2e9 where a
+        flat envelope stops converging."""
+        for q in (5e-324, 2e9, 2e19, 2e40, 1e300):
+            before = samplers.draw_count()
+            draws = sample_mittag_leffler(0.5, q, RngStream(0), size=2000)
+            assert samplers.draw_count() - before == 2 * 4000 + 2000, q
+            assert np.all(np.isfinite(draws) & (draws > 0)), q
+
+    @pytest.mark.parametrize("alpha", [1e-6, 0.01, 0.1, 0.5, 0.9, 0.99, 1 - 1e-6])
+    def test_acceptance_bounded_in_q(self, alpha):
+        """The envelope's acceptance rate, the integral of exp(-b*g(u))
+        over the truncated Gaussian's mass sqrt(pi)*erf(s)/(2s), stays
+        above 0.85 for b from 1e-12 to 1e20; in t = s*u both integrals are
+        of order 1."""
+        from scipy.integrate import quad
+
+        for b in 10.0 ** np.arange(-12, 21, 2):
+            s = math.pi * math.sqrt(alpha * b / 2.0)
+            kept, _ = quad(lambda t: math.exp(-b * float(samplers._log_zolotarev_excess(
+                np.array([t / s]), alpha)[0])), 0.0, min(s, 40.0), limit=200)
+            rate = kept / (math.sqrt(math.pi) / 2.0 * math.erf(s))
+            assert 0.85 <= rate <= 1.0 + 1e-9, (alpha, b, rate)
+
+    @pytest.mark.parametrize("alpha,rel", [(1e-6, 1e-6), (1e-3, 1e-6), (0.1, 1e-6), (0.5, 1e-6),
+                                           (0.9, 1e-6), (0.999, 1e-6), (1 - 1e-6, 1e-6),
+                                           (1e-9, 1e-4)])
+    def test_angle_exponent_against_mpmath(self, alpha, rel):
+        """g(u) >= kappa*u^2, kappa = pi^2*alpha/2, the bound behind the
+        Gaussian envelope, and the float g is within `rel` of the Zolotarev
+        formula in 80 digits, from u = 1e-12 (where that formula cancels in
+        floats) to 0.999.  The three -log(sin(y)/y) terms of g cancel by a
+        factor of about 1/(3*alpha), so at alpha = 1e-9 g keeps about five
+        digits."""
+        u = np.concatenate([np.logspace(-12, -1, 45), np.linspace(0.1, 0.999, 45)])
+        with mpmath.workdps(80):
+            ref = [log_zolotarev_excess(x, alpha) for x in u]
+            kappa = mpmath.pi ** 2 * mpmath.mpf(alpha) / 2
+            assert all(r >= kappa * mpmath.mpf(x) ** 2 for r, x in zip(ref, u))
+        got = samplers._log_zolotarev_excess(u, alpha)
+        assert np.max(np.abs(got / np.array(ref, dtype=float) - 1.0)) <= rel
 
     def test_domain(self):
         with pytest.raises(DomainError):
