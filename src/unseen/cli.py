@@ -20,7 +20,7 @@ from importlib import resources
 
 from .asymptotics import gaussian_interval
 from .datasets import DatasetSpec, generate, ingest
-from .empirical_bayes import fit_empirical_bayes
+from .empirical_bayes import _MIN_ALPHA_STEP, fit_empirical_bayes
 from .errors import (
     DegenerateSampleError,
     DomainError,
@@ -222,13 +222,14 @@ def cmd_fit(args) -> int:
         print(json.dumps({
             "alpha": fit.alpha_hat, "theta": fit.theta_hat,
             "loglik": fit.log_likelihood, "flags": flags,
+            "converged": fit.converged,
         }))
     else:
         writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(["alpha", "theta", "loglik", "flags"])
+        writer.writerow(["alpha", "theta", "loglik", "flags", "converged"])
         writer.writerow([
             f"{fit.alpha_hat:.10g}", f"{fit.theta_hat:.10g}",
-            f"{fit.log_likelihood:.10g}", ";".join(flags),
+            f"{fit.log_likelihood:.10g}", ";".join(flags), str(fit.converged).lower(),
         ])
     return 0
 
@@ -327,7 +328,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_fit = sub.add_parser("fit", help="empirical-Bayes fit of (alpha, theta)")
     p_fit.add_argument("--input", required=True)
     p_fit.add_argument("--mode", choices=["labels", "label_count"], default="labels")
-    p_fit.add_argument("--alpha-step", type=float, default=0.01)
+    p_fit.add_argument(
+        "--alpha-step", type=float, default=0.01,
+        help=f"alpha grid step, in [{_MIN_ALPHA_STEP:g}, 1) (default 0.01)",
+    )
     p_fit.add_argument("--theta-max", type=float, default=1e6)
     p_fit.add_argument("--format", choices=["json", "csv"], default="json")
     p_fit.set_defaults(func=cmd_fit)

@@ -1,5 +1,14 @@
 """Empirical-Bayes fitting of the Pitman-Yor parameters by maximizing the
-Ewens-Pitman marginal likelihood of the observed partition."""
+Ewens-Pitman marginal likelihood of the observed partition.
+
+The log-likelihood splits into a term of alpha alone, the frequency blocks'
+sum of m_f [log Gamma(f - alpha) - log Gamma(1 - alpha)] (`_block_term`),
+and a term of (alpha, theta) (the rest of `_loglik`).  The grid search
+forms the alpha term once per fit for all its lanes; a single point forms
+it with the same lines.  `_loglik` is the one entry point of every
+evaluation: the grid's lanes, Nelder-Mead's points and
+`ep_log_likelihood`.
+"""
 
 from __future__ import annotations
 
@@ -20,6 +29,9 @@ _LANE_BUDGET = 2_000_000
 
 # Iteration cap of the Nelder-Mead refinement.
 _REFINE_ITERS = 400
+
+# Smallest alpha grid step: at most 10 000 grid lanes.
+_MIN_ALPHA_STEP = 1e-4
 
 
 @dataclass(frozen=True)
@@ -42,40 +54,64 @@ def _freq_multiset(sample: SampleSummary):
     return np.unique(np.asarray(sample.freqs, dtype=np.int64), return_counts=True)
 
 
-def _loglik(alpha, theta, n, j, freq_vals, freq_mult):
-    """Ewens-Pitman log-likelihood at each lane (alpha[i], theta[i]).
-
-    alpha and theta are float arrays of equal length; inadmissible lanes
-    give -inf.  Each lane's arithmetic is that of a scalar evaluation, so a
-    lane's value does not depend on the others.  The (lanes, j - 1) term
-    matrix is built in blocks of at most `_LANE_BUDGET` entries.
-    """
-    out = np.full(alpha.shape, -math.inf)
-    ok = (alpha >= 0.0) & (alpha < 1.0) & (theta > -alpha)
-    if not ok.any():
-        return out
-    a, t = alpha[ok], theta[ok]
-    s_new = np.zeros(a.size)
-    if j > 1:
-        # theta > -alpha keeps every term theta + alpha * i positive
-        dirichlet = a == 0.0
-        # math.log, not np.log, whose vector path may differ in the last bit
-        for lane in np.flatnonzero(dirichlet):
-            s_new[lane] = (j - 1) * math.log(t[lane])
-        pitman = np.flatnonzero(~dirichlet)
-        steps = np.arange(1, j)
-        block = max(1, _LANE_BUDGET // (j - 1))
-        for start in range(0, pitman.size, block):
-            lanes = pitman[start:start + block]
-            terms = a[lanes, None] * steps
-            terms += t[lanes, None]
-            s_new[lanes] = np.log(terms, out=terms).sum(axis=1)
-    s_norm = gammaln(t + n) - gammaln(t + 1.0)
-    blocks = gammaln(freq_vals - a[:, None])
-    blocks -= gammaln(1.0 - a)[:, None]
+def _block_term(alpha, freq_vals, freq_mult):
+    """Sum over the frequency blocks of m_f [log Gamma(f - alpha) -
+    log Gamma(1 - alpha)]: the one term of the likelihood that depends on
+    alpha alone.  alpha is a float, or a float array of lanes."""
+    a = np.asarray(alpha)[..., None]
+    blocks = gammaln(freq_vals - a)
+    blocks -= gammaln(1.0 - a)
     blocks *= freq_mult
-    out[ok] = s_new - s_norm + blocks.sum(axis=1)
-    return out
+    return blocks.sum(axis=-1)
+
+
+def _new_species_term(alpha, theta, steps):
+    """log prod_{i in steps} (theta + alpha i), with theta > -alpha: at one
+    point (floats), or at a block of lanes with alpha > 0."""
+    if not isinstance(alpha, np.ndarray) and alpha == 0.0:
+        # math.log, not np.log, whose vector path may differ in the last bit
+        return steps.size * math.log(theta)
+    terms = np.asarray(alpha)[..., None] * steps
+    terms += np.asarray(theta)[..., None]
+    return np.log(terms, out=terms).sum(axis=-1)
+
+
+def _loglik(alpha, theta, n, j, freq_vals, freq_mult, blocks=None):
+    """Ewens-Pitman log-likelihood at (alpha, theta).
+
+    Every evaluation comes through here: the lanes of the grid search, each
+    Nelder-Mead point, the final check and `ep_log_likelihood`.  alpha and
+    theta are floats at one point, which gives -inf where inadmissible, or
+    float arrays of lanes, which the grid makes admissible by construction
+    (alpha in [0, 1), and theta = exp(log theta) > 0 or theta in
+    (-alpha, 0]).  `blocks` is `_block_term` at alpha when the caller formed
+    it once for its lanes; otherwise it is formed here.  A point takes the
+    same arithmetic as a lane, without a mask, so a lane's value does not
+    depend on the others and equals that of the point.  The (lanes, j - 1)
+    term matrix of the alpha > 0 lanes is built in blocks of at most
+    `_LANE_BUDGET` entries.
+    """
+    lanes = isinstance(alpha, np.ndarray)
+    if not lanes and not (0.0 <= alpha < 1.0 and theta > -alpha):
+        return -math.inf
+    if blocks is None:
+        blocks = _block_term(alpha, freq_vals, freq_mult)
+    steps = np.arange(1.0, j)
+    if not lanes:
+        s_new = _new_species_term(alpha, theta, steps) if j > 1 else 0.0
+    else:
+        s_new = np.zeros(alpha.size)
+        if j > 1:
+            dirichlet = alpha == 0.0
+            for lane in np.flatnonzero(dirichlet):
+                s_new[lane] = _new_species_term(alpha[lane], theta[lane], steps)
+            pitman = np.flatnonzero(~dirichlet)
+            block = max(1, _LANE_BUDGET // (j - 1))
+            for start in range(0, pitman.size, block):
+                rows = pitman[start:start + block]
+                s_new[rows] = _new_species_term(alpha[rows], theta[rows], steps)
+    value = s_new - (gammaln(theta + n) - gammaln(theta + 1.0)) + blocks
+    return value if lanes else float(value)
 
 
 def ep_log_likelihood(alpha: float, theta: float, sample: SampleSummary) -> float:
@@ -85,8 +121,7 @@ def ep_log_likelihood(alpha: float, theta: float, sample: SampleSummary) -> floa
     function can be handed directly to an optimizer.
     """
     fv, fm = _freq_multiset(sample)
-    return float(_loglik(np.array([alpha]), np.array([theta]), sample.n, sample.j,
-                         fv.astype(float), fm.astype(float))[0])
+    return _loglik(alpha, theta, sample.n, sample.j, fv.astype(float), fm.astype(float))
 
 
 def _golden_max(f, lo, hi, iters: int = 80):
@@ -128,9 +163,17 @@ def fit_empirical_bayes(
     linear scale for alpha > 0); the candidates are then scanned in grid
     order and the first strict maximum wins.  Boundary solutions are
     flagged, not rejected.
+
+    The alpha term of the likelihood is formed once for the grid's lanes
+    and shared by every golden-section step of both searches; only the
+    (alpha, theta) term is formed per step.  Each Nelder-Mead point and the
+    final check evaluate one point on floats.  alpha_step must lie in
+    [1e-4, 1), which bounds the grid at 10 000 lanes.
     """
-    if not 0.0 < alpha_step < 1.0:
-        raise DomainError(f"alpha_step must lie in (0, 1), got {alpha_step}")
+    if not _MIN_ALPHA_STEP <= alpha_step < 1.0:
+        raise DomainError(
+            f"alpha_step must lie in [{_MIN_ALPHA_STEP:g}, 1), got {alpha_step}"
+        )
     theta_min, theta_max = theta_bounds
     if not 0.0 < theta_min < theta_max < math.inf:
         raise DomainError(
@@ -144,11 +187,8 @@ def fit_empirical_bayes(
     fv, fm = fv.astype(float), fm.astype(float)
     n, j = sample.n, sample.j
 
-    def ll(alpha, theta):
-        return _loglik(alpha, theta, n, j, fv, fm)
-
     def ll_one(alpha, theta):
-        return float(ll(np.array([alpha]), np.array([theta]))[0])
+        return _loglik(alpha, theta, n, j, fv, fm)
 
     def exp_lanes(lt):
         # math.exp, as for the theta a candidate reports, so each value
@@ -156,15 +196,18 @@ def fit_empirical_bayes(
         return np.fromiter(map(math.exp, lt.tolist()), float, lt.size)
 
     alphas = np.arange(0.0, 1.0, alpha_step)
-    lts, vals = _golden_max(lambda lt: ll(alphas, exp_lanes(lt)),
+    blocks = _block_term(alphas, fv, fm)
+    lts, vals = _golden_max(lambda lt: _loglik(alphas, exp_lanes(lt), n, j, fv, fm, blocks),
                             np.full(alphas.size, math.log(theta_min)),
                             np.full(alphas.size, math.log(theta_max)))
     neg_ts, neg_vals = np.zeros(alphas.size), np.full(alphas.size, -math.inf)
     if allow_negative_theta:
         # search theta in (-alpha, 0] directly (linear scale)
         pos = alphas > 0.0
+        a_pos, blocks_pos = alphas[pos], blocks[pos]
         neg_ts[pos], neg_vals[pos] = _golden_max(
-            lambda t: ll(alphas[pos], t), -alphas[pos] * (1.0 - 1e-9), np.zeros(pos.sum())
+            lambda t: _loglik(a_pos, t, n, j, fv, fm, blocks_pos),
+            -a_pos * (1.0 - 1e-9), np.zeros(a_pos.size),
         )
     best = (-math.inf, 0.0, theta_min)
     for alpha, lt, val, neg_t, neg_val in zip(

@@ -72,7 +72,7 @@ class TestFitCommand:
                                "--format", "json")
         assert code == 0
         payload = json.loads(out)
-        assert set(payload) == {"alpha", "theta", "loglik", "flags"}
+        assert set(payload) == {"alpha", "theta", "loglik", "flags", "converged"}
 
     def test_csv_format(self, capsys, tmp_path):
         p = tmp_path / "labels.txt"
@@ -80,7 +80,7 @@ class TestFitCommand:
         code, out, _ = run_cli(capsys, "fit", "--input", str(p), "--format", "csv")
         assert code == 0
         rows = list(csv.reader(io.StringIO(out)))
-        assert rows[0] == ["alpha", "theta", "loglik", "flags"]
+        assert rows[0] == ["alpha", "theta", "loglik", "flags", "converged"]
 
     def test_parse_error_exit_2(self, capsys, tmp_path):
         p = tmp_path / "bad.tsv"
@@ -112,6 +112,7 @@ class TestFitCommand:
         ("--alpha-step", "nan"),
         ("--alpha-step", "-0.1"),
         ("--alpha-step", "1"),
+        ("--alpha-step", "1e-9"),
     ])
     def test_bad_numeric_option_exit_2(self, capsys, tmp_path, option, value):
         p = tmp_path / "labels.txt"

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from unseen import empirical_bayes
+from unseen.cli import SYNTHETIC_SUITE, _est_samples
+from unseen.datasets import generate
 from unseen.empirical_bayes import ep_log_likelihood, fit_empirical_bayes
 from unseen.errors import DegenerateSampleError, DomainError
 from unseen.model import SampleSummary
@@ -70,6 +72,7 @@ class TestFit:
         {"theta_bounds": (1e-4, 1e-5)},
         {"theta_bounds": (1e-4, math.inf)},
         {"theta_bounds": (math.nan, 1e6)},
+        {"alpha_step": 1e-9},
     ])
     def test_rejects_bad_search_settings(self, kwargs):
         with pytest.raises(DomainError):
@@ -90,9 +93,8 @@ class TestFit:
     def test_result_consistency(self):
         sample = sample_prior_partition(0.5, 5.0, 2000, RngStream(101))
         fit = fit_empirical_bayes(sample)
-        assert fit.log_likelihood == pytest.approx(
-            ep_log_likelihood(fit.alpha_hat, fit.theta_hat, sample), rel=1e-12
-        )
+        # the fit and ep_log_likelihood share one formula, so they agree exactly
+        assert fit.log_likelihood == ep_log_likelihood(fit.alpha_hat, fit.theta_hat, sample)
 
     def test_beats_grid_oracle(self):
         """The returned maximizer is at least as good as a 200x200 grid."""
@@ -139,21 +141,52 @@ def _uniform_like_sample():
     return SampleSummary.from_freqs(counts[counts > 0])
 
 
-# (alpha_hat, theta_hat, log_likelihood) as computed by the scalar
-# one-grid-point-at-a-time search that the lockstep search replaced.
-PINNED_FITS = [
-    (_uniform_like_sample, False,
-     "(0.0, 208.8162673002511, -10052.676871432548)"),
-    (lambda: sample_prior_partition(0.5, 5.0, 2000, RngStream(101)), False,
-     "(0.48074272048162003, 4.896031703012677, -6290.880524006419)"),
-    (lambda: sample_prior_partition(0.8, -0.7, 200, RngStream(1)), True,
-     "(0.8200000000000001, -0.4455884817807174, -220.49953374449206)"),
-]
+def _synthetic_sample(name):
+    """The dataset `unseen benchmark --suite synthetic --seed 1` fits."""
+    index = sorted(SYNTHETIC_SUITE).index(name)
+    return generate(SYNTHETIC_SUITE[name], RngStream(1).split(1000 + index))
+
+
+def _est_sample(name):
+    """The packaged stand-in that `unseen benchmark --suite est` fits."""
+    return dict(_est_samples(None))[name]
+
+
+# (alpha_hat, theta_hat, log_likelihood): the first three as computed by the
+# scalar one-grid-point-at-a-time search that the lockstep search replaced,
+# the rest as computed before the likelihood's alpha term was formed once
+# per grid.
+PINNED_FITS = {
+    "alpha_zero": (_uniform_like_sample, False,
+                   "(0.0, 208.8162673002511, -10052.676871432548)"),
+    "interior": (lambda: sample_prior_partition(0.5, 5.0, 2000, RngStream(101)), False,
+                 "(0.48074272048162003, 4.896031703012677, -6290.880524006419)"),
+    "negative_theta": (lambda: sample_prior_partition(0.8, -0.7, 200, RngStream(1)), True,
+                       "(0.8200000000000001, -0.4455884817807174, -220.49953374449206)"),
+    "polya_c": (lambda: _synthetic_sample("polya_c"), False,
+                "(0.0, 206.07367960501995, -10079.857518480234)"),
+    "uniform_d": (lambda: _synthetic_sample("uniform_d"), False,
+                  "(0.0, 210.19519369218702, -10056.473863263584)"),
+    "zipf_a": (lambda: _synthetic_sample("zipf_a"), False,
+               "(0.46531667116373665, 0.657799734431501, -1419.7838476677416)"),
+    "zipf_b": (lambda: _synthetic_sample("zipf_b"), False,
+               "(0.3364359984017909, 3.925268292759117, -4277.797020493852)"),
+    "tomato_flower": (lambda: _est_sample("tomato_flower"), False,
+                      "(0.900182378954665, 29.603310811144823, -4715.480177855079)"),
+    "mastigamoeba": (lambda: _est_sample("mastigamoeba"), False,
+                     "(0.8240585708203249, 23.391058768650176, -1417.6814800748339)"),
+    "mastigamoeba_norm": (lambda: _est_sample("mastigamoeba_norm"), False,
+                          "(0.8072310137103939, 22.19838130779522, -634.3689803159275)"),
+    "naegleria_aerobic": (lambda: _est_sample("naegleria_aerobic"), False,
+                          "(0.7540133066881398, 20.11668233707224, -2445.86298296224)"),
+    "naegleria_anaerobic": (lambda: _est_sample("naegleria_anaerobic"), False,
+                            "(0.8441830246055927, 24.174430222290443, -1922.4806377075756)"),
+}
 
 
 class TestLockstepGridSearch:
-    @pytest.mark.parametrize("make,negative,expect", PINNED_FITS,
-                             ids=["alpha_zero", "interior", "negative_theta"])
+    @pytest.mark.parametrize("make,negative,expect", PINNED_FITS.values(),
+                             ids=PINNED_FITS.keys())
     def test_fit_bitwise_pinned(self, make, negative, expect):
         fit = fit_empirical_bayes(make(), allow_negative_theta=negative)
         assert repr((fit.alpha_hat, fit.theta_hat, fit.log_likelihood)) == expect
