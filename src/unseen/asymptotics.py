@@ -4,7 +4,10 @@ interval for the unseen-species posterior.
 In the regime theta = tau*m, n = nu*m, j = rho*m (lambda = tau + nu), the
 posterior of the new-species count is asymptotically Gaussian with mean
 m*M and variance m*S^2 for explicit constants M, S^2, both continuous at
-alpha = 0, where they reduce to the Dirichlet forms.
+alpha = 0, where they reduce to the Dirichlet forms.  `script_M` and
+`script_S_sq` are plain functions of (alpha, tau, nu, rho); they need
+tau > 0, 0 < rho <= nu and alpha in [0, 1), which `gaussian_approx` has
+from theta > 0, m >= 1 and 1 <= j <= n.
 """
 
 from __future__ import annotations
@@ -20,31 +23,6 @@ from .model import PYParams, SampleSummary, _check_draw_count
 
 
 @dataclass(frozen=True)
-class RegimeRatios:
-    """Scaling ratios (tau, nu, rho) = (theta, n, j) / m, lam = tau + nu."""
-
-    tau: float
-    nu: float
-    rho: float
-
-    def __post_init__(self):
-        if self.tau <= 0 or self.nu <= 0 or self.rho <= 0:
-            raise DomainError("tau, nu, rho must all be positive")
-        if self.rho > self.nu:
-            raise DomainError(f"rho={self.rho} cannot exceed nu={self.nu}")
-
-    @property
-    def lam(self) -> float:
-        return self.tau + self.nu
-
-    @classmethod
-    def from_sample(cls, params: PYParams, sample: SampleSummary, m: int) -> "RegimeRatios":
-        if m < 1:
-            raise DomainError("m must be >= 1 to form scaling ratios")
-        return cls(tau=params.theta / m, nu=sample.n / m, rho=sample.j / m)
-
-
-@dataclass(frozen=True)
 class GaussianApprox:
     """Gaussian approximation N(mean, variance) of the posterior count."""
 
@@ -52,27 +30,23 @@ class GaussianApprox:
     variance: float
 
 
-def script_M(alpha: float, ratios: RegimeRatios) -> float:
-    """Leading-order posterior mean constant."""
-    lam = ratios.lam
+def script_M(alpha: float, tau: float, nu: float, rho: float) -> float:
+    """Leading-order posterior mean constant at the ratios (tau, nu, rho)."""
+    lam = tau + nu
     c = math.log1p(1.0 / lam)
     if alpha == 0.0:
-        return ratios.tau * c
-    return (ratios.tau + ratios.rho * alpha) / alpha * math.expm1(alpha * c)
+        return tau * c
+    return (tau + rho * alpha) / alpha * math.expm1(alpha * c)
 
 
-def script_S_sq(alpha: float, ratios: RegimeRatios) -> float:
-    """Leading-order posterior variance constant."""
-    tau, nu, lam = ratios.tau, ratios.nu, ratios.lam
+def script_S_sq(alpha: float, tau: float, nu: float, rho: float) -> float:
+    """Leading-order posterior variance constant at the ratios (tau, nu, rho)."""
+    lam = tau + nu
     c = math.log1p(1.0 / lam)
     if alpha == 0.0:
         # as two ratios: lam * (lam + 1) overflows at large theta
         return tau * c - (tau / lam) * (tau / (lam + 1.0))
-    g = tau + ratios.rho * alpha
-    if g <= 0:
-        raise DomainError("tau + rho*alpha must be positive")
-    if nu - ratios.rho * alpha <= 0:
-        raise DomainError("nu - rho*alpha must be positive")
+    g = tau + rho * alpha
     big_a = math.exp(alpha * c)
     return (g / lam) * big_a * ((lam / alpha) * math.expm1(alpha * c) - g * big_a / (lam + 1.0))
 
@@ -86,12 +60,12 @@ def gaussian_approx(params: PYParams, sample: SampleSummary, m: int) -> Gaussian
             "the Gaussian approximation requires theta > 0; "
             "use the exact Monte Carlo method for theta <= 0"
         )
-    ratios = RegimeRatios.from_sample(params, sample, m)
+    ratios = (params.theta / m, sample.n / m, sample.j / m)
     # S^2 is a difference that cancels at large theta: rounding can leave it
     # a few ulps below 0
     return GaussianApprox(
-        mean=m * script_M(params.alpha, ratios),
-        variance=max(m * script_S_sq(params.alpha, ratios), 0.0),
+        mean=m * script_M(params.alpha, *ratios),
+        variance=max(m * script_S_sq(params.alpha, *ratios), 0.0),
     )
 
 

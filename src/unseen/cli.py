@@ -20,7 +20,7 @@ from importlib import resources
 
 from .asymptotics import gaussian_interval
 from .datasets import DatasetSpec, generate, ingest
-from .empirical_bayes import _MIN_ALPHA_STEP, fit_empirical_bayes
+from .empirical_bayes import _MIN_ALPHA_STEP, _THETA_MIN, fit_empirical_bayes
 from .errors import (
     DegenerateSampleError,
     DomainError,
@@ -198,6 +198,8 @@ def _parse_m_grid(spec: str, n: int, default_points: int = 50) -> list[int]:
     lo, hi = (int(round(v * n)) if per_n else v for v, per_n in (lo, hi))
     if not 0 <= lo <= hi:
         raise DomainError(f"bad m-grid bounds ({lo}, {hi})")
+    # every count at or above hi - lo + 1 gives each integer in [lo, hi]
+    points = min(points, hi - lo + 1)
     if points == 1:
         return [hi]
     step = (hi - lo) / (points - 1)
@@ -214,9 +216,7 @@ def _emit_rows(rows, out_fh) -> None:
 
 def cmd_fit(args) -> int:
     sample = ingest(args.input, args.mode)
-    fit = fit_empirical_bayes(
-        sample, alpha_step=args.alpha_step, theta_bounds=(1e-4, args.theta_max)
-    )
+    fit = fit_empirical_bayes(sample, alpha_step=args.alpha_step, theta_max=args.theta_max)
     flags = sorted(fit.boundary_flags)
     if args.format == "json":
         print(json.dumps({
@@ -332,7 +332,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--alpha-step", type=float, default=0.01,
         help=f"alpha grid step, in [{_MIN_ALPHA_STEP:g}, 1) (default 0.01)",
     )
-    p_fit.add_argument("--theta-max", type=float, default=1e6)
+    p_fit.add_argument(
+        "--theta-max", type=float, default=1e6,
+        help=f"upper end of the theta search, finite and above {_THETA_MIN:g} (default 1e6)",
+    )
     p_fit.add_argument("--format", choices=["json", "csv"], default="json")
     p_fit.set_defaults(func=cmd_fit)
 

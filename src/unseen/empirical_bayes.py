@@ -8,6 +8,10 @@ forms the alpha term once per fit for all its lanes; a single point forms
 it with the same lines.  `_loglik` is the one entry point of every
 evaluation: the grid's lanes, Nelder-Mead's points and
 `ep_log_likelihood`.
+
+The fit searches theta in [1e-4, theta_max] only.  The likelihood itself
+is defined on all of theta > -alpha, and a fit that stops at the floor is
+flagged `theta_at_min`.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from scipy.special import gammaln
 from .errors import DegenerateSampleError, DomainError
 from .model import SampleSummary
 
-_FLAGS = ("alpha_zero", "alpha_near_one", "theta_capped")
+_FLAGS = ("alpha_zero", "alpha_near_one", "theta_capped", "theta_at_min")
 
 # Most entries of one (lanes, j - 1) term matrix of `_loglik`: 16 MB.
 _LANE_BUDGET = 2_000_000
@@ -32,6 +36,10 @@ _REFINE_ITERS = 400
 
 # Smallest alpha grid step: at most 10 000 grid lanes.
 _MIN_ALPHA_STEP = 1e-4
+
+# Lower end of the theta search.  The search runs on log theta, so it never
+# reaches the part (-alpha, 0] of the admissible range.
+_THETA_MIN = 1e-4
 
 
 @dataclass(frozen=True)
@@ -83,13 +91,12 @@ def _loglik(alpha, theta, n, j, freq_vals, freq_mult, blocks=None):
     Nelder-Mead point, the final check and `ep_log_likelihood`.  alpha and
     theta are floats at one point, which gives -inf where inadmissible, or
     float arrays of lanes, which the grid makes admissible by construction
-    (alpha in [0, 1), and theta = exp(log theta) > 0 or theta in
-    (-alpha, 0]).  `blocks` is `_block_term` at alpha when the caller formed
-    it once for its lanes; otherwise it is formed here.  A point takes the
-    same arithmetic as a lane, without a mask, so a lane's value does not
-    depend on the others and equals that of the point.  The (lanes, j - 1)
-    term matrix of the alpha > 0 lanes is built in blocks of at most
-    `_LANE_BUDGET` entries.
+    (alpha in [0, 1), and theta = exp(log theta) > 0).  `blocks` is
+    `_block_term` at alpha when the caller formed it once for its lanes;
+    otherwise it is formed here.  A point takes the same arithmetic as a
+    lane, without a mask, so a lane's value does not depend on the others
+    and equals that of the point.  The (lanes, j - 1) term matrix of the
+    alpha > 0 lanes is built in blocks of at most `_LANE_BUDGET` entries.
     """
     lanes = isinstance(alpha, np.ndarray)
     if not lanes and not (0.0 <= alpha < 1.0 and theta > -alpha):
@@ -150,34 +157,38 @@ def _golden_max(f, lo, hi, iters: int = 80):
 def fit_empirical_bayes(
     sample: SampleSummary,
     alpha_step: float = 0.01,
-    theta_bounds: tuple[float, float] = (1e-4, 1e6),
-    allow_negative_theta: bool = False,
+    theta_max: float = 1e6,
 ) -> FitResult:
-    """Maximize the Ewens-Pitman likelihood over admissible (alpha, theta).
+    """Maximize the Ewens-Pitman likelihood over alpha in [0, 1) and theta
+    in [1e-4, theta_max].
 
     Two stages: a coarse alpha grid with a golden-section theta search on
     the log scale at each grid point, then Nelder-Mead refinement around
     the best grid point.  The grid search runs every grid point as one lane
-    of a single lockstep golden-section search (and, with
-    `allow_negative_theta`, a second one over theta in (-alpha, 0] on the
-    linear scale for alpha > 0); the candidates are then scanned in grid
-    order and the first strict maximum wins.  Boundary solutions are
-    flagged, not rejected.
+    of a single lockstep golden-section search; the candidates are then
+    scanned in grid order and the first strict maximum wins.
 
     The alpha term of the likelihood is formed once for the grid's lanes
-    and shared by every golden-section step of both searches; only the
-    (alpha, theta) term is formed per step.  Each Nelder-Mead point and the
-    final check evaluate one point on floats.  alpha_step must lie in
-    [1e-4, 1), which bounds the grid at 10 000 lanes.
+    and shared by every golden-section step; only the (alpha, theta) term
+    is formed per step.  Each Nelder-Mead point and the final check
+    evaluate one point on floats.  alpha_step must lie in [1e-4, 1), which
+    bounds the grid at 10 000 lanes, and theta_max must be finite and above
+    the theta floor 1e-4.
+
+    Boundary solutions are flagged, not rejected: `alpha_zero`,
+    `alpha_near_one` (alpha within one grid step of 1), `theta_capped`
+    (theta within 1% of theta_max) and `theta_at_min` (theta within 1% of
+    the floor, where the likelihood may still rise toward theta <= 0).
+    Either theta flag, and a sample of all singletons or of one block,
+    make the fit not converged.
     """
     if not _MIN_ALPHA_STEP <= alpha_step < 1.0:
         raise DomainError(
             f"alpha_step must lie in [{_MIN_ALPHA_STEP:g}, 1), got {alpha_step}"
         )
-    theta_min, theta_max = theta_bounds
-    if not 0.0 < theta_min < theta_max < math.inf:
+    if not _THETA_MIN < theta_max < math.inf:
         raise DomainError(
-            f"theta bounds must be finite with 0 < min < max, got {theta_bounds}"
+            f"theta_max must be finite and above {_THETA_MIN:g}, got {theta_max}"
         )
     if sample.n < 2:
         raise DegenerateSampleError(
@@ -198,46 +209,27 @@ def fit_empirical_bayes(
     alphas = np.arange(0.0, 1.0, alpha_step)
     blocks = _block_term(alphas, fv, fm)
     lts, vals = _golden_max(lambda lt: _loglik(alphas, exp_lanes(lt), n, j, fv, fm, blocks),
-                            np.full(alphas.size, math.log(theta_min)),
+                            np.full(alphas.size, math.log(_THETA_MIN)),
                             np.full(alphas.size, math.log(theta_max)))
-    neg_ts, neg_vals = np.zeros(alphas.size), np.full(alphas.size, -math.inf)
-    if allow_negative_theta:
-        # search theta in (-alpha, 0] directly (linear scale)
-        pos = alphas > 0.0
-        a_pos, blocks_pos = alphas[pos], blocks[pos]
-        neg_ts[pos], neg_vals[pos] = _golden_max(
-            lambda t: _loglik(a_pos, t, n, j, fv, fm, blocks_pos),
-            -a_pos * (1.0 - 1e-9), np.zeros(a_pos.size),
-        )
-    best = (-math.inf, 0.0, theta_min)
-    for alpha, lt, val, neg_t, neg_val in zip(
-        alphas.tolist(), lts.tolist(), vals.tolist(), neg_ts.tolist(), neg_vals.tolist()
-    ):
+    best = (-math.inf, 0.0, _THETA_MIN)
+    for alpha, lt, val in zip(alphas.tolist(), lts.tolist(), vals.tolist()):
         if val > best[0]:
             best = (val, alpha, math.exp(lt))
-        if neg_val > best[0]:
-            best = (neg_val, alpha, neg_t)
 
     def neg(x):
         a, lt = x
         return -ll_one(float(a), math.exp(float(lt)))
 
-    if best[2] > 0:
-        x0 = np.array([best[1], math.log(best[2])])
-        res = minimize(
-            neg, x0, method="Nelder-Mead",
-            options={"maxiter": _REFINE_ITERS, "xatol": 1e-7, "fatol": 1e-10},
-        )
-        converged = bool(res.success)
-        alpha_hat, theta_hat = float(res.x[0]), math.exp(float(res.x[1]))
-        alpha_hat = min(max(alpha_hat, 0.0), 1.0 - 1e-12)
-        if alpha_hat < 1e-10:
-            alpha_hat = 0.0
-        theta_hat = min(max(theta_hat, theta_min), theta_max)
-    else:
-        # negative-theta optimum: keep the grid/golden-section solution
-        converged = True
-        alpha_hat, theta_hat = best[1], best[2]
+    res = minimize(
+        neg, np.array([best[1], math.log(best[2])]), method="Nelder-Mead",
+        options={"maxiter": _REFINE_ITERS, "xatol": 1e-7, "fatol": 1e-10},
+    )
+    converged = bool(res.success)
+    alpha_hat, theta_hat = float(res.x[0]), math.exp(float(res.x[1]))
+    alpha_hat = min(max(alpha_hat, 0.0), 1.0 - 1e-12)
+    if alpha_hat < 1e-10:
+        alpha_hat = 0.0
+    theta_hat = min(max(theta_hat, _THETA_MIN), theta_max)
     refined = ll_one(alpha_hat, theta_hat)
     if refined < best[0]:
         alpha_hat, theta_hat, refined = best[1], best[2], best[0]
@@ -249,6 +241,9 @@ def fit_empirical_bayes(
         flags.add("alpha_near_one")
     if theta_hat >= 0.99 * theta_max:
         flags.add("theta_capped")
+        converged = False
+    if theta_hat <= 1.01 * _THETA_MIN:
+        flags.add("theta_at_min")
         converged = False
     if j == n or j == 1:
         # all-singletons pushes theta to the cap; a single block pushes both

@@ -8,6 +8,11 @@ replicate index maps to an independent stream in O(1); `split` numbers a
 stream's children as in a heap, so distinct split paths give distinct
 streams.  Each benchmark row has its own stream, so its draws do not
 depend on the other rows.
+
+Every sampler of variates takes a required `size`, an integer >= 0, and
+returns a NumPy array of that many draws, also for size 1.
+`sample_prior_partition` draws one partition and returns its
+`SampleSummary`.
 """
 
 from __future__ import annotations
@@ -95,12 +100,11 @@ class MLLimitParams:
         )
 
 
-def _as_batch(size):
-    if size is None:
-        return 1, True
+def _as_batch(size) -> int:
+    """The number of draws a sampler is asked for: an integer >= 0."""
     if not isinstance(size, numbers.Integral) or size < 0:
         raise DomainError(f"size must be an integer >= 0, got {size!r}")
-    return int(size), False
+    return int(size)
 
 
 def _chain(gen, count: int, m: int, numer0: float, alpha: float, denom0: float):
@@ -137,33 +141,31 @@ def _chain(gen, count: int, m: int, numer0: float, alpha: float, denom0: float):
     return k.astype(np.int64)
 
 
-def sample_k_future(params: PYParams, sample: SampleSummary, m: int, rng: RngStream, size=None):
-    """Number of new species among m posterior-predictive draws, where draw
+def sample_k_future(params: PYParams, sample: SampleSummary, m: int, rng: RngStream, size):
+    """Numbers of new species among m posterior-predictive draws, where draw
     i founds a new species with probability (theta + alpha*K) /
-    (theta + n + i).  With size given, that many independent replicates are
-    run side by side from the single stream, by the thinning chain
-    `_chain`, at a cost that grows with the number of new species and
-    rejected candidates rather than with m."""
+    (theta + n + i).  `size` independent replicates are run side by side
+    from the single stream, by the thinning chain `_chain`, at a cost that
+    grows with the number of new species and rejected candidates rather
+    than with m."""
     _check_draw_count(m)
-    count, scalar = _as_batch(size)
+    count = _as_batch(size)
     a, t, n, j = params.alpha, params.theta, sample.n, sample.j
-    k = _chain(rng.generator(), count, m, t + a * j, a, t + n)
-    return int(k[0]) if scalar else k
+    return _chain(rng.generator(), count, m, t + a * j, a, t + n)
 
 
-def sample_from_pmf(pmf: Pmf, rng: RngStream, size=None):
+def sample_from_pmf(pmf: Pmf, rng: RngStream, size):
     """Draws from a pmf on {0, ..., support_max} by inverse CDF, one
     uniform per draw: the smallest k with Pr[K <= k] > u.  Entries of
     probability 0 are never drawn."""
-    count, scalar = _as_batch(size)
+    count = _as_batch(size)
     cdf = pmf.cdf()
     u = rng.generator().random(count)
     _count(count)
-    k = np.searchsorted(cdf / cdf[-1], u, side="right")
-    return int(k[0]) if scalar else k
+    return np.searchsorted(cdf / cdf[-1], u, side="right")
 
 
-def sample_prior_kstar(alpha: float, theta_total: float, m: int, rng: RngStream, size=None):
+def sample_prior_kstar(alpha: float, theta_total: float, m: int, rng: RngStream, size):
     """Species count among m draws of the prior predictive chain started
     from an empty sample (the first draw always founds a species)."""
     if not 0.0 <= alpha < 1.0:
@@ -171,19 +173,18 @@ def sample_prior_kstar(alpha: float, theta_total: float, m: int, rng: RngStream,
     if theta_total <= 0:
         raise DomainError("theta_total must be positive")
     _check_draw_count(m, 1)
-    count, scalar = _as_batch(size)
-    k = _chain(rng.generator(), count, m, theta_total, alpha, theta_total)
-    return int(k[0]) if scalar else k
+    count = _as_batch(size)
+    return _chain(rng.generator(), count, m, theta_total, alpha, theta_total)
 
 
-def sample_beta(a: float, b: float, rng: RngStream, size=None):
+def sample_beta(a: float, b: float, rng: RngStream, size):
     """Beta(a, b) variates."""
     if a <= 0 or b <= 0:
         raise DomainError(f"Beta parameters must be positive, got ({a}, {b})")
-    count, scalar = _as_batch(size)
+    count = _as_batch(size)
     out = rng.generator().beta(a, b, size=count)
     _count(count)
-    return float(out[0]) if scalar else out
+    return out
 
 
 def _neg_log_sinc(y: np.ndarray) -> np.ndarray:
@@ -208,7 +209,7 @@ def _log_zolotarev_excess(u: np.ndarray, alpha: float) -> np.ndarray:
 _ML_MAX_ROUNDS = 1000
 
 
-def sample_mittag_leffler(alpha: float, q: float, rng: RngStream, size=None):
+def sample_mittag_leffler(alpha: float, q: float, rng: RngStream, size):
     """Exact draws of the generalized Mittag-Leffler law S_{alpha, q}.
 
     Uses the Zolotarev integral representation of the polynomially tilted
@@ -227,7 +228,7 @@ def sample_mittag_leffler(alpha: float, q: float, rng: RngStream, size=None):
         raise DomainError("alpha must lie strictly in (0, 1)")
     if q <= 0:
         raise DomainError("q must be positive")
-    count, scalar = _as_batch(size)
+    count = _as_batch(size)
     gen = rng.generator()
     b = (1.0 - alpha) * q
     s = math.pi * math.sqrt(alpha * b / 2.0)
@@ -254,23 +255,20 @@ def sample_mittag_leffler(alpha: float, q: float, rng: RngStream, size=None):
     gam = gen.gamma(b + 1.0, size=count)
     _count(count)
     log_a0 = (alpha * math.log(alpha) + (1.0 - alpha) * math.log1p(-alpha)) / (1.0 - alpha)
-    out = np.exp((1.0 - alpha) * (np.log(gam) - log_a0 - _log_zolotarev_excess(angles, alpha)))
-    return float(out[0]) if scalar else out
+    return np.exp((1.0 - alpha) * (np.log(gam) - log_a0 - _log_zolotarev_excess(angles, alpha)))
 
 
-def sample_ml_limit(params: PYParams, sample: SampleSummary, m: int, rng: RngStream, size=None):
+def sample_ml_limit(params: PYParams, sample: SampleSummary, m: int, rng: RngStream, size):
     """Draws of the scaled Mittag-Leffler approximation to the posterior:
     c(m) * Beta(j + theta/alpha, n/alpha - j) * S_{alpha, (theta+n)/alpha}."""
     _check_draw_count(m)
     ml = MLLimitParams.from_posterior(params, sample, m)
-    count, scalar = _as_batch(size)
+    count = _as_batch(size)
     if ml.scale_c == 0.0:
-        out = np.zeros(count)
-        return float(out[0]) if scalar else out
+        return np.zeros(count)
     beta = sample_beta(ml.beta_a, ml.beta_b, rng.split(0), size=count)
     s = sample_mittag_leffler(ml.alpha, ml.stable_q, rng.split(1), size=count)
-    out = ml.scale_c * beta * s
-    return float(out[0]) if scalar else out
+    return ml.scale_c * beta * s
 
 
 def sample_prior_partition(alpha: float, theta: float, n: int, rng: RngStream) -> SampleSummary:

@@ -54,22 +54,22 @@ def standin_freqs(n, j, shape=1.3):
 # Mean and variance functions of the binomial-mixing stage of the CLT; the
 # constants M and S^2 must satisfy mu(m_frak) = M and
 # sigma^2(m_frak) + s_frak^2 * mu'^2 = S^2.
-def mu_z(z, alpha, ratios):
+def mu_z(z, alpha, tau, nu, rho):
     if z <= 0:
         raise DomainError("z must be positive")
-    return z * (ratios.tau + ratios.rho * alpha) / ratios.lam
+    return z * (tau + rho * alpha) / (tau + nu)
 
 
-def mu_z_prime(alpha, ratios):
-    return (ratios.tau + ratios.rho * alpha) / ratios.lam
+def mu_z_prime(alpha, tau, nu, rho):
+    return (tau + rho * alpha) / (tau + nu)
 
 
-def sigma_sq_z(z, alpha, ratios):
+def sigma_sq_z(z, alpha, tau, nu, rho):
     if z <= 0:
         raise DomainError("z must be positive")
-    g = ratios.tau + ratios.rho * alpha
-    h = ratios.nu - ratios.rho * alpha
-    lam = ratios.lam
+    g = tau + rho * alpha
+    h = nu - rho * alpha
+    lam = tau + nu
     return z * g * h / (lam * lam) * (1.0 + alpha * z / lam)
 
 

@@ -23,7 +23,6 @@ import numpy as np
 import pytest
 
 from unseen.asymptotics import (
-    RegimeRatios,
     gaussian_interval,
     script_M,
     script_S_sq,
@@ -522,18 +521,19 @@ def test_c8_clt_constant_identities():
         for tau in (0.1, 1.0, 10.0):
             for nu in (0.1, 1.0, 10.0):
                 for rho_frac in (0.1, 0.5, 0.9):
-                    r = RegimeRatios(tau=tau, nu=nu, rho=rho_frac * nu)
-                    mf = m_frak(alpha, r.lam)
-                    big_m = script_M(alpha, r)
-                    assert abs(mu_z(mf, alpha, r) - big_m) <= 1e-12 * max(1.0, abs(big_m))
-                    lhs = sigma_sq_z(mf, alpha, r) + s_frak_sq(alpha, r.lam) * mu_z_prime(alpha, r) ** 2
-                    rhs = script_S_sq(alpha, r)
+                    r = (tau, nu, rho_frac * nu)
+                    lam = tau + nu
+                    mf = m_frak(alpha, lam)
+                    big_m = script_M(alpha, *r)
+                    assert abs(mu_z(mf, alpha, *r) - big_m) <= 1e-12 * max(1.0, abs(big_m))
+                    lhs = sigma_sq_z(mf, alpha, *r) + s_frak_sq(alpha, lam) * mu_z_prime(alpha, *r) ** 2
+                    rhs = script_S_sq(alpha, *r)
                     assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(rhs))
                     if alpha == 0.0:
-                        assert abs(m_frak(1e-8, r.lam) - mf) <= 1e-6
-                        assert abs(s_frak_sq(1e-8, r.lam) - s_frak_sq(0.0, r.lam)) <= 1e-6
-                        assert abs(script_M(1e-8, r) - big_m) <= 1e-6
-                        assert abs(script_S_sq(1e-8, r) - script_S_sq(0.0, r)) <= 1e-6
+                        assert abs(m_frak(1e-8, lam) - mf) <= 1e-6
+                        assert abs(s_frak_sq(1e-8, lam) - s_frak_sq(0.0, lam)) <= 1e-6
+                        assert abs(script_M(1e-8, *r) - big_m) <= 1e-6
+                        assert abs(script_S_sq(1e-8, *r) - script_S_sq(0.0, *r)) <= 1e-6
     report(8, "CLT constant identities and continuity", "(270 grid points)")
 
 

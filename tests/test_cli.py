@@ -63,6 +63,13 @@ class TestMGrid:
         with pytest.raises(DomainError):
             _parse_m_grid("5", 10)
 
+    def test_huge_point_count_capped(self):
+        # a count above hi - lo + 1 gives every integer once, without a loop
+        # over the count
+        assert _parse_m_grid("0..10:1000000000", 7) == list(range(11))
+        assert _parse_m_grid("3..3:1000000000", 7) == [3]
+        assert _parse_m_grid("n..2n:1000000000", 4) == [4, 5, 6, 7, 8]
+
 
 class TestFitCommand:
     def test_json_schema(self, capsys, tmp_path):
@@ -426,11 +433,11 @@ class TestBenchmarkCommand:
         export_label_counts(standin_freqs(60, 25), str(tmp_path / "small.tsv"))
         chain_ms, pmf_ms = [], []
 
-        def chain(params, sample, m, rng, size=None):
+        def chain(params, sample, m, rng, size):
             chain_ms.append(m)
             return real_chain(params, sample, m, rng, size)
 
-        def from_pmf(pmf, rng, size=None):
+        def from_pmf(pmf, rng, size):
             pmf_ms.append(pmf.support_max)
             return real_from_pmf(pmf, rng, size)
 

@@ -39,7 +39,8 @@ class TestLogLikelihood:
         assert ep_log_likelihood(0.0, 0.0, s) == -math.inf
         assert ep_log_likelihood(0.5, -1.2, s) == -math.inf
 
-    @pytest.mark.parametrize("alpha,theta", [(0.0, 0.5), (0.0, 2.0), (0.5, 0.5), (0.5, 2.0)])
+    @pytest.mark.parametrize("alpha,theta", [(0.0, 0.5), (0.0, 2.0), (0.5, 0.5), (0.5, 2.0),
+                                             (0.5, -0.3), (0.8, -0.7)])
     def test_partition_sum_normalization(self, alpha, theta):
         """Summing the partition probability over all set partitions of [n]
         gives 1 (brute-force enumeration)."""
@@ -56,6 +57,13 @@ class TestLogLikelihood:
         b = SampleSummary(10, 3, (2, 5, 3))
         assert ep_log_likelihood(0.4, 1.7, a) == ep_log_likelihood(0.4, 1.7, b)
 
+    def test_negative_theta_pinned(self):
+        # theta in (-alpha, 0] stays in the likelihood's domain, though the
+        # fit searches theta >= 1e-4 only; the value is bitwise pinned
+        sample = sample_prior_partition(0.8, -0.7, 200, RngStream(1))
+        got = ep_log_likelihood(0.8200000000000001, -0.4455884817807174, sample)
+        assert got == -220.49953374449206
+
 
 class TestFit:
     def test_rejects_single_observation(self):
@@ -68,11 +76,12 @@ class TestFit:
         {"alpha_step": 1.0},
         {"alpha_step": math.nan},
         {"alpha_step": math.inf},
-        {"theta_bounds": (0.0, 1e6)},
-        {"theta_bounds": (1e-4, 1e-5)},
-        {"theta_bounds": (1e-4, math.inf)},
-        {"theta_bounds": (math.nan, 1e6)},
+        {"theta_max": 1e-4},
+        {"theta_max": 1e-5},
+        {"theta_max": math.inf},
+        {"theta_max": math.nan},
         {"alpha_step": 1e-9},
+        {"theta_max": -1.0},
     ])
     def test_rejects_bad_search_settings(self, kwargs):
         with pytest.raises(DomainError):
@@ -85,7 +94,7 @@ class TestFit:
         assert not fit.converged
 
     def test_all_singletons_caps_theta(self):
-        fit = fit_empirical_bayes(SampleSummary(6, 6, (1,) * 6), theta_bounds=(1e-4, 1e4))
+        fit = fit_empirical_bayes(SampleSummary(6, 6, (1,) * 6), theta_max=1e4)
         assert "theta_capped" in fit.boundary_flags
         assert fit.theta_hat >= 0.99e4
         assert not fit.converged
@@ -127,12 +136,17 @@ class TestFit:
         rhs = sum(1.0 / (t + i) for i in range(1, sample.n))
         assert lhs == pytest.approx(rhs, rel=5e-3)
 
-    def test_negative_theta_search_optin(self):
-        # a heavily concentrated two-block sample pushes theta negative
-        sample = SampleSummary(40, 2, (20, 20))
-        free = fit_empirical_bayes(sample, allow_negative_theta=True)
-        capped = fit_empirical_bayes(sample)
-        assert free.log_likelihood >= capped.log_likelihood - 1e-9
+    @pytest.mark.parametrize("make", [
+        lambda: sample_prior_partition(0.8, -0.7, 200, RngStream(1)),
+        lambda: SampleSummary(2, 1, (2,)),
+    ], ids=["negative_theta_truth", "one_block"])
+    def test_theta_floor_flagged(self, make):
+        """A likelihood that still rises as theta falls to 1e-4 stops the fit
+        at the floor; the fit says so rather than claiming convergence."""
+        fit = fit_empirical_bayes(make())
+        assert fit.theta_hat == 1e-4
+        assert "theta_at_min" in fit.boundary_flags
+        assert not fit.converged
 
 
 def _uniform_like_sample():
@@ -152,49 +166,46 @@ def _est_sample(name):
     return dict(_est_samples(None))[name]
 
 
-# (alpha_hat, theta_hat, log_likelihood): the first three as computed by the
+# (alpha_hat, theta_hat, log_likelihood): the first two as computed by the
 # scalar one-grid-point-at-a-time search that the lockstep search replaced,
 # the rest as computed before the likelihood's alpha term was formed once
 # per grid.
 PINNED_FITS = {
-    "alpha_zero": (_uniform_like_sample, False,
+    "alpha_zero": (_uniform_like_sample,
                    "(0.0, 208.8162673002511, -10052.676871432548)"),
-    "interior": (lambda: sample_prior_partition(0.5, 5.0, 2000, RngStream(101)), False,
+    "interior": (lambda: sample_prior_partition(0.5, 5.0, 2000, RngStream(101)),
                  "(0.48074272048162003, 4.896031703012677, -6290.880524006419)"),
-    "negative_theta": (lambda: sample_prior_partition(0.8, -0.7, 200, RngStream(1)), True,
-                       "(0.8200000000000001, -0.4455884817807174, -220.49953374449206)"),
-    "polya_c": (lambda: _synthetic_sample("polya_c"), False,
+    "polya_c": (lambda: _synthetic_sample("polya_c"),
                 "(0.0, 206.07367960501995, -10079.857518480234)"),
-    "uniform_d": (lambda: _synthetic_sample("uniform_d"), False,
+    "uniform_d": (lambda: _synthetic_sample("uniform_d"),
                   "(0.0, 210.19519369218702, -10056.473863263584)"),
-    "zipf_a": (lambda: _synthetic_sample("zipf_a"), False,
+    "zipf_a": (lambda: _synthetic_sample("zipf_a"),
                "(0.46531667116373665, 0.657799734431501, -1419.7838476677416)"),
-    "zipf_b": (lambda: _synthetic_sample("zipf_b"), False,
+    "zipf_b": (lambda: _synthetic_sample("zipf_b"),
                "(0.3364359984017909, 3.925268292759117, -4277.797020493852)"),
-    "tomato_flower": (lambda: _est_sample("tomato_flower"), False,
+    "tomato_flower": (lambda: _est_sample("tomato_flower"),
                       "(0.900182378954665, 29.603310811144823, -4715.480177855079)"),
-    "mastigamoeba": (lambda: _est_sample("mastigamoeba"), False,
+    "mastigamoeba": (lambda: _est_sample("mastigamoeba"),
                      "(0.8240585708203249, 23.391058768650176, -1417.6814800748339)"),
-    "mastigamoeba_norm": (lambda: _est_sample("mastigamoeba_norm"), False,
+    "mastigamoeba_norm": (lambda: _est_sample("mastigamoeba_norm"),
                           "(0.8072310137103939, 22.19838130779522, -634.3689803159275)"),
-    "naegleria_aerobic": (lambda: _est_sample("naegleria_aerobic"), False,
+    "naegleria_aerobic": (lambda: _est_sample("naegleria_aerobic"),
                           "(0.7540133066881398, 20.11668233707224, -2445.86298296224)"),
-    "naegleria_anaerobic": (lambda: _est_sample("naegleria_anaerobic"), False,
+    "naegleria_anaerobic": (lambda: _est_sample("naegleria_anaerobic"),
                             "(0.8441830246055927, 24.174430222290443, -1922.4806377075756)"),
 }
 
 
 class TestLockstepGridSearch:
-    @pytest.mark.parametrize("make,negative,expect", PINNED_FITS.values(),
-                             ids=PINNED_FITS.keys())
-    def test_fit_bitwise_pinned(self, make, negative, expect):
-        fit = fit_empirical_bayes(make(), allow_negative_theta=negative)
+    @pytest.mark.parametrize("make,expect", PINNED_FITS.values(), ids=PINNED_FITS.keys())
+    def test_fit_bitwise_pinned(self, make, expect):
+        fit = fit_empirical_bayes(make())
         assert repr((fit.alpha_hat, fit.theta_hat, fit.log_likelihood)) == expect
 
     def test_lane_blocks_do_not_change_the_fit(self, monkeypatch):
         sample = sample_prior_partition(0.5, 5.0, 2000, RngStream(101))
-        whole = fit_empirical_bayes(sample, allow_negative_theta=True)
+        whole = fit_empirical_bayes(sample)
         budget = 1000
         assert budget // (sample.j - 1) == 5  # the 100-point grid runs as 20 blocks
         monkeypatch.setattr(empirical_bayes, "_LANE_BUDGET", budget)
-        assert fit_empirical_bayes(sample, allow_negative_theta=True) == whole
+        assert fit_empirical_bayes(sample) == whole

@@ -200,12 +200,14 @@ class TestPmfs:
         pytest.param(lambda params, sample, m: exact_interval(params, sample, m, 0.95, 100,
                                                               RngStream(0)),
                      id="exact_interval"),
-        pytest.param(lambda params, sample, m: sample_k_future(params, sample, m, RngStream(0)),
+        pytest.param(lambda params, sample, m: sample_k_future(params, sample, m, RngStream(0),
+                                                               size=1),
                      id="sample_k_future"),
-        pytest.param(lambda params, sample, m: sample_ml_limit(params, sample, m, RngStream(0)),
+        pytest.param(lambda params, sample, m: sample_ml_limit(params, sample, m, RngStream(0),
+                                                               size=1),
                      id="sample_ml_limit"),
         pytest.param(lambda params, sample, m: sample_prior_kstar(params.alpha, params.theta, m,
-                                                                  RngStream(0)),
+                                                                  RngStream(0), size=1),
                      id="sample_prior_kstar"),
     ])
     @pytest.mark.parametrize("m", [2.5, 3.0, "3"])

@@ -121,7 +121,8 @@ class TestRngStream:
 
 class TestKFutureChain:
     def test_m_zero(self):
-        assert sample_k_future(PYParams(0.5, 0.5), SampleSummary(2, 1), 0, RngStream(0)) == 0
+        k = sample_k_future(PYParams(0.5, 0.5), SampleSummary(2, 1), 0, RngStream(0), size=3)
+        assert k.tolist() == [0, 0, 0]
 
     def test_tiny_theta_dirichlet(self):
         # alpha = 0 with theta ~ 0: new-species probability ~ 0
@@ -228,8 +229,9 @@ class TestSampleFromPmf:
         assert gap <= math.sqrt(math.log(2.0 / 1e-6) / (2.0 * reps)), gap
 
     def test_scalar(self):
-        k = sample_from_pmf(Pmf(np.array([0.0, 1.0])), RngStream(1))
-        assert isinstance(k, int) and k == 1
+        # one draw comes back as an array of one
+        k = sample_from_pmf(Pmf(np.array([0.0, 1.0])), RngStream(1), size=1)
+        assert k.tolist() == [1]
 
     def test_same_law_as_chain(self):
         """Draws from the DP pmf and from the predictive chain at the same
@@ -263,9 +265,9 @@ class TestPriorChain:
 
     def test_domain(self):
         with pytest.raises(DomainError):
-            sample_prior_kstar(0.5, -1.0, 5, RngStream(0))
+            sample_prior_kstar(0.5, -1.0, 5, RngStream(0), size=1)
         with pytest.raises(DomainError):
-            sample_prior_kstar(1.2, 1.0, 5, RngStream(0))
+            sample_prior_kstar(1.2, 1.0, 5, RngStream(0), size=1)
 
 
 class TestBeta:
@@ -287,7 +289,7 @@ class TestBeta:
 
     def test_domain(self):
         with pytest.raises(DomainError):
-            sample_beta(0.0, 1.0, RngStream(0))
+            sample_beta(0.0, 1.0, RngStream(0), size=1)
 
 
 class TestMittagLeffler:
@@ -360,19 +362,19 @@ class TestMittagLeffler:
 
     def test_domain(self):
         with pytest.raises(DomainError):
-            sample_mittag_leffler(0.0, 1.0, RngStream(0))
+            sample_mittag_leffler(0.0, 1.0, RngStream(0), size=1)
         with pytest.raises(DomainError):
-            sample_mittag_leffler(0.5, -1.0, RngStream(0))
+            sample_mittag_leffler(0.5, -1.0, RngStream(0), size=1)
 
 
 class TestMlLimit:
     def test_alpha_zero_unavailable(self):
         with pytest.raises(MethodUnavailableError, match="alpha = 0"):
-            sample_ml_limit(PYParams(0.0, 1.0), SampleSummary(5, 2), 10, RngStream(0))
+            sample_ml_limit(PYParams(0.0, 1.0), SampleSummary(5, 2), 10, RngStream(0), size=1)
 
     def test_m_zero_degenerate(self):
         params, sample = PYParams(0.5, 0.5), SampleSummary(2, 1)
-        assert sample_ml_limit(params, sample, 0, RngStream(0)) == 0.0
+        assert sample_ml_limit(params, sample, 0, RngStream(0), size=3).tolist() == [0.0] * 3
 
     def test_params_from_posterior(self):
         params, sample = PYParams(0.54, 26.67), SampleSummary(977, 300)
@@ -450,10 +452,10 @@ SIZED_SAMPLERS = {
 
 
 @pytest.mark.parametrize("name", sorted(SIZED_SAMPLERS))
-@pytest.mark.parametrize("size", [2.5, 3.0, "3", -0.5, -3])
+@pytest.mark.parametrize("size", [2.5, 3.0, "3", -0.5, -3, None])
 def test_bad_size_rejected(name, size):
     """A size that is not an integer >= 0 is a DomainError, not a count
-    truncated by int() or numpy's ValueError."""
+    truncated by int() or numpy's ValueError; there is no scalar mode."""
     with pytest.raises(DomainError, match="size"):
         SIZED_SAMPLERS[name](size)
 
