@@ -13,9 +13,10 @@ import argparse
 import csv
 import json
 import math
+import numbers
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from importlib import resources
 
 from .asymptotics import gaussian_interval
@@ -41,12 +42,6 @@ from .model import (
 )
 from .samplers import RngStream
 
-CSV_HEADER = [
-    "dataset", "n", "j", "alpha", "theta", "m", "k_hat",
-    "exact_lo", "exact_hi", "ml_lo", "ml_hi", "gauss_lo", "gauss_hi",
-    "ml_cov", "gauss_cov",
-]
-
 # Synthetic suite recipes; (n, j) of the published runs are kept alongside so
 # the posterior columns can be reproduced exactly even though each fresh
 # generation realizes its own sample.
@@ -71,11 +66,13 @@ EST_FIXTURES = {
 
 @dataclass
 class BenchmarkRow:
-    dataset_id: str
+    """One CSV row; the field names are the column names."""
+
+    dataset: str
     n: int
     j: int
-    alpha_hat: float
-    theta_hat: float
+    alpha: float
+    theta: float
     m: int
     k_hat: float
     exact_lo: float | None = None
@@ -84,22 +81,21 @@ class BenchmarkRow:
     ml_hi: float | None = None
     gauss_lo: float | None = None
     gauss_hi: float | None = None
-    ml_coverage: float | None = None
-    gauss_coverage: float | None = None
+    ml_cov: float | None = None
+    gauss_cov: float | None = None
 
     def as_csv_row(self) -> list[str]:
         def fmt(x):
-            return "" if x is None else f"{x:.10g}"
+            if x is None:
+                return ""
+            if isinstance(x, (str, numbers.Integral)):
+                return str(x)
+            return f"{x:.10g}"
 
-        return [
-            self.dataset_id, str(self.n), str(self.j),
-            f"{self.alpha_hat:.10g}", f"{self.theta_hat:.10g}", str(self.m),
-            fmt(self.k_hat),
-            fmt(self.exact_lo), fmt(self.exact_hi),
-            fmt(self.ml_lo), fmt(self.ml_hi),
-            fmt(self.gauss_lo), fmt(self.gauss_hi),
-            fmt(self.ml_coverage), fmt(self.gauss_coverage),
-        ]
+        return [fmt(getattr(self, name)) for name in CSV_HEADER]
+
+
+CSV_HEADER = [f.name for f in fields(BenchmarkRow)]
 
 
 def compute_row(
@@ -120,8 +116,8 @@ def compute_row(
     otherwise from its own pmf pass (m <= DP_MAX) or the chain; see
     `exact_interval`."""
     row = BenchmarkRow(
-        dataset_id=dataset_id, n=sample.n, j=sample.j,
-        alpha_hat=params.alpha, theta_hat=params.theta,
+        dataset=dataset_id, n=sample.n, j=sample.j,
+        alpha=params.alpha, theta=params.theta,
         m=m, k_hat=posterior_mean(params, sample, m),
     )
     exact = None
@@ -132,12 +128,12 @@ def compute_row(
         mlci = ml_interval(params, sample, m, level, samples, stream.split(1))
         row.ml_lo, row.ml_hi = mlci.lo, mlci.hi
         if exact is not None:
-            row.ml_coverage = coverage(mlci, exact)
+            row.ml_cov = coverage(mlci, exact)
     if "gaussian" in methods:
         gci = gaussian_interval(params, sample, m, level)
         row.gauss_lo, row.gauss_hi = gci.lo, gci.hi
         if exact is not None:
-            row.gauss_coverage = coverage(gci, exact)
+            row.gauss_cov = coverage(gci, exact)
     return row
 
 

@@ -44,38 +44,29 @@ class DatasetSpec:
 
 def generate(spec: DatasetSpec, rng: RngStream) -> SampleSummary:
     """Draw a sample per the spec from `rng` and return its (n, j, freqs)
-    summary.
+    summary: the counts of one multinomial draw of n labels from the kind's
+    label probabilities p.
 
-    zipf: n iid draws with mass proportional to rank^(-shape), ranks 1..N
-    (the 0-indexed support in the source descriptions only relabels the
-    categories, which the summary ignores).
-    polya: a sequentially reinforced urn started from the given weights,
-    distributionally identical to Dirichlet-multinomial sampling.
-    uniform: n iid draws over N equiprobable labels.
+    zipf: p proportional to rank^(-shape), ranks 1..N (the 0-indexed
+    support in the source descriptions only relabels the categories, which
+    the summary ignores).
+    polya: p ~ Dirichlet(weights), so the counts are Dirichlet-multinomial,
+    the law of a Polya urn started from the weights and reinforced by one
+    ball per draw (Blackwell & MacQueen 1973).
+    uniform: p = 1/N for every label.
     """
     gen = rng.generator()
     N, n = spec.support_size, spec.n
     if spec.kind == "zipf":
-        ranks = np.arange(1, N + 1, dtype=float)
-        p = ranks ** (-spec.shape)
+        p = np.arange(1, N + 1, dtype=float) ** (-spec.shape)
         p /= p.sum()
-        counts = gen.multinomial(n, p)
-        _count(n)
     elif spec.kind == "uniform":
-        counts = gen.multinomial(n, np.full(N, 1.0 / N))
-        _count(n)
+        p = np.full(N, 1.0 / N)
     else:
-        weights = np.array(spec.weights, dtype=float)
-        counts = np.zeros(N, dtype=np.int64)
-        total = weights.sum()
-        cum = np.cumsum(weights)
-        for t in range(n):
-            u = gen.random() * (total + t)
-            _count(1)
-            idx = int(np.searchsorted(cum, u, side="right"))
-            idx = min(idx, N - 1)
-            counts[idx] += 1
-            cum[idx:] += 1.0
+        p = gen.dirichlet(spec.weights)
+        _count(N)
+    counts = gen.multinomial(n, p)
+    _count(n)
     freqs = counts[counts > 0]
     return SampleSummary.from_freqs(freqs)
 

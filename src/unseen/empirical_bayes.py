@@ -166,7 +166,9 @@ def fit_empirical_bayes(
     the log scale at each grid point, then Nelder-Mead refinement around
     the best grid point.  The grid search runs every grid point as one lane
     of a single lockstep golden-section search; the candidates are then
-    scanned in grid order and the first strict maximum wins.
+    scanned in grid order and the first strict maximum wins.  The
+    Nelder-Mead simplex is bounded to alpha in [0, 1) and free in log
+    theta; its theta is clamped to [1e-4, theta_max] afterwards.
 
     The alpha term of the likelihood is formed once for the grid's lanes
     and shared by every golden-section step; only the (alpha, theta) term
@@ -222,11 +224,11 @@ def fit_empirical_bayes(
 
     res = minimize(
         neg, np.array([best[1], math.log(best[2])]), method="Nelder-Mead",
+        bounds=[(0.0, 1.0 - 1e-12), (None, None)],
         options={"maxiter": _REFINE_ITERS, "xatol": 1e-7, "fatol": 1e-10},
     )
     converged = bool(res.success)
     alpha_hat, theta_hat = float(res.x[0]), math.exp(float(res.x[1]))
-    alpha_hat = min(max(alpha_hat, 0.0), 1.0 - 1e-12)
     if alpha_hat < 1e-10:
         alpha_hat = 0.0
     theta_hat = min(max(theta_hat, _THETA_MIN), theta_max)

@@ -404,7 +404,9 @@ class TestBenchmarkCommand:
         """Drawing the exact-MC replicates from the one pmf pass per dataset
         moves only the columns built from those draws: every other column
         keeps the bytes it had when each row ran the chain.  ml_lo and
-        ml_hi are pinned as the Gaussian-envelope angle sampler draws them."""
+        ml_hi are pinned as the Gaussian-envelope angle sampler draws them,
+        and the polya_c rows as the Dirichlet-multinomial draw generates
+        their sample."""
         drop = {"exact_lo", "exact_hi", "ml_cov", "gauss_cov"}
         out = tmp_path / "s3.csv"
         code = main(["benchmark", "--suite", "synthetic", "--m-grid", "0..5n:4",
@@ -414,7 +416,7 @@ class TestBenchmarkCommand:
         keep = [i for i, name in enumerate(table[0]) if name not in drop]
         text = "\n".join(",".join(r[i] for i in keep) for r in table)
         digest = hashlib.sha256(text.encode()).hexdigest()
-        assert digest == "6b47cc0f14822f07463caba75ff862ec1bc17a3675b228398f88c9975142efc6"
+        assert digest == "459b00d7347f9a8986f5f85618ae9d1a764051fdb091fe023d9ad8d0bac68edf"
 
     def test_est_suite_pinned(self, capsys, tmp_path):
         """Every column of an EST sweep, exact-MC cells included, keeps its

@@ -1,5 +1,10 @@
+import itertools
+import math
+from collections import Counter
+
 import numpy as np
 import pytest
+from scipy.stats import chi2
 
 from unseen.datasets import (
     DatasetSpec,
@@ -26,6 +31,21 @@ def occupancy_expectation(probs: np.ndarray, n: int) -> tuple[float, float]:
     cross = N * (N - 1) - 2.0 * (N - 1) * s1 + float(both_miss.sum())
     second = mean + cross
     return mean, second - mean * mean
+
+
+def dirichlet_multinomial_freqs(weights, n: int) -> dict:
+    """Exact law of the sorted nonzero counts of DirMult(n; weights), by
+    enumerating every count vector."""
+    total = sum(weights)
+    law = Counter()
+    for counts in itertools.product(range(n + 1), repeat=len(weights)):
+        if sum(counts) != n:
+            continue
+        log_p = math.lgamma(n + 1) + math.lgamma(total) - math.lgamma(n + total)
+        for c, w in zip(counts, weights):
+            log_p += math.lgamma(c + w) - math.lgamma(w) - math.lgamma(c + 1)
+        law[tuple(sorted((c for c in counts if c), reverse=True))] += math.exp(log_p)
+    return dict(law)
 
 
 class TestSpecValidation:
@@ -80,6 +100,23 @@ class TestGenerate:
         )
         s = generate(spec, RngStream(3))
         assert s.n == 100 and 1 <= s.j <= 5
+
+    @pytest.mark.parametrize("weights", [(0.5, 1.0, 2.0), (0.03, 0.05, 0.08)],
+                             ids=["gamma", "below_0.1"])
+    def test_polya_is_dirichlet_multinomial(self, weights):
+        """20 000 sorted-frequency draws against the exact Dirichlet-multinomial
+        law of the urn (chi-square, false-alarm rate 1e-6).  NumPy draws a
+        Dirichlet whose weights are all below 0.1 by another algorithm."""
+        n, draws = 6, 20_000
+        law = dirichlet_multinomial_freqs(weights, n)
+        spec = DatasetSpec(kind="polya", support_size=len(weights), n=n, weights=weights)
+        seen = Counter(generate(spec, RngStream(23, r)).freqs for r in range(draws))
+        assert set(seen) <= set(law)
+        expected = np.array([draws * p for p in law.values()])
+        assert expected.min() >= 5.0
+        observed = np.array([seen[f] for f in law])
+        stat = float(((observed - expected) ** 2 / expected).sum())
+        assert chi2.sf(stat, len(law) - 1) >= 1e-6, (stat, dict(seen))
 
     def test_polya_huge_weights_approach_uniform(self):
         """With enormous equal weights the urn's reinforcement is negligible,

@@ -148,6 +148,22 @@ class TestFit:
         assert "theta_at_min" in fit.boundary_flags
         assert not fit.converged
 
+    def test_refinement_stays_in_alpha_range(self, monkeypatch):
+        """The refinement of a fit at alpha = 0 evaluates no point with
+        alpha < 0, where the likelihood is -inf."""
+        alphas = []
+
+        def loglik(alpha, *args, **kwargs):
+            if not isinstance(alpha, np.ndarray):
+                alphas.append(alpha)
+            return real(alpha, *args, **kwargs)
+
+        real = empirical_bayes._loglik
+        monkeypatch.setattr(empirical_bayes, "_loglik", loglik)
+        fit = fit_empirical_bayes(_uniform_like_sample())
+        assert fit.alpha_hat == 0.0
+        assert alphas and min(alphas) >= 0.0
+
 
 def _uniform_like_sample():
     rng = RngStream(109).generator()
@@ -169,14 +185,14 @@ def _est_sample(name):
 # (alpha_hat, theta_hat, log_likelihood): the first two as computed by the
 # scalar one-grid-point-at-a-time search that the lockstep search replaced,
 # the rest as computed before the likelihood's alpha term was formed once
-# per grid.
+# per grid.  polya_c's sample is the Dirichlet-multinomial draw.
 PINNED_FITS = {
     "alpha_zero": (_uniform_like_sample,
                    "(0.0, 208.8162673002511, -10052.676871432548)"),
     "interior": (lambda: sample_prior_partition(0.5, 5.0, 2000, RngStream(101)),
                  "(0.48074272048162003, 4.896031703012677, -6290.880524006419)"),
     "polya_c": (lambda: _synthetic_sample("polya_c"),
-                "(0.0, 206.07367960501995, -10079.857518480234)"),
+                "(0.0, 210.8865769103242, -10041.467556830123)"),
     "uniform_d": (lambda: _synthetic_sample("uniform_d"),
                   "(0.0, 210.19519369218702, -10056.473863263584)"),
     "zipf_a": (lambda: _synthetic_sample("zipf_a"),
