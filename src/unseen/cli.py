@@ -42,9 +42,10 @@ from .model import (
 )
 from .samplers import RngStream
 
-# Synthetic suite recipes; (n, j) of the published runs are kept alongside so
-# the posterior columns can be reproduced exactly even though each fresh
-# generation realizes its own sample.
+# Synthetic suite recipes.  Each run generates its own sample, and these
+# recipes do not reproduce the paper's synthetic datasets: at seed 1 they
+# realise j = 43, 82, 496 and 495, where the published (n, j) are (977, 300),
+# (1877, 100), (2000, 215) and (2000, 447).
 SYNTHETIC_SUITE = {
     "zipf_a": DatasetSpec(kind="zipf", support_size=301, shape=2.0, n=977),
     "zipf_b": DatasetSpec(kind="zipf", support_size=101, shape=1.5, n=1877),

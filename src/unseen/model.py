@@ -4,25 +4,33 @@ Given a sample of n observations containing j distinct species, the
 posterior law of the number of new species among m further draws depends
 on the data only through (n, j).  Three evaluations of that law are
 provided.  A banded forward recursion over the posterior predictive chain
-(`posterior_pmf_dp`), the reference.  A mixture of the same recursion run
-on the prior chain (`posterior_pmfs`, the production path): given (n, j),
-K_{n,m} has the law of K*_R, with R ~ BetaBinomial(m; theta + alpha j,
-n - alpha j) the draws that leave the seen species and K*_r the species
-count of r prior draws with theta' = theta + alpha j (Pitman, 1996), so
-one prior pass to the top of R's window serves every m.  And the closed
-form in terms of generalized factorial coefficients (small-m validation
-path), one positive log-space triangle at every alpha, the Dirichlet case
-included.  The recursion keeps only the band of counts whose probability
-is at least `_DP_FLOOR` (1e-30), so it costs O(m * band) rather than
-O(m^2); the mass it drops is at most (2m + 2) * _DP_FLOOR, too little for
-the 2**-53 grid of a uniform to see.
-The mixture also drops R's weights below `_DP_FLOOR`, at most
-(m + 1) * _DP_FLOOR.  Every exact interval with 0 < m <= DP_MAX draws its
-replicates from the `posterior_pmfs` pmf by inverse CDF.  The recursion
-forms the transition probabilities of a block of up to 64 draws (about
-`_DP_BLOCK` entries) in one 2-D divide, rounded entry by entry as a
-divide per draw would be, and clamps them at 1 only when the block's
-largest entry exceeds 1.
+(`posterior_pmf_dp`), the reference.  A mixture over the prior chain
+(`posterior_pmfs`, the production path): given (n, j), K_{n,m} has the
+law of K*_R, with R ~ BetaBinomial(m; theta + alpha j, n - alpha j) the
+draws that leave the seen species and K*_r the species count of r prior
+draws with theta' = theta + alpha j (Pitman, 1996), so one prior pass to
+the top of R's window serves every m.  And the closed form in terms of
+generalized factorial coefficients (small-m validation path), one
+positive log-space triangle at every alpha, the Dirichlet case included.
+
+The two passes run on two kernels.  `_dp_steps`, the posterior
+recursion, forms the transition probabilities of a block of up to 64
+draws (about `_DP_BLOCK` entries) in one 2-D divide, rounded entry by
+entry as a divide per draw would be, and clamps them at 1 only when the
+block's largest entry exceeds 1; its bits are pinned.  `_prior_steps`,
+the mixture's kernel, runs the prior chain in flux form over a column
+window fixed for each block of draws: no probabilities, no 2-D divide and
+no clamp, and three calls a draw.  The recursion stays as the reference,
+computed independently of the mixture, so the checks of one against the
+other compare two kernels rather than one kernel with itself.
+
+Both kernels keep only the band of counts whose probability is at least
+`_DP_FLOOR` (1e-30), so a pass costs O(m * band) rather than O(m^2); the
+mass a pass drops is at most (2m + 2) * _DP_FLOOR, too little for the
+2**-53 grid of a uniform to see.  The mixture also drops R's weights
+below `_DP_FLOOR`, at most (m + 1) * _DP_FLOOR.  Every exact interval
+with 0 < m <= DP_MAX draws its replicates from the `posterior_pmfs` pmf
+by inverse CDF.
 """
 
 from __future__ import annotations
@@ -224,6 +232,71 @@ def _dp_steps(alpha: float, theta: float, n: int, j: int, m: int):
         i += rows
 
 
+def _prior_steps(alpha: float, theta_total: float, r_max: int):
+    """Forward recursion of the prior chain's species count K*_r, the
+    mixture's kernel.
+
+    Yields (buffer, lo, hi) after r = 0, 1, ..., r_max draws, like
+    `_dp_steps(alpha, theta_total, 0, 0, r_max)`: the pmf buffer (length
+    r_max + 1, updated in place) and its live band [lo, hi), with the same
+    edge floor.  It runs in flux form: with c_k = theta_total + alpha k and
+    the flux F_k = P_k c_k into k + 1, draw i maps P to
+
+        P_k + (F_{k-1} - F_k) / (theta_total + i),
+
+    the same map as P_k (1 - p_k) + P_{k-1} p_{k-1} with p_k = c_k /
+    (theta_total + i), without forming p or 1 - p.  The first draw always
+    founds a species (p_0 = 1 at i = 0), so the pass starts from the exact
+    state K*_1 = 1 rather than from the rounding that p_0 - 1 would leave.
+    Where p_k rounds to 1 (theta_total near 1e300), P_k - F_k / (theta_total
+    + i) can round to just below 0 at the band's lower edge; that entry is
+    below the floor and leaves the band like any other.
+    A block of up to 64 draws runs on the fixed column window [lo, hi +
+    rows), the band at the block's start plus the columns it can reach;
+    entries of the window outside the band are 0 and stay 0, except the
+    one the band grows into.  A draw makes three calls over the window:
+    F = P * c, then two BLAS axpys into P, of -F_k and of F_{k-1}, each
+    times 1 / (theta_total + i); over a wide band an axpy costs a fraction
+    of a ufunc over the same entries, so two of them beat a subtract and
+    one axpy.
+    """
+    probs = np.zeros(r_max + 1)
+    probs[0] = 1.0
+    yield probs, 0, 1
+    if r_max == 0:
+        return
+    probs[0], probs[1] = 0.0, 1.0
+    lo, hi = 1, 2
+    yield probs, lo, hi
+    c = theta_total + alpha * np.arange(r_max + 1, dtype=float)
+    # flux[0] stays 0: the flux into the window's first column from below,
+    # where every entry is 0
+    flux = np.zeros(r_max + 2)
+    multiply, floor = np.multiply, _DP_FLOOR
+    i = 1
+    while i < r_max:
+        rows = min(64, r_max - i)
+        b_lo, b_hi = lo, min(hi + rows, r_max + 1)
+        width = b_hi - b_lo
+        state, c_win = probs[b_lo:b_hi], c[b_lo:b_hi]
+        f_out, f_in = flux[1 : width + 1], flux[:width]
+        for r in range(i, i + rows):
+            if hi <= r_max:
+                hi += 1
+            multiply(state, c_win, f_out)
+            step = 1.0 / (theta_total + r)
+            daxpy(f_out, state, width, -step)
+            daxpy(f_in, state, width, step)
+            while probs[lo] < floor:
+                probs[lo] = 0.0
+                lo += 1
+            while probs[hi - 1] < floor:
+                probs[hi - 1] = 0.0
+                hi -= 1
+            yield probs, lo, hi
+        i += rows
+
+
 def _checked_grid(ms) -> set[int]:
     wanted = set(ms)
     for m in wanted:
@@ -250,11 +323,11 @@ def _beta_binomial_log_weights(a: float, b: float, m: int) -> np.ndarray:
 def _mixture_pmfs(
     alpha: float, theta_total: float, windows: dict[int, tuple[int, np.ndarray]]
 ) -> dict[int, Pmf]:
-    """Pmfs of K*_R by one pass of the prior chain (`_dp_steps` with n = j
-    = 0) to the top of every window: for each m, windows[m] = (r_lo, w)
-    holds the weights w of R = r_lo, r_lo + 1, ..., and the pass adds
-    w(r) times its band after r draws into the pmf at m, one in-place
-    BLAS axpy per step and m."""
+    """Pmfs of K*_R by one pass of the prior chain (`_prior_steps`) to
+    the top of every window: for each m, windows[m] = (r_lo, w) holds the
+    weights w of R = r_lo, r_lo + 1, ..., and the pass adds w(r) times its
+    band after r draws into the pmf at m, one in-place BLAS axpy per step
+    and m."""
     if not windows:
         return {}
     accs = {m: np.zeros(m + 1) for m in windows}
@@ -263,7 +336,7 @@ def _mixture_pmfs(
                       for m, (r_lo, w) in windows.items()), key=lambda job: -job[0])
     ends = {job[1] for job in pending}
     active = []
-    for r, (probs, lo, hi) in enumerate(_dp_steps(alpha, theta_total, 0, 0, max(ends) - 1)):
+    for r, (probs, lo, hi) in enumerate(_prior_steps(alpha, theta_total, max(ends) - 1)):
         while pending and pending[-1][0] == r:
             active.append(pending.pop())
         for r_lo, _, w, acc in active:

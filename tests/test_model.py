@@ -17,6 +17,7 @@ from unseen.model import (
     PYParams,
     SampleSummary,
     _dp_steps,
+    _prior_steps,
     posterior_mean,
     posterior_pmf_closed,
     posterior_pmf_dp,
@@ -511,6 +512,14 @@ def test_beta_binomial_log_weights_against_mpmath(a, b, m):
     assert np.all(err <= 1e-10 * np.maximum(1.0, np.abs(ref))), err.max()
 
 
+def _r_window(alpha, theta, n, j, m):
+    """[r_lo, r_hi]: the draws R ~ BetaBinomial(m; theta + alpha j, n -
+    alpha j) whose weight is at least 1e-30, the mixture's window."""
+    w = np.exp(model._beta_binomial_log_weights(theta + alpha * j, n - alpha * j, m))
+    r_lo, r_hi = np.flatnonzero(w >= 1e-30)[[0, -1]]
+    return int(r_lo), int(r_hi)
+
+
 def test_mixture_matches_recursion_at_large_m():
     """At m = 20000 every fit of the benchmark's rows is within 1e-12 of the
     posterior recursion."""
@@ -531,8 +540,7 @@ def test_mixture_matches_recursion_on_wide_windows(case):
     almost as far as the posterior one, within 1e-12 of the recursion."""
     alpha, theta, n, j, m = case
     params, sample = PYParams(alpha, theta), SampleSummary(n, j)
-    w = np.exp(model._beta_binomial_log_weights(theta + alpha * j, n - alpha * j, m))
-    r_lo, r_hi = np.flatnonzero(w >= 1e-30)[[0, -1]]
+    r_lo, r_hi = _r_window(alpha, theta, n, j, m)
     assert r_hi - r_lo > m // 2
     got = posterior_pmfs(params, sample, [m])[m]
     assert np.max(np.abs(got.probs - posterior_pmf_dp(params, sample, m).probs)) <= 1e-12
@@ -545,8 +553,7 @@ def test_mixture_matches_recursion_on_narrow_windows(name):
     alpha, theta, n, j = LARGE_M_FITS[name]
     m = 20000
     params, sample = PYParams(alpha, theta), SampleSummary(n, j)
-    w = np.exp(model._beta_binomial_log_weights(theta + alpha * j, n - alpha * j, m))
-    r_lo, r_hi = np.flatnonzero(w >= 1e-30)[[0, -1]]
+    r_lo, r_hi = _r_window(alpha, theta, n, j, m)
     assert r_hi + (r_hi - r_lo) < m
     got = posterior_pmfs(params, sample, [m])[m]
     assert np.max(np.abs(got.probs - posterior_pmf_dp(params, sample, m).probs)) <= 1e-12
@@ -587,12 +594,45 @@ def test_mixture_matches_recursion_on_pinned_cases():
         assert np.max(np.abs(got.probs - posterior_pmf_dp(params, sample, m).probs)) <= 1e-12
 
 
+def _prior_pass_to_r_hi(name):
+    alpha, theta, n, j = LARGE_M_FITS[name]
+    return alpha, theta + alpha * j, _r_window(alpha, theta, n, j, 20000)[1]
+
+
+@pytest.mark.parametrize("alpha,theta_total,r_max", [
+    pytest.param(*_prior_pass_to_r_hi(name), id=name) for name in LARGE_M_FITS
+] + [
+    pytest.param(0.54, 1e-3, 2000, id="theta_1e-3"),
+    pytest.param(0.0, 1e-3, 2000, id="alpha_0-theta_1e-3"),
+    pytest.param(0.54, 1e300, 2000, id="theta_1e300"),
+    pytest.param(1 - 1e-9, 0.5, 2000, id="alpha_1-1e-9"),
+])
+def test_prior_steps_against_recursion(alpha, theta_total, r_max):
+    """The mixture's flux-form kernel against the prior pass of the
+    posterior recursion, state by state, over the benchmark fits' passes to
+    r_hi at m = 20000 and at the edges of theta' and alpha: every buffer
+    within 1e-14, nothing left at K*_r = 0 once a draw is made, and no
+    negative entry."""
+    steps = zip(_prior_steps(alpha, theta_total, r_max), _dp_steps(alpha, theta_total, 0, 0, r_max))
+    for r, ((got, lo, hi), (want, _, _)) in enumerate(steps):
+        assert np.max(np.abs(got - want)) <= 1e-14, r
+        assert r == 0 or got[0] == 0.0, r
+        assert got.min() >= 0.0, r
+        assert not got[:lo].any() and not got[hi:].any(), r
+    assert r == r_max
+
+
 @pytest.mark.parametrize("alpha,theta,n,j,m", [
     (0.5, 1.0, 100000, 10, 20),
     (0.5, 1.0, 100000, 10, 60),
     (0.0, 2.0, 5000, 3, 60),
     (0.9, 0.5, 20000, 100, 60),
     (0.0, 20.0, 3000, 100, 60),
+] + [
+    (alpha, theta, n, j, m)
+    for alpha in (0.0, 1e-9, 0.54, 1 - 1e-9)
+    for theta in (-alpha + 1e-3, 26.67, 1e300)
+    for n, j, m in ((1, 1, 60), (977, 300, 60), (2586, 1825, 25))
 ])
 def test_mixture_against_mpmath(alpha, theta, n, j, m):
     got = posterior_pmfs(PYParams(alpha, theta), SampleSummary(n, j), [m])[m]
