@@ -29,7 +29,14 @@ from .errors import (
     ParseError,
     UnseenError,
 )
-from .intervals import _check_mc_args, coverage, exact_interval, ml_interval
+from .intervals import (
+    _MAX_MC_SAMPLES,
+    _MIN_MC_SAMPLES,
+    _check_mc_args,
+    coverage,
+    exact_interval,
+    ml_interval,
+)
 from .model import (
     DP_MAX,
     Pmf,
@@ -162,10 +169,14 @@ def _grid_rows(
     ]
 
 
-def _m_grid_spec(spec: str, default_points: int = 50):
-    """Split 'LO..HI[:POINTS]' into its bounds and point count.  Each bound
-    is (value, per_n): an 'n' suffix makes it a multiple of the dataset
-    sample size, e.g. '0..5n' or 'n..1000n:4'."""
+# Point count of an m-grid spec that gives none.
+_M_GRID_POINTS = 50
+
+
+def _m_grid_spec(spec: str):
+    """Split 'LO..HI[:POINTS]' into its bounds and point count (default
+    `_M_GRID_POINTS`).  Each bound is (value, per_n): an 'n' suffix makes it
+    a multiple of the dataset sample size, e.g. '0..5n' or 'n..1000n:4'."""
 
     def side(tok: str):
         tok = tok.strip()
@@ -176,7 +187,7 @@ def _m_grid_spec(spec: str, default_points: int = 50):
             return mult, True
         return int(tok), False
 
-    body, points = spec, default_points
+    body, points = spec, _M_GRID_POINTS
     try:
         if ":" in body:
             body, pts = body.rsplit(":", 1)
@@ -189,9 +200,9 @@ def _m_grid_spec(spec: str, default_points: int = 50):
         raise DomainError(f"m-grid must look like 'LO..HI[:POINTS]', got {spec!r}") from None
 
 
-def _parse_m_grid(spec: str, n: int, default_points: int = 50) -> list[int]:
+def _parse_m_grid(spec: str, n: int) -> list[int]:
     """The m values of an m-grid spec (see `_m_grid_spec`) for sample size n."""
-    lo, hi, points = _m_grid_spec(spec, default_points)
+    lo, hi, points = _m_grid_spec(spec)
     lo, hi = (int(round(v * n)) if per_n else v for v, per_n in (lo, hi))
     if not 0 <= lo <= hi:
         raise DomainError(f"bad m-grid bounds ({lo}, {hi})")
@@ -238,6 +249,9 @@ def cmd_estimate(args) -> int:
     bad = set(methods) - {"exact", "ml", "gaussian"}
     if bad:
         raise DomainError(f"unknown methods {sorted(bad)}")
+    if {"exact", "ml"} & set(methods):
+        # reject bad Monte Carlo arguments before the pmf pass
+        _check_mc_args(args.samples, args.level)
     if "ml" in methods and params.alpha == 0.0:
         if not set(methods) - {"ml"}:
             raise MethodUnavailableError("the Mittag-Leffler method is unavailable at alpha = 0")
@@ -321,6 +335,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Unseen-species estimation under the Pitman-Yor prior",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    samples_help = (f"Monte Carlo replicates per interval, in [{_MIN_MC_SAMPLES}, "
+                    f"{_MAX_MC_SAMPLES}] (default 2000)")
 
     p_fit = sub.add_parser("fit", help="empirical-Bayes fit of (alpha, theta)")
     p_fit.add_argument("--input", required=True)
@@ -344,14 +360,17 @@ def build_parser() -> argparse.ArgumentParser:
     p_est.add_argument("--m", required=True, help="comma-separated additional sample sizes")
     p_est.add_argument("--level", type=float, default=0.95)
     p_est.add_argument("--methods", default="exact,ml,gaussian")
-    p_est.add_argument("--samples", type=int, default=2000)
+    p_est.add_argument("--samples", type=int, default=2000, help=samples_help)
     p_est.add_argument("--seed", type=int, default=0)
     p_est.set_defaults(func=cmd_estimate)
 
     p_bench = sub.add_parser("benchmark", help="regenerate table/coverage sweeps as CSV")
     p_bench.add_argument("--suite", choices=["synthetic", "est"], required=True)
-    p_bench.add_argument("--m-grid", default="0..5n", help="LO..HI[:POINTS], 'n' suffix allowed")
-    p_bench.add_argument("--samples", type=int, default=2000)
+    p_bench.add_argument(
+        "--m-grid", default="0..5n",
+        help=f"LO..HI[:POINTS], 'n' suffix allowed, {_M_GRID_POINTS} points unless given",
+    )
+    p_bench.add_argument("--samples", type=int, default=2000, help=samples_help)
     p_bench.add_argument("--seed", type=int, default=0)
     p_bench.add_argument("--level", type=float, default=0.95)
     p_bench.add_argument("--out", required=True)

@@ -34,6 +34,9 @@ _LANE_BUDGET = 2_000_000
 # Iteration cap of the Nelder-Mead refinement.
 _REFINE_ITERS = 400
 
+# Golden-section iterations of the theta search on each grid lane.
+_GOLDEN_ITERS = 80
+
 # Smallest alpha grid step: at most 10 000 grid lanes.
 _MIN_ALPHA_STEP = 1e-4
 
@@ -131,7 +134,7 @@ def ep_log_likelihood(alpha: float, theta: float, sample: SampleSummary) -> floa
     return _loglik(alpha, theta, sample.n, sample.j, fv.astype(float), fm.astype(float))
 
 
-def _golden_max(f, lo, hi, iters: int = 80):
+def _golden_max(f, lo, hi):
     """Golden-section maxima of a lane-wise f on the intervals [lo, hi].
 
     lo and hi are arrays with one entry per lane; every lane advances in
@@ -142,7 +145,7 @@ def _golden_max(f, lo, hi, iters: int = 80):
     c = hi - inv_phi * (hi - lo)
     d = lo + inv_phi * (hi - lo)
     fc, fd = f(c), f(d)
-    for _ in range(iters):
+    for _ in range(_GOLDEN_ITERS):
         left = fc > fd
         hi = np.where(left, d, hi)
         lo = np.where(left, lo, c)

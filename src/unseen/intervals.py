@@ -16,6 +16,11 @@ from .samplers import RngStream, sample_from_pmf, sample_k_future, sample_ml_lim
 
 _METHODS = ("exact_mc", "mittag_leffler", "gaussian")
 
+# Bounds on the Monte Carlo replicates of one interval; at the top, the
+# draws and their sorted copy take a few hundred MB.
+_MIN_MC_SAMPLES = 100
+_MAX_MC_SAMPLES = 10_000_000
+
 
 @dataclass(frozen=True)
 class CredibleInterval:
@@ -71,8 +76,10 @@ def _mc_interval(draws: np.ndarray, m: int, level: float, method: str) -> Credib
 def _check_mc_args(samples: int, level: float) -> None:
     if not isinstance(samples, numbers.Integral):
         raise DomainError(f"samples must be an integer, got {samples!r}")
-    if samples < 100:
-        raise DomainError("need at least 100 Monte Carlo samples")
+    if samples < _MIN_MC_SAMPLES:
+        raise DomainError(f"need at least {_MIN_MC_SAMPLES} Monte Carlo samples")
+    if samples > _MAX_MC_SAMPLES:
+        raise DomainError(f"at most {_MAX_MC_SAMPLES} Monte Carlo samples, got {samples}")
     if not 0.0 < level < 1.0:
         raise DomainError("level must lie in (0, 1)")
 
@@ -90,12 +97,14 @@ def exact_interval(
     replicates.  For 0 < m <= DP_MAX the replicates are drawn by inverse
     CDF from the exact posterior pmf at m: `pmf` when given (for instance
     from `posterior_pmfs` over a grid, one pass for many m), else
-    `posterior_pmfs` at m alone, which gives the same pmf.  Above DP_MAX,
-    where no pass runs, each replicate runs the predictive chain
+    `posterior_pmfs` at m alone, which gives the same pmf.  Both routes
+    use the law of K given (n, j): the prior chain's species count after
+    R ~ BetaBinomial(m; theta + alpha*j, n - alpha*j) draws.  The pass mixes
+    the prior chain's pmfs over R; above DP_MAX, where no pass runs, each
+    replicate draws its own R and runs R prior-chain draws
     (`sample_k_future`).  The pmf draws have the chain's law up to the mass
-    the pmf pass drops: the band entries below 1e-30 and the weights below
-    1e-30 of R ~ BetaBinomial, over which the pass mixes the prior chain's
-    pmfs."""
+    the pmf pass drops: the band entries below 1e-30 and the weights of R
+    below 1e-30.  `samples` lies in [100, 10**7]."""
     _check_draw_count(m)
     _check_mc_args(samples, level)
     if pmf is not None and pmf.support_max != m:

@@ -1,5 +1,6 @@
 """Random-variate generation: seedable streams, the posterior and prior
-predictive chains (one exact thinning chain serves both), Beta draws, and
+predictive chains (the posterior one is a BetaBinomial number of prior
+draws, so one exact thinning chain serves both), Beta draws, and
 the exact sampler for the scaled Mittag-Leffler limit law, whose angle is
 drawn by rejection under one Gaussian envelope in about one round at any q.
 
@@ -107,51 +108,61 @@ def _as_batch(size) -> int:
     return int(size)
 
 
-def _chain(gen, count: int, m: int, numer0: float, alpha: float, denom0: float):
-    """Run `count` independent predictive chains of m draws each: with k
-    species so far, draw i founds a new one with probability
-    p(i, k) = (numer0 + alpha*k) / (denom0 + i).
+def _chain(gen, lengths, alpha: float, theta_total: float):
+    """Run independent prior predictive chains side by side, lane l for
+    lengths[l] draws (integers >= 0): with k species so far, draw i founds
+    a new one with probability
+    p(i, k) = (theta_total + alpha*k) / (theta_total + i).
 
     The chains are run by thinning (Lewis & Shedler, 1979).  From lane
     state (i, k), p falls as i grows until k changes, so every later draw
-    has p(t, k) <= p_bar = min(p(i, k), 1).  A geometric gap with rate
-    p_bar proposes the next candidate draw t, which founds a species with
-    probability p(t, k) / p_bar; the lane then moves on to t + 1.  The
-    number of rounds is about the number of events plus rejections, not m,
-    and each round moves every unfinished lane on by at least one draw.
-    Every round draws two uniforms per lane, finished or not, so a lane's
-    draws do not depend on the progress of the other lanes."""
-    k = np.zeros(count)
-    i = np.zeros(count)
-    while count and i.min() < m:
-        # at most m - min(i) rounds remain; ~16 MB of buffered uniforms
-        rounds = min(max(1, 1_000_000 // count), m - int(i.min()))
-        u = gen.random((rounds, 2, count))
+    has p(t, k) <= p_bar = p(i, k), which is at most 1 since k <= i.  A
+    geometric gap with rate p_bar proposes the next candidate draw t, which
+    founds a species with probability p(t, k) / p_bar; the lane then moves
+    on to t + 1.  The number of rounds is about the number of events plus
+    rejections, not the length, and each round moves every unfinished lane
+    on by at least one draw.  Every round draws two uniforms per lane,
+    finished or not, so a lane's draws do not depend on the other lanes'
+    lengths or progress."""
+    # floats, so that no comparison with t or i casts an integer array
+    lengths = np.asarray(lengths, dtype=float)
+    k, i = np.zeros((2, lengths.size))
+    while (i < lengths).any():
+        # at most max(lengths - i) rounds remain; ~16 MB of buffered uniforms
+        rounds = min(max(1, 1_000_000 // lengths.size), int((lengths - i).max()))
+        u = gen.random((rounds, 2, lengths.size))
         _count(u.size)
         for u1, u2 in u:
-            c = numer0 + alpha * k
-            p_bar = np.minimum(c / (denom0 + i), 1.0)
+            c = theta_total + alpha * k
+            p_bar = c / (theta_total + i)
             # the gap is 0 at p_bar = 1, as log1p(-u1) is finite on [0, 1)
             with np.errstate(divide="ignore"):
                 t = i + np.floor(np.log1p(-u1) / np.log1p(-p_bar))
-            k += (t < m) & (u2 * p_bar < c / (denom0 + t))
-            i = np.minimum(t + 1.0, m)
-            if i.min() >= m:
+            k += (t < lengths) & (u2 * p_bar < c / (theta_total + t))
+            i = np.minimum(t + 1.0, lengths)
+            if (i >= lengths).all():
                 break
     return k.astype(np.int64)
 
 
 def sample_k_future(params: PYParams, sample: SampleSummary, m: int, rng: RngStream, size):
-    """Numbers of new species among m posterior-predictive draws, where draw
-    i founds a new species with probability (theta + alpha*K) /
-    (theta + n + i).  `size` independent replicates are run side by side
-    from the single stream, by the thinning chain `_chain`, at a cost that
-    grows with the number of new species and rejected candidates rather
-    than with m."""
+    """Numbers of new species among m posterior-predictive draws, `size`
+    independent replicates from the single stream.  Given (n, j) the count
+    has the law of the prior chain's species count K*_R with theta' =
+    theta + alpha*j, where R ~ BetaBinomial(m; theta + alpha*j, n - alpha*j)
+    (Pitman, 1996), the law `posterior_pmfs` mixes.  So each replicate
+    draws R, then runs R prior-chain draws in the thinning chain `_chain`,
+    at a cost that grows with the number of new species and rejected
+    candidates rather than with m."""
     _check_draw_count(m)
     count = _as_batch(size)
+    if m == 0:
+        return np.zeros(count, dtype=np.int64)
+    gen = rng.generator()
     a, t, n, j = params.alpha, params.theta, sample.n, sample.j
-    return _chain(rng.generator(), count, m, t + a * j, a, t + n)
+    lengths = gen.binomial(m, gen.beta(t + a * j, n - a * j, size=count))
+    _count(2 * count)
+    return _chain(gen, lengths, a, t + a * j)
 
 
 def sample_from_pmf(pmf: Pmf, rng: RngStream, size):
@@ -174,7 +185,7 @@ def sample_prior_kstar(alpha: float, theta_total: float, m: int, rng: RngStream,
         raise DomainError("theta_total must be positive")
     _check_draw_count(m, 1)
     count = _as_batch(size)
-    return _chain(rng.generator(), count, m, theta_total, alpha, theta_total)
+    return _chain(rng.generator(), np.full(count, m), alpha, theta_total)
 
 
 def sample_beta(a: float, b: float, rng: RngStream, size):

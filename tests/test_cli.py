@@ -464,6 +464,10 @@ def _no_data_work(monkeypatch):
     monkeypatch.setattr(cli, "fit_empirical_bayes", fail)
 
 
+def _no_pmf_pass(*args, **kwargs):
+    raise AssertionError("a pmf pass ran before the check")
+
+
 class TestExitCodePolicy:
     PMF_ARGV = ["pmf", "--n", "2", "--j", "1", "--alpha", "0.5", "--theta", "1", "--m", "2"]
 
@@ -522,6 +526,30 @@ class TestExitCodePolicy:
         code, out, err = run_cli(capsys, *(a.format(tmp=tmp_path) for a in argv))
         assert code == 2 and out == ""
         assert err.count("\n") == 1 and err.startswith("error:") and str(tmp_path) in err
+
+    @pytest.mark.parametrize("argv", [
+        ["estimate", "--n", "977", "--j", "300", "--alpha", "0.54", "--theta", "26.67",
+         "--m", "5", "--methods", "exact"],
+        ["estimate", "--n", "40", "--j", "3", "--alpha", "0.999999", "--theta", "0.5",
+         "--m", f"{DP_MAX}", "--methods", "exact,gaussian"],
+        ["estimate", "--n", "977", "--j", "300", "--alpha", "0.54", "--theta", "26.67",
+         "--m", "5", "--methods", "ml"],
+        ["benchmark", "--suite", "synthetic", "--out", "{tmp}/x.csv"],
+        ["benchmark", "--suite", "est", "--out", "{tmp}/x.csv"],
+    ])
+    def test_too_many_samples_exit_2_before_any_draw(self, capsys, tmp_path, monkeypatch, argv):
+        """A sample count above the cap exits 2 instead of failing on a
+        terabyte-sized allocation, before any pmf pass, and the benchmark
+        rejects it before any dataset is generated or fitted."""
+        _no_data_work(monkeypatch)
+        monkeypatch.setattr(cli, "posterior_pmfs", _no_pmf_pass)
+        before = samplers.draw_count()
+        code, out, err = run_cli(capsys, *(a.format(tmp=tmp_path) for a in argv),
+                                 "--samples", "1000000000000")
+        assert code == 2 and out == ""
+        assert err == "error: at most 10000000 Monte Carlo samples, got 1000000000000\n"
+        assert samplers.draw_count() == before
+        assert not (tmp_path / "x.csv").exists()
 
     @pytest.mark.parametrize("m_list", ["1,x", "5,-3", "", "1.5"])
     def test_bad_m_list_exit_2(self, capsys, m_list):

@@ -47,6 +47,18 @@ class TestExactInterval:
             exact_interval(PYParams(0.5, 0.5), SampleSummary(2, 1), 5, samples=50)
 
     @pytest.mark.parametrize("interval", [exact_interval, ml_interval])
+    def test_samples_capped(self, interval):
+        """One sample above the cap is rejected before anything is drawn;
+        the cap itself passes the check."""
+        params, sample = PYParams(0.5, 1.0), SampleSummary(10, 3)
+        before = samplers.draw_count()
+        for bad in (intervals._MAX_MC_SAMPLES + 1, 10 ** 12):
+            with pytest.raises(DomainError, match="at most 10000000 Monte Carlo samples"):
+                interval(params, sample, 5, 0.95, bad, RngStream(1))
+        assert samplers.draw_count() == before
+        intervals._check_mc_args(intervals._MAX_MC_SAMPLES, 0.95)
+
+    @pytest.mark.parametrize("interval", [exact_interval, ml_interval])
     def test_samples_must_be_integral(self, interval):
         params, sample = PYParams(0.5, 1.0), SampleSummary(10, 3)
         for bad in (100.5, 200.0, "200"):

@@ -6,7 +6,15 @@ import pytest
 
 from unseen import samplers
 from unseen.errors import DomainError, MethodUnavailableError
-from unseen.model import DP_MAX, Pmf, PYParams, SampleSummary, posterior_mean, posterior_pmf_dp
+from unseen.model import (
+    DP_MAX,
+    Pmf,
+    PYParams,
+    SampleSummary,
+    posterior_mean,
+    posterior_pmf_dp,
+    posterior_pmfs,
+)
 from unseen.samplers import (
     MLLimitParams,
     RngStream,
@@ -169,8 +177,9 @@ class TestKFutureChain:
         assert abs(draws.mean() - dp.mean()) <= 4.0 * se
 
     def test_same_law_as_step_chain_above_dp_max(self):
-        """Above DP_MAX, where no pmf pass runs, the thinning chain and the
-        step-by-step reference chain have the same law."""
+        """Above DP_MAX, where no pmf pass runs, the prior chain run for
+        R ~ BetaBinomial draws and the step-by-step reference posterior
+        chain have the same law."""
         from scipy.stats import ks_2samp
 
         (a, t), (n, j), m, reps = (0.54, 26.67), (977, 300), DP_MAX + 1, 10_000
@@ -178,6 +187,20 @@ class TestKFutureChain:
         chain = sample_k_future(PYParams(a, t), SampleSummary(n, j), m, RngStream(27, 1),
                                 size=reps)
         assert ks_2samp(steps, chain).pvalue > 1e-4
+
+    @pytest.mark.parametrize("alpha,theta,n,j", [
+        (0.54, 26.67, 977, 300), (0.0, 178.48, 2000, 447), (0.999999, 0.5, 40, 3),
+    ])
+    def test_seam_at_dp_max(self, alpha, theta, n, j):
+        """At m = DP_MAX the chain's draws lie within the DKW band at
+        false-alarm 1e-6 of the pmf that `exact_interval` draws from there:
+        the two exact routes agree where they meet."""
+        params, sample, reps = PYParams(alpha, theta), SampleSummary(n, j), 10_000
+        pmf = posterior_pmfs(params, sample, [DP_MAX])[DP_MAX]
+        draws = sample_k_future(params, sample, DP_MAX, RngStream(29), size=reps)
+        emp_cdf = np.cumsum(np.bincount(draws, minlength=DP_MAX + 1)) / reps
+        gap = np.abs(emp_cdf - pmf.cdf()).max()
+        assert gap <= math.sqrt(math.log(2.0 / 1e-6) / (2.0 * reps)), gap
 
     def test_m_zero_draws_nothing(self):
         before = samplers.draw_count()
@@ -192,11 +215,11 @@ class TestKFutureChain:
 
     @pytest.mark.parametrize("alpha,theta,n,j,m,seed,digest", [
         (0.54, 26.67, 977, 300, 97_700, 25,
-         "73621292c5a491e8ea3820b20407b7f707c61d3a0c5e18e81243461b9a6c73a4"),
+         "d9126a687ce0543c07c6a811a70cb96d5b8e573cfa17b51b55bbaa6a131f8012"),
         (0.0, 178.48, 2000, 447, 50_000, 26,
-         "59f79b26cc8b38e7394395605d6972ac0d4841e66de8f08e83742a43329f181b"),
+         "2ffcdd0f5854c419ae9be0cc3a9b5569642b1753af34a52f21e87f1857da9e15"),
         (0.3, 10.0, 2000, 200, 30_000, 27,
-         "0a9258aca34f546ffa880bdb65d16a7b4c8ce9c9a8e88af66340b5cb605180f5"),
+         "37c54cf3b5766b29aacd0c03fa94c2775933a0f71f9dc3940d816c6aece7c181"),
     ])
     def test_output_pinned(self, alpha, theta, n, j, m, seed, digest):
         """Chain draws keep their bytes for a given stream."""
@@ -205,6 +228,31 @@ class TestKFutureChain:
         k = sample_k_future(PYParams(alpha, theta), SampleSummary(n, j), m, RngStream(seed),
                             size=400)
         assert hashlib.sha256(np.asarray(k, dtype="<i8").tobytes()).hexdigest() == digest
+
+
+class TestChainLanes:
+    LENGTHS = [5, 0, 20_000, 7, 300]
+
+    def lanes(self, lengths):
+        return samplers._chain(RngStream(31).generator(), lengths, 0.5, 2.0)
+
+    def test_lane_keeps_its_draws(self):
+        """A lane's count does not move when another lane's length does."""
+        base = self.lanes(self.LENGTHS)
+        for lane in range(len(self.LENGTHS)):
+            for length in (0, 3, 20_000):
+                lengths = list(self.LENGTHS)
+                lengths[lane] = length
+                moved = self.lanes(lengths)
+                others = np.arange(len(lengths)) != lane
+                assert np.array_equal(moved[others], base[others]), (lane, length)
+
+    def test_lane_lengths_respected(self):
+        k = self.lanes(self.LENGTHS)
+        assert k.dtype == np.int64 and k[1] == 0
+        # the first prior draw always founds a species, and no lane counts more
+        # species than draws
+        assert np.all(k[np.array(self.LENGTHS) > 0] >= 1) and np.all(k <= self.LENGTHS)
 
 
 class TestSampleFromPmf:
