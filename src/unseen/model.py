@@ -13,16 +13,14 @@ the top of R's window serves every m.  And the closed form in terms of
 generalized factorial coefficients (small-m validation path), one
 positive log-space triangle at every alpha, the Dirichlet case included.
 
-The two passes run on two kernels.  `_dp_steps`, the posterior
-recursion, forms the transition probabilities of a block of up to 64
-draws (about `_DP_BLOCK` entries) in one 2-D divide, rounded entry by
-entry as a divide per draw would be, and clamps them at 1 only when the
-block's largest entry exceeds 1; its bits are pinned.  `_prior_steps`,
-the mixture's kernel, runs the prior chain in flux form over a column
-window fixed for each block of draws: no probabilities, no 2-D divide and
-no clamp, and three calls a draw.  The recursion stays as the reference,
-computed independently of the mixture, so the checks of one against the
-other compare two kernels rather than one kernel with itself.
+The two passes run on two kernels that share one scheme: a block of up
+to 64 draws runs on a column window fixed at its start, three calls a
+draw.  They differ only in arithmetic.  `_dp_steps`, the posterior
+recursion, multiplies by transition probabilities p and 1 - p formed a
+block at a time; `_prior_steps`, the mixture's kernel, moves the prior
+chain's flux with no p and no clamp.  The recursion stays as the
+reference, so the checks of one against the other compare two kernels
+rather than one kernel with itself.
 
 Both kernels keep only the band of counts whose probability is at least
 `_DP_FLOOR` (1e-30), so a pass costs O(m * band) rather than O(m^2); the
@@ -176,22 +174,21 @@ def posterior_mean(params: PYParams, sample: SampleSummary, m: int) -> float:
 
 
 def _dp_steps(alpha: float, theta: float, n: int, j: int, m: int):
-    """Forward recursion of the new-species count over m predictive draws.
+    """Forward recursion of the new-species count over m predictive draws,
+    the reference.
 
     Yields (buffer, lo, hi) after 0, 1, ..., m draws: the unnormalised
     pmf buffer (length m + 1, updated in place) and its live band
-    [lo, hi).  Each draw updates only the band; afterwards band entries at
-    either edge below `_DP_FLOOR` are set to 0 and dropped, so every entry
-    outside the band is 0.  With n = j = 0 it is the prior chain.
+    [lo, hi).  After each draw, band entries at either edge below
+    `_DP_FLOOR` are set to 0 and dropped, so every entry outside the band
+    is 0.  With n = j = 0 it is the prior chain.
 
-    The probabilities p = (theta + alpha * (j + k))^+ / (theta + n + i) of
-    a new species are formed a block of draws at a time: one 2-D divide
-    over the columns the block can reach, [lo, hi + rows), and one subtract
-    for 1 - p, every entry rounded as a draw-by-draw divide would round
-    it.  p is largest in the block's first row and last column (the
-    numerator rises with k, the denominator with i), so the clamp at 1
-    runs only when that entry exceeds 1.  A draw then makes three in-place
-    calls: band * p into a move buffer, band *= 1 - p, and the shifted add.
+    Blocks of draws run on fixed column windows as in `_prior_steps`.  A
+    block's probabilities p = (theta + alpha * (j + k))^+ / (theta + n + i)
+    of a new species come from one 2-D divide, rounded as a divide per draw
+    would be, and are clamped at 1 only when the largest (first row, last
+    column) exceeds 1.  A draw then makes three in-place calls over the
+    window: P * p into a move buffer, P *= 1 - p, and the shifted add.
     """
     probs = np.zeros(m + 1)
     probs[0] = 1.0
@@ -212,16 +209,14 @@ def _dp_steps(alpha: float, theta: float, n: int, j: int, m: int):
         if p[0, -1] > 1.0:
             np.minimum(p, 1.0, out=p)
         q = 1.0 - p
+        state, move = probs[b_lo:b_hi], move_buf[: b_hi - b_lo]
+        tail, head = state[1:], move[:-1]
         for r in range(rows):
             if hi <= m:
                 hi += 1
-            band, width = probs[lo:hi], hi - lo
-            c = lo - b_lo
-            move = move_buf[:width]
-            multiply(band, p[r, c : c + width], move)
-            band *= q[r, c : c + width]
-            tail = band[1:]
-            add(tail, move[:-1], tail)
+            multiply(state, p[r], move)
+            state *= q[r]
+            add(tail, head, tail)
             while probs[lo] < floor:
                 probs[lo] = 0.0
                 lo += 1

@@ -1,8 +1,8 @@
 """Random-variate generation: seedable streams, the posterior and prior
 predictive chains (the posterior one is a BetaBinomial number of prior
-draws, so one exact thinning chain serves both), Beta draws, and
-the exact sampler for the scaled Mittag-Leffler limit law, whose angle is
-drawn by rejection under one Gaussian envelope in about one round at any q.
+draws, so one exact thinning chain serves both), and the exact sampler
+for the scaled Mittag-Leffler limit law, whose angle is drawn by rejection
+under one Gaussian envelope in about one round at any q.
 
 Streams are counter-based (Philox keyed by (seed, stream_id)), so a
 replicate index maps to an independent stream in O(1); `split` numbers a
@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import erfinv
 
-from .errors import DomainError, MethodUnavailableError, NumericalIntegrityError
+from .errors import DomainError, MethodUnavailableError, NumericalIntegrityError, SizeLimitError
 from .model import Pmf, PYParams, SampleSummary, _check_draw_count
 
 _CHUNK = 1 << 14
@@ -153,8 +153,11 @@ def sample_k_future(params: PYParams, sample: SampleSummary, m: int, rng: RngStr
     (Pitman, 1996), the law `posterior_pmfs` mixes.  So each replicate
     draws R, then runs R prior-chain draws in the thinning chain `_chain`,
     at a cost that grows with the number of new species and rejected
-    candidates rather than with m."""
+    candidates rather than with m.  m is capped at 2**63 - 1, the largest
+    count numpy's binomial draws."""
     _check_draw_count(m)
+    if m > np.iinfo(np.int64).max:
+        raise SizeLimitError(f"m={m} exceeds 2**63 - 1, the largest count of a binomial draw")
     count = _as_batch(size)
     if m == 0:
         return np.zeros(count, dtype=np.int64)
@@ -186,16 +189,6 @@ def sample_prior_kstar(alpha: float, theta_total: float, m: int, rng: RngStream,
     _check_draw_count(m, 1)
     count = _as_batch(size)
     return _chain(rng.generator(), np.full(count, m), alpha, theta_total)
-
-
-def sample_beta(a: float, b: float, rng: RngStream, size):
-    """Beta(a, b) variates."""
-    if a <= 0 or b <= 0:
-        raise DomainError(f"Beta parameters must be positive, got ({a}, {b})")
-    count = _as_batch(size)
-    out = rng.generator().beta(a, b, size=count)
-    _count(count)
-    return out
 
 
 def _neg_log_sinc(y: np.ndarray) -> np.ndarray:
@@ -277,7 +270,9 @@ def sample_ml_limit(params: PYParams, sample: SampleSummary, m: int, rng: RngStr
     count = _as_batch(size)
     if ml.scale_c == 0.0:
         return np.zeros(count)
-    beta = sample_beta(ml.beta_a, ml.beta_b, rng.split(0), size=count)
+    # beta_a = j + theta/alpha > 0 and beta_b = n/alpha - j > 0, as theta > -alpha and n >= j
+    beta = rng.split(0).generator().beta(ml.beta_a, ml.beta_b, size=count)
+    _count(count)
     s = sample_mittag_leffler(ml.alpha, ml.stable_q, rng.split(1), size=count)
     return ml.scale_c * beta * s
 

@@ -304,6 +304,22 @@ class TestPmfCommand:
             assert code == 0 and len(probs) == 31
             assert probs[30] == 1.0 and sum(probs[:30]) < 1e-12, method
 
+    @pytest.mark.parametrize("n,j,alpha,theta,m,digest", [
+        ("2", "1", "0.5", "0.5", "2",
+         "a6dea08c5bde118e61cd56b8274fdd4471957f7120fb768fd399a0199e7a2915"),
+        ("977", "300", "0.54", "26.67", "4885",
+         "ad717dd7fce3ac9ce074531afbb07fd1e0b1d3b8e1f5061e0bdcff95e22ddf08"),
+        # the reference recursion's widest window
+        ("40", "3", "0.999999", "0.5", "20000",
+         "0e0bdb3d71dd9a7d0cfed90b36c09136df321e20a8e904fd4789fad1d27adc87"),
+    ])
+    def test_dp_output_pinned(self, capsys, n, j, alpha, theta, m, digest):
+        """`unseen pmf --method dp` keeps its bytes, one line per k."""
+        code, out, _ = run_cli(capsys, "pmf", "--n", n, "--j", j, "--alpha", alpha,
+                               "--theta", theta, "--m", m, "--method", "dp")
+        assert code == 0 and out.count("\n") == int(m) + 2
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
 
 class TestBenchmarkCommand:
     def test_synthetic_suite_shape_and_determinism(self, capsys, tmp_path):
@@ -550,6 +566,24 @@ class TestExitCodePolicy:
         assert err == "error: at most 10000000 Monte Carlo samples, got 1000000000000\n"
         assert samplers.draw_count() == before
         assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["estimate", "--n", "40", "--j", "3", "--alpha", "0.5", "--theta", "1",
+         "--m", "100000000000000000000", "--methods", "exact"],
+        ["benchmark", "--suite", "est", "--m-grid", "1e30n..1e30n:1", "--out", "{tmp}/x.csv"],
+    ])
+    def test_m_above_binomial_limit_exit_2(self, capsys, tmp_path, monkeypatch, argv):
+        """An exact interval at m above 2**63 - 1, the largest binomial
+        count numpy draws, exits 2 with one error line before the chain
+        draws anything, not with an OverflowError's traceback."""
+        monkeypatch.setattr(cli, "fit_empirical_bayes",
+                            lambda sample: SimpleNamespace(alpha_hat=0.5, theta_hat=10.0))
+        before = samplers.draw_count()
+        code, out, err = run_cli(capsys, *(a.format(tmp=tmp_path) for a in argv))
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and err.startswith("error:") and "2**63 - 1" in err
+        assert samplers.draw_count() == before
+        assert not (tmp_path / "x.csv").exists() or (tmp_path / "x.csv").read_bytes() == b""
 
     @pytest.mark.parametrize("m_list", ["1,x", "5,-3", "", "1.5"])
     def test_bad_m_list_exit_2(self, capsys, m_list):

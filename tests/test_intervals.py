@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from unseen.errors import DomainError, MethodUnavailableError
+from unseen.errors import DomainError, MethodUnavailableError, SizeLimitError
 from unseen import intervals, samplers
 from unseen.intervals import CredibleInterval, _equal_tailed, coverage, exact_interval, ml_interval
 from unseen.model import DP_MAX, PYParams, SampleSummary, posterior_mean, posterior_pmf_dp
@@ -66,6 +66,14 @@ class TestExactInterval:
                 interval(params, sample, 5, 0.95, bad, RngStream(1))
         ci = interval(params, sample, 5, 0.95, np.int64(100), RngStream(1))
         assert ci.mc_samples == 100
+
+    def test_m_above_binomial_limit(self):
+        """Above 2**63 - 1, the largest count numpy's binomial draws, the
+        exact interval is a SizeLimitError before anything is drawn."""
+        before = samplers.draw_count()
+        with pytest.raises(SizeLimitError):
+            exact_interval(PYParams(0.5, 1.0), SampleSummary(10, 3), 2**63, rng=RngStream(1))
+        assert samplers.draw_count() == before
 
     def test_matches_dp_quantiles_small_instance(self):
         """Large-sample empirical quantiles equal the exact pmf quantiles."""

@@ -424,6 +424,10 @@ PINNED_DP_BUFFERS_FLOOR_1E30 = [
      "c419aaebb9dfebcbfb65f1043f490d8c4b789967f2aa15f08b85e399ff8e2fe8"),
     ((0.9, 29.6, 2586, 1825, 12930),
      "ccb37583365672c3100238db4adc18a45242effa9d4031ed9d17fb9889a41fe3"),
+    # the widest window: the band reaches 16906 entries, so about 10440
+    # draws run in blocks of one row
+    ((0.999999, 0.5, 40, 3, 20000),
+     "d63b46bb890b56d24439d281a1c9d4153b0c4fe2355a978f7472d88584aa5a0c"),
 ]
 
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from unseen import samplers
-from unseen.errors import DomainError, MethodUnavailableError
+from unseen.errors import DomainError, MethodUnavailableError, SizeLimitError
 from unseen.model import (
     DP_MAX,
     Pmf,
@@ -18,7 +18,6 @@ from unseen.model import (
 from unseen.samplers import (
     MLLimitParams,
     RngStream,
-    sample_beta,
     sample_from_pmf,
     sample_k_future,
     sample_mittag_leffler,
@@ -123,7 +122,7 @@ class TestRngStream:
 
     def test_draw_counter_moves(self):
         before = samplers.draw_count()
-        sample_beta(2.0, 3.0, RngStream(1), size=10)
+        sample_from_pmf(Pmf(np.array([0.25, 0.75])), RngStream(1), size=10)
         assert samplers.draw_count() - before == 10
 
 
@@ -211,6 +210,19 @@ class TestKFutureChain:
     def test_size_zero_is_empty(self):
         k = sample_k_future(PYParams(0.5, 2.0), SampleSummary(400, 50), 30_000, RngStream(3),
                             size=0)
+        assert k.shape == (0,) and k.dtype == np.int64
+
+    def test_m_above_binomial_limit_rejected_before_any_draw(self):
+        """numpy draws binomial counts up to 2**63 - 1 only, so a larger m
+        is a SizeLimitError before anything is drawn, not an OverflowError
+        from the draw of R; the limit itself passes the check."""
+        params, sample = PYParams(0.5, 2.0), SampleSummary(400, 50)
+        before = samplers.draw_count()
+        for m in (2**63, 10**20):
+            with pytest.raises(SizeLimitError, match=r"2\*\*63 - 1"):
+                sample_k_future(params, sample, m, RngStream(3), size=10)
+        assert samplers.draw_count() == before
+        k = sample_k_future(params, sample, 2**63 - 1, RngStream(3), size=0)
         assert k.shape == (0,) and k.dtype == np.int64
 
     @pytest.mark.parametrize("alpha,theta,n,j,m,seed,digest", [
@@ -318,28 +330,6 @@ class TestPriorChain:
             sample_prior_kstar(1.2, 1.0, 5, RngStream(0), size=1)
 
 
-class TestBeta:
-    def test_symmetry(self):
-        draws = sample_beta(3.0, 3.0, RngStream(17), size=100_000)
-        assert abs(draws.mean() - 0.5) <= 4.0 * draws.std() / math.sqrt(draws.size)
-
-    def test_uniform_special_case(self):
-        from scipy.stats import kstest
-
-        draws = sample_beta(1.0, 1.0, RngStream(19), size=100_000)
-        assert kstest(draws, "uniform").statistic <= 0.01
-
-    def test_large_parameters(self):
-        draws = sample_beta(349.39, 1654.61, RngStream(23), size=100_000)
-        assert np.all((draws > 0) & (draws < 1))
-        mean = 349.39 / (349.39 + 1654.61)
-        assert abs(draws.mean() - mean) <= 4.0 * draws.std() / math.sqrt(draws.size)
-
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            sample_beta(0.0, 1.0, RngStream(0), size=1)
-
-
 class TestMittagLeffler:
     def test_strictly_positive(self):
         draws = sample_mittag_leffler(0.5, 3.0, RngStream(29), size=50_000)
@@ -444,6 +434,23 @@ class TestMlLimit:
             ref = float((base + m) ** alpha - base ** alpha)
         assert ml.scale_c == pytest.approx(ref, rel=1e-13)
 
+    @pytest.mark.parametrize("alpha,theta,n,j,m,seed,digest", [
+        (0.54, 26.67, 977, 300, 977, 41,
+         "1f4a72549438c4fbf9025c93ccebb54c0a1f24ae83ecbdef77118ca5d8fad589"),
+        (0.5, 1e9, 100, 40, 10, 42,
+         "c3211543e7dac03b73ce47346267330775113df39950e38cbe0085f479caf56f"),
+        (0.999999, 0.5, 40, 3, 20000, 43,
+         "c589110a0fd5bd4ec001f8c45eaeae268264081d48ca3724e90ebc42a3088397"),
+    ])
+    def test_output_pinned(self, alpha, theta, n, j, m, seed, digest):
+        """c * B * S draws keep their bytes for a given stream: B on
+        rng.split(0), S on rng.split(1)."""
+        import hashlib
+
+        d = sample_ml_limit(PYParams(alpha, theta), SampleSummary(n, j), m, RngStream(seed),
+                            size=400)
+        assert hashlib.sha256(np.asarray(d, dtype="<f8").tobytes()).hexdigest() == digest
+
     def test_centering_on_posterior_mean(self):
         """mean(c*B*S) tracks the exact posterior mean within 2%."""
         params, sample = PYParams(0.54, 26.67), SampleSummary(977, 300)
@@ -491,7 +498,6 @@ SIZED_SAMPLERS = {
     "sample_from_pmf": lambda size: sample_from_pmf(
         Pmf(np.array([0.25, 0.75])), RngStream(1), size=size),
     "sample_prior_kstar": lambda size: sample_prior_kstar(0.5, 2.0, 5, RngStream(1), size=size),
-    "sample_beta": lambda size: sample_beta(2.0, 3.0, RngStream(1), size=size),
     "sample_mittag_leffler": lambda size: sample_mittag_leffler(0.5, 3.0, RngStream(1),
                                                                 size=size),
     "sample_ml_limit": lambda size: sample_ml_limit(
