@@ -38,7 +38,6 @@ from .intervals import (
     ml_interval,
 )
 from .model import (
-    DP_MAX,
     Pmf,
     PYParams,
     SampleSummary,
@@ -121,8 +120,8 @@ def compute_row(
     families and, when the exact interval is present, their coverages.
     The Mittag-Leffler family is skipped at alpha = 0.  The exact interval
     draws from `pmf`, the exact posterior pmf at m, when given, and
-    otherwise from its own pmf pass (m <= DP_MAX) or the chain; see
-    `exact_interval`."""
+    otherwise takes the route `posterior_pmfs` picks: its own pmf pass or
+    the chain; see `exact_interval`."""
     row = BenchmarkRow(
         dataset=dataset_id, n=sample.n, j=sample.j,
         alpha=params.alpha, theta=params.theta,
@@ -157,11 +156,11 @@ def _grid_rows(
     first: int,
 ) -> list[BenchmarkRow]:
     """`compute_row` at every m of `grid`, row i on stream
-    base.split(first + i).  When the exact interval is asked for, one pmf
-    pass (`posterior_pmfs`) serves every m with 0 < m <= DP_MAX instead of
-    one pass per row; the rows above DP_MAX run the chain."""
-    wanted = [m for m in grid if 0 < m <= DP_MAX] if "exact" in methods else []
-    pmfs = posterior_pmfs(params, sample, wanted)
+    base.split(first + i).  When the exact interval is asked for, the
+    whole grid goes to `posterior_pmfs`, which picks each row's route: one
+    pmf pass serves every m it returns a pmf for, instead of one pass per
+    row, and the other rows run the chain."""
+    pmfs = posterior_pmfs(params, sample, grid if "exact" in methods else [])
     return [
         compute_row(dataset_id, params, sample, m, level, samples, methods,
                     base.split(first + i), pmfs.get(m))

@@ -11,7 +11,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import DomainError
-from .model import DP_MAX, Pmf, PYParams, SampleSummary, _check_draw_count, posterior_pmfs
+from .model import Pmf, PYParams, SampleSummary, _check_draw_count, posterior_pmfs
 from .samplers import RngStream, sample_from_pmf, sample_k_future, sample_ml_limit
 
 _METHODS = ("exact_mc", "mittag_leffler", "gaussian")
@@ -94,17 +94,19 @@ def exact_interval(
     pmf: Pmf | None = None,
 ) -> CredibleInterval:
     """Monte Carlo interval from the exact posterior over `samples`
-    replicates.  For 0 < m <= DP_MAX the replicates are drawn by inverse
-    CDF from the exact posterior pmf at m: `pmf` when given (for instance
-    from `posterior_pmfs` over a grid, one pass for many m), else
-    `posterior_pmfs` at m alone, which gives the same pmf.  Both routes
-    use the law of K given (n, j): the prior chain's species count after
-    R ~ BetaBinomial(m; theta + alpha*j, n - alpha*j) draws.  The pass mixes
-    the prior chain's pmfs over R; above DP_MAX, where no pass runs, each
-    replicate draws its own R and runs R prior-chain draws
-    (`sample_k_future`).  The pmf draws have the chain's law up to the mass
-    the pmf pass drops: the band entries below 1e-30 and the weights of R
-    below 1e-30.  `samples` lies in [100, 10**7]."""
+    replicates.  The replicates are drawn by inverse CDF from the exact
+    posterior pmf at m: `pmf` when given (for instance from
+    `posterior_pmfs` over a grid, one pass for many m), else
+    `posterior_pmfs` at m alone, which gives the same pmf.  Where
+    `posterior_pmfs`, the one place that picks the route, gives no pmf,
+    each replicate runs the thinning chain (`sample_k_future`) instead.
+    Both routes use the law of K given (n, j): the prior chain's species
+    count after R ~ BetaBinomial(m; theta + alpha*j, n - alpha*j) draws.
+    The pass mixes the prior chain's pmfs over R; the chain draws its own
+    R per replicate and runs R prior-chain draws.  The pmf draws have the
+    chain's law up to the mass the pmf pass drops: the band entries below
+    1e-30 and the weights of R below 1e-30.  `samples` lies in [100,
+    10**7]."""
     _check_draw_count(m)
     _check_mc_args(samples, level)
     if pmf is not None and pmf.support_max != m:
@@ -113,8 +115,8 @@ def exact_interval(
         rng = RngStream(0)
     if m == 0:
         return CredibleInterval(0.0, 0.0, level, "exact_mc", mc_samples=samples)
-    if pmf is None and m <= DP_MAX:
-        pmf = posterior_pmfs(params, sample, [m])[m]
+    if pmf is None:
+        pmf = posterior_pmfs(params, sample, [m]).get(m)
     if pmf is None:
         draws = sample_k_future(params, sample, m, rng, size=samples)
     else:

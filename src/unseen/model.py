@@ -26,9 +26,9 @@ Both kernels keep only the band of counts whose probability is at least
 `_DP_FLOOR` (1e-30), so a pass costs O(m * band) rather than O(m^2); the
 mass a pass drops is at most (2m + 2) * _DP_FLOOR, too little for the
 2**-53 grid of a uniform to see.  The mixture also drops R's weights
-below `_DP_FLOOR`, at most (m + 1) * _DP_FLOOR.  Every exact interval
-with 0 < m <= DP_MAX draws its replicates from the `posterior_pmfs` pmf
-by inverse CDF.
+below `_DP_FLOOR`, at most (m + 1) * _DP_FLOOR.  `posterior_pmfs` alone
+picks an exact interval's route: the m it returns a pmf for draw their
+replicates from it by inverse CDF, and the rest run the thinning chain.
 """
 
 from __future__ import annotations
@@ -44,7 +44,8 @@ from scipy.special import digamma
 from .combinatorics import U_MAX, GfcTable, log_rising_factorial
 from .errors import DomainError, NumericalIntegrityError, SizeLimitError
 
-# Largest m of the pmf recursion.
+# Largest m of the pmf passes: `posterior_pmfs` leaves larger m to the
+# thinning chain, and `posterior_pmf_dp` refuses them.
 DP_MAX = 20000
 
 # Edge entries of the DP band below this are set to 0 and leave the band,
@@ -292,15 +293,6 @@ def _prior_steps(alpha: float, theta_total: float, r_max: int):
         i += rows
 
 
-def _checked_grid(ms) -> set[int]:
-    wanted = set(ms)
-    for m in wanted:
-        _check_draw_count(m)
-    if wanted and max(wanted) > DP_MAX:
-        raise SizeLimitError(f"m={max(wanted)} exceeds dp_max={DP_MAX}")
-    return wanted
-
-
 def _beta_binomial_log_weights(a: float, b: float, m: int) -> np.ndarray:
     """log P(R = r), r = 0..m, for R ~ BetaBinomial(m; a, b), from the
     ratio w(r + 1) / w(r) = (m - r)(r + a) / ((r + 1)(m - r - 1 + b)).  The
@@ -343,7 +335,10 @@ def _mixture_pmfs(
 
 
 def posterior_pmfs(params: PYParams, sample: SampleSummary, ms) -> dict[int, Pmf]:
-    """Exact posterior pmfs at every m of `ms`, m capped at DP_MAX.
+    """Exact posterior pmfs at the m of `ms` up to DP_MAX, the one place
+    that picks an exact route.  Every m of `ms` is checked first; those
+    above DP_MAX are left out of the result, as their exact replicates
+    come from the thinning chain (`samplers.sample_k_future`), not a pmf.
 
     Given (n, j), K_{n,m} has the law of K*_R (Pitman, 1996): R ~
     BetaBinomial(m; theta + alpha j, n - alpha j) of the m draws leave the
@@ -355,11 +350,13 @@ def posterior_pmfs(params: PYParams, sample: SampleSummary, ms) -> dict[int, Pmf
     gives each m the pmf a call for m alone gives.  The mass dropped is
     the band floor's, at most (2m + 2) * _DP_FLOOR, plus R's weight
     outside its window, at most (m + 1) * _DP_FLOOR."""
-    wanted = _checked_grid(ms)
+    ms = list(ms)
+    for m in ms:
+        _check_draw_count(m)
     a, n, j = params.alpha, sample.n, sample.j
     theta_total = params.theta + a * j
     windows = {}
-    for m in wanted:
+    for m in {m for m in ms if m <= DP_MAX}:
         w = np.exp(_beta_binomial_log_weights(theta_total, n - a * j, m))
         (kept,) = np.nonzero(w >= _DP_FLOOR)
         windows[m] = (int(kept[0]), w[kept[0] : kept[-1] + 1])
@@ -372,7 +369,9 @@ def posterior_pmf_dp(params: PYParams, sample: SampleSummary, m: int) -> Pmf:
     reference that `posterior_pmfs`' mixture is checked against; entries
     below `_DP_FLOOR` at the edges of the band are dropped, at most
     (2m + 2) * _DP_FLOOR in all."""
-    _checked_grid([m])
+    _check_draw_count(m)
+    if m > DP_MAX:
+        raise SizeLimitError(f"m={m} exceeds dp_max={DP_MAX}")
     for probs, _, _ in _dp_steps(params.alpha, params.theta, sample.n, sample.j, m):
         pass
     return Pmf(probs / probs.sum())

@@ -13,7 +13,8 @@ depend on the other rows.
 Every sampler of variates takes a required `size`, an integer >= 0, and
 returns a NumPy array of that many draws, also for size 1.
 `sample_prior_partition` draws one partition and returns its
-`SampleSummary`.
+`SampleSummary`.  `draw_count()` counts every variate drawn; for the
+thinning chain that is two uniforms per lane for each round it runs.
 """
 
 from __future__ import annotations
@@ -122,26 +123,21 @@ def _chain(gen, lengths, alpha: float, theta_total: float):
     on to t + 1.  The number of rounds is about the number of events plus
     rejections, not the length, and each round moves every unfinished lane
     on by at least one draw.  Every round draws two uniforms per lane,
-    finished or not, so a lane's draws do not depend on the other lanes'
-    lengths or progress."""
+    finished or not, as it runs, so a lane's draws do not depend on the
+    other lanes' lengths or progress."""
     # floats, so that no comparison with t or i casts an integer array
     lengths = np.asarray(lengths, dtype=float)
     k, i = np.zeros((2, lengths.size))
     while (i < lengths).any():
-        # at most max(lengths - i) rounds remain; ~16 MB of buffered uniforms
-        rounds = min(max(1, 1_000_000 // lengths.size), int((lengths - i).max()))
-        u = gen.random((rounds, 2, lengths.size))
-        _count(u.size)
-        for u1, u2 in u:
-            c = theta_total + alpha * k
-            p_bar = c / (theta_total + i)
-            # the gap is 0 at p_bar = 1, as log1p(-u1) is finite on [0, 1)
-            with np.errstate(divide="ignore"):
-                t = i + np.floor(np.log1p(-u1) / np.log1p(-p_bar))
-            k += (t < lengths) & (u2 * p_bar < c / (theta_total + t))
-            i = np.minimum(t + 1.0, lengths)
-            if (i >= lengths).all():
-                break
+        u1, u2 = gen.random((2, lengths.size))
+        _count(2 * lengths.size)
+        c = theta_total + alpha * k
+        p_bar = c / (theta_total + i)
+        # the gap is 0 at p_bar = 1, as log1p(-u1) is finite on [0, 1)
+        with np.errstate(divide="ignore"):
+            t = i + np.floor(np.log1p(-u1) / np.log1p(-p_bar))
+        k += (t < lengths) & (u2 * p_bar < c / (theta_total + t))
+        i = np.minimum(t + 1.0, lengths)
     return k.astype(np.int64)
 
 

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from scipy.stats import binom
 
-from unseen import cli, intervals, samplers
+from unseen import cli, intervals, model, samplers
 from unseen.cli import CSV_HEADER, _parse_m_grid, main
 from unseen.datasets import export_label_counts
 from unseen.errors import (
@@ -242,22 +242,28 @@ class TestEstimateCommand:
         assert float(row["exact_lo"]) - 1.0 <= lo <= hi <= 10.0
 
     def test_one_pmf_pass_for_all_m(self, capsys, monkeypatch):
-        """Every m in (0, DP_MAX] draws from one pmf pass; m = 0 needs none
-        and m above DP_MAX runs the chain."""
-        passes = []
+        """The whole grid goes to `posterior_pmfs` in one call, and one prior
+        pass serves it; m above DP_MAX runs the chain with no pass of its
+        own."""
+        grids, passes = [], []
+        prior_steps = model._prior_steps
 
         def counted(params, sample, ms):
-            passes.append(sorted(ms))
-            return posterior_pmfs(params, sample, ms)
+            grids.append(list(ms))
+            return posterior_pmfs(params, sample, grids[-1])
+
+        def counted_pass(*args):
+            passes.append(args)
+            return prior_steps(*args)
 
         monkeypatch.setattr(cli, "posterior_pmfs", counted)
-        monkeypatch.setattr(intervals, "posterior_pmfs", None)  # no per-row pass
+        monkeypatch.setattr(model, "_prior_steps", counted_pass)
         code, out, _ = run_cli(
             capsys, "estimate", "--n", "100", "--j", "40", "--alpha", "0.5", "--theta", "10",
             "--m", f"0,12,5,12,{DP_MAX + 1}", "--samples", "100", "--methods", "exact",
         )
         assert code == 0 and len(out.splitlines()) == 6
-        assert passes == [[5, 12, 12]]
+        assert grids == [[0, 12, 5, 12, DP_MAX + 1]] and len(passes) == 1
 
     def test_reproducible(self, capsys):
         argv = ["estimate", "--n", "50", "--j", "20", "--alpha", "0.4",

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from unseen.errors import DomainError, MethodUnavailableError, SizeLimitError
-from unseen import intervals, samplers
+from unseen import intervals, model, samplers
 from unseen.intervals import CredibleInterval, _equal_tailed, coverage, exact_interval, ml_interval
 from unseen.model import DP_MAX, PYParams, SampleSummary, posterior_mean, posterior_pmf_dp
 from unseen.samplers import RngStream
@@ -124,7 +124,7 @@ class TestExactInterval:
         def no_pmf(*args, **kwargs):
             raise AssertionError("no pmf pass above DP_MAX")
 
-        monkeypatch.setattr(intervals, "posterior_pmfs", no_pmf)
+        monkeypatch.setattr(model, "_prior_steps", no_pmf)
         monkeypatch.setattr(intervals, "sample_from_pmf", no_pmf)
         params, sample, m = PYParams(0.5, 0.5), SampleSummary(2, 1), DP_MAX + 1
         ci = exact_interval(params, sample, m, 0.95, 100, RngStream(10))

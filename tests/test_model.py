@@ -184,13 +184,30 @@ class TestPmfs:
         with pytest.raises(SizeLimitError, match="dp_max"):
             posterior_pmf_dp(PYParams(0.5, 0.5), SampleSummary(2, 1), 20001)
 
-    def test_pmfs_size_cap_and_domain(self):
+    def test_pmfs_size_cap_and_domain(self, monkeypatch):
+        """A grid straddling DP_MAX gets a pmf at each of its m up to DP_MAX
+        from one prior pass and none above, where the chain serves; a bad m
+        anywhere in the grid is rejected before any pass."""
         params, sample = PYParams(0.5, 0.5), SampleSummary(2, 1)
-        with pytest.raises(SizeLimitError, match="dp_max"):
-            posterior_pmfs(params, sample, [5, 20001])
-        with pytest.raises(DomainError):
-            posterior_pmfs(params, sample, [-1, 5])
+        passes = []
+
+        def counted(*args):
+            passes.append(args)
+            return _prior_steps(*args)
+
+        monkeypatch.setattr(model, "_prior_steps", counted)
+        grid = [5, model.DP_MAX + 1, 0, model.DP_MAX, 5, 10**20]
+        pmfs = posterior_pmfs(params, sample, reversed(grid))
+        assert sorted(pmfs) == [0, 5, model.DP_MAX] and len(passes) == 1
+        assert all(pmf.support_max == m for m, pmf in pmfs.items())
+        for bad in ([5, -1], [5, 20001.5], reversed([2.5, model.DP_MAX + 1])):
+            with pytest.raises(DomainError, match="integer"):
+                posterior_pmfs(params, sample, bad)
         assert posterior_pmfs(params, sample, []) == {}
+        assert posterior_pmfs(params, sample, [model.DP_MAX + 1]) == {}
+        assert len(passes) == 1
+        with pytest.raises(SizeLimitError, match="dp_max"):
+            posterior_pmf_dp(params, sample, model.DP_MAX + 1)
 
     @pytest.mark.parametrize("pmf_at", [
         posterior_pmf_dp,

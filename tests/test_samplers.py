@@ -323,6 +323,43 @@ class TestPriorChain:
         target = m * s_frak_sq(alpha, lam)
         assert abs(draws.var() / target - 1.0) <= 0.05
 
+    @pytest.mark.parametrize("alpha,theta_total,m,seed,size,digest", [
+        # 3568 rounds at 2000 lanes
+        (0.9, 1.0, 5000, 37, 2000,
+         "2a7a6cf1e99c4262df153ad9645b7ac9d491c642370edea3c09ac3d96ef0a0d3"),
+        (0.54, 26.67, 5000, 36, 300,
+         "2a5cefaa9b9dc78220c84a3f151fed091974cf6e34387b5aad75ff7b22fdb241"),
+        (0.5, 2.0, 1000, 34, 1,
+         "ede8d7481f2e244c9ea14bc09905430c9fed882d2307c163a84955b6beca259e"),
+    ])
+    def test_output_pinned(self, alpha, theta_total, m, seed, size, digest):
+        """Prior-chain draws keep their bytes for a given stream."""
+        import hashlib
+
+        k = sample_prior_kstar(alpha, theta_total, m, RngStream(seed), size=size)
+        assert hashlib.sha256(np.asarray(k, dtype="<i8").tobytes()).hexdigest() == digest
+
+    def test_draws_only_the_rounds_it_runs(self):
+        """Each round draws its two uniforms per lane as it runs, so the
+        chain's draw count is 2 * lanes per round run, and nothing more."""
+        shapes = []
+
+        class Counted:
+            def __init__(self, gen):
+                self.gen = gen
+
+            def random(self, shape):
+                shapes.append(shape)
+                return self.gen.random(shape)
+
+        lanes, m = 100, 20_000
+        expect = samplers._chain(Counted(RngStream(35).generator()), np.full(lanes, m), 0.0, 1.0)
+        before = samplers.draw_count()
+        k = sample_prior_kstar(0.0, 1.0, m, RngStream(35), size=lanes)
+        assert np.array_equal(k, expect)
+        assert all(shape == (2, lanes) for shape in shapes) and len(shapes) < 100
+        assert samplers.draw_count() - before == 2 * lanes * len(shapes)
+
     def test_domain(self):
         with pytest.raises(DomainError):
             sample_prior_kstar(0.5, -1.0, 5, RngStream(0), size=1)
