@@ -21,7 +21,7 @@ from importlib import resources
 
 from .asymptotics import gaussian_interval
 from .datasets import DatasetSpec, generate, ingest
-from .empirical_bayes import _MIN_ALPHA_STEP, _THETA_MIN, fit_empirical_bayes
+from .empirical_bayes import fit_empirical_bayes
 from .errors import (
     DegenerateSampleError,
     DomainError,
@@ -223,7 +223,7 @@ def _emit_rows(rows, out_fh) -> None:
 
 def cmd_fit(args) -> int:
     sample = ingest(args.input, args.mode)
-    fit = fit_empirical_bayes(sample, alpha_step=args.alpha_step, theta_max=args.theta_max)
+    fit = fit_empirical_bayes(sample)
     flags = sorted(fit.boundary_flags)
     if args.format == "json":
         print(json.dumps({
@@ -340,14 +340,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_fit = sub.add_parser("fit", help="empirical-Bayes fit of (alpha, theta)")
     p_fit.add_argument("--input", required=True)
     p_fit.add_argument("--mode", choices=["labels", "label_count"], default="labels")
-    p_fit.add_argument(
-        "--alpha-step", type=float, default=0.01,
-        help=f"alpha grid step, in [{_MIN_ALPHA_STEP:g}, 1) (default 0.01)",
-    )
-    p_fit.add_argument(
-        "--theta-max", type=float, default=1e6,
-        help=f"upper end of the theta search, finite and above {_THETA_MIN:g} (default 1e6)",
-    )
     p_fit.add_argument("--format", choices=["json", "csv"], default="json")
     p_fit.set_defaults(func=cmd_fit)
 
