@@ -27,6 +27,7 @@ from .errors import (
     DomainError,
     MethodUnavailableError,
     ParseError,
+    SizeLimitError,
     UnseenError,
 )
 from .intervals import (
@@ -38,6 +39,7 @@ from .intervals import (
     ml_interval,
 )
 from .model import (
+    DP_MAX,
     Pmf,
     PYParams,
     SampleSummary,
@@ -316,11 +318,22 @@ def cmd_benchmark(args) -> int:
     return 0
 
 
+def _mixture_pmf(params: PYParams, sample: SampleSummary, m: int) -> Pmf:
+    """The production pmf at one m: `posterior_pmfs`' mixture, which
+    serves m up to DP_MAX only."""
+    pmf = posterior_pmfs(params, sample, [m]).get(m)
+    if pmf is None:
+        raise SizeLimitError(f"m={m} exceeds dp_max={DP_MAX}")
+    return pmf
+
+
+_PMF_METHODS = {"mixture": _mixture_pmf, "dp": posterior_pmf_dp, "closed": posterior_pmf_closed}
+
+
 def cmd_pmf(args) -> int:
     params = PYParams(alpha=args.alpha, theta=args.theta)
     sample = SampleSummary(n=args.n, j=args.j)
-    posterior_pmf = posterior_pmf_dp if args.method == "dp" else posterior_pmf_closed
-    pmf = posterior_pmf(params, sample, args.m)
+    pmf = _PMF_METHODS[args.method](params, sample, args.m)
     writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(["k", "prob"])
     for k, p in enumerate(pmf.probs):
@@ -375,7 +388,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_pmf.add_argument("--alpha", type=float, required=True)
     p_pmf.add_argument("--theta", type=float, required=True)
     p_pmf.add_argument("--m", type=int, required=True)
-    p_pmf.add_argument("--method", choices=["dp", "closed"], default="dp")
+    p_pmf.add_argument("--method", choices=list(_PMF_METHODS), default="mixture",
+                       help="mixture: the pmf the exact intervals draw from (the default); "
+                            "dp and closed: the two independent references")
     p_pmf.set_defaults(func=cmd_pmf)
     return parser
 

@@ -9,6 +9,11 @@ arithmetic of every evaluation: the grid's lanes, and, as one-lane calls
 through `_loglik_at`, Nelder-Mead's points, the final check and
 `ep_log_likelihood`.
 
+On every alpha lane |d loglik / d log theta| <= n - 1, so the grid's
+golden-section search drops a lane once that bound shows it cannot hold
+the grid's best value (`_golden_max`); the lane it keeps has the bits the
+full search gives it.
+
 The fit searches alpha on a grid of step 0.01 and theta in [1e-4, 1e6]
 only.  The likelihood itself is defined on all of theta > -alpha, and a fit
 that stops at either end of the theta range is flagged.
@@ -123,27 +128,78 @@ def ep_log_likelihood(alpha: float, theta: float, sample: SampleSummary) -> floa
     return _loglik_at(alpha, theta, sample.n, sample.j, *_freq_multiset(sample))
 
 
-def _golden_max(f, lo, hi):
-    """Golden-section maxima of a lane-wise f on the intervals [lo, hi].
+def _golden_max(f, lo, hi, lipschitz, allowance):
+    """Golden-section maxima of a lane-wise f on the intervals [lo, hi],
+    keeping only the lanes that may still hold the largest maximum.
 
-    lo and hi are arrays with one entry per lane; every lane advances in
-    lockstep, so each iteration makes one call of f on all lanes.  Returns
-    the arrays (argmax, max).
+    lo and hi are arrays with one entry per lane, and f(lanes, x) gives the
+    values of the lanes `lanes` (indices into lo) at the points x.  The
+    live lanes advance together, one call of f per iteration.  Returns the
+    arrays (lanes, argmax, max) of the lanes still live at the end, in
+    ascending lane order.
+
+    A lane is dropped once it provably cannot end with the largest value
+    (branch and bound; Piyavskii 1972, Shubert 1972).  `lipschitz` bounds
+    |f(u) - f(v)| / |u - v| on every lane, and `allowance` bounds how far
+    the float error of two evaluations can stretch that.  Every later point
+    of a lane, its final midpoint included, lies in its bracket [lo, hi],
+    up to `pad` for the rounding of the points themselves.  So the lane's
+    final value lies within reach = lipschitz * (hi - lo + pad) + allowance
+    of max(fc, fd).  After each iteration, a lane whose upper bound
+    max(fc, fd) + reach is below the largest lower bound over the live
+    lanes ends strictly below that lane, so the first lane of the largest
+    final value is never dropped.  The live lanes run the same lane-wise
+    arithmetic, so that lane's argmax and max keep their bits.  An infinite
+    `lipschitz` drops no lane: the full search.
     """
     inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
+    pad = 8.0 * np.finfo(float).eps * (1.0 + max(np.abs(lo).max(), np.abs(hi).max()))
+    lanes = np.arange(lo.size)
     c = hi - inv_phi * (hi - lo)
     d = lo + inv_phi * (hi - lo)
-    fc, fd = f(c), f(d)
+    fc, fd = f(lanes, c), f(lanes, d)
     for _ in range(_GOLDEN_ITERS):
         left = fc > fd
         hi = np.where(left, d, hi)
         lo = np.where(left, lo, c)
         c, d = (np.where(left, hi - inv_phi * (hi - lo), d),
                 np.where(left, c, lo + inv_phi * (hi - lo)))
-        f_new = f(np.where(left, c, d))
+        f_new = f(lanes, np.where(left, c, d))
         fc, fd = np.where(left, f_new, fd), np.where(left, fc, f_new)
+        best = np.maximum(fc, fd)
+        reach = lipschitz * (hi - lo + pad) + allowance
+        keep = best + reach >= np.max(best - reach)
+        if not keep.all():
+            lanes, lo, hi, c, d, fc, fd = (v[keep] for v in (lanes, lo, hi, c, d, fc, fd))
     x = 0.5 * (lo + hi)
-    return x, f(x)
+    return lanes, x, f(lanes, x)
+
+
+def _allowance(n, j, blocks):
+    """A bound on the float error of two grid evaluations of `_loglik` on
+    the same lane, at any theta in [_THETA_MIN, _THETA_MAX], for
+    `_golden_max`.
+
+    A lane's alpha term is the one shared value of `blocks`, so only the
+    theta part and the final sum differ in their rounding.  The theta part
+    sums j - 1 logs of theta + alpha i, each at most `log_span` in size,
+    less gammaln(theta + n) - gammaln(theta + 1), each at most
+    gammaln(_THETA_MAX + n) in size; the value adds the lane's alpha term.
+    `size` bounds the sum of all their sizes, plus (n - 1) for math.exp's
+    rounding of theta, which moves log theta by at most 2**-52.  Each log
+    and gammaln is good to a few ulps of its size, and numpy's pairwise sum
+    adds at most about 16 + log2(j) ulps of its terms' total, so one
+    evaluation is far within 256 ulps of `size`.  The error is largest at
+    theta near 1e6, from the two gammaln values near 1.3e7 (one ulp is
+    1.9e-9): two evaluations a few ulps of log theta apart differ by up to
+    5e-9 there, for n from 6 to 1e5, against an allowance of about 3e-6.
+    A larger allowance only delays the pruning; one too small could change
+    the fit.
+    """
+    log_span = max(-math.log(_THETA_MIN), math.log(_THETA_MAX + j))
+    size = ((j - 1) * log_span + 2.0 * float(gammaln(_THETA_MAX + n))
+            + float(np.abs(blocks).max()) + (n - 1))
+    return 2 * 256 * np.finfo(float).eps * size
 
 
 def fit_empirical_bayes(sample: SampleSummary) -> FitResult:
@@ -153,10 +209,16 @@ def fit_empirical_bayes(sample: SampleSummary) -> FitResult:
     Two stages: an alpha grid of step 0.01 with a golden-section theta
     search on the log scale at each grid point, then Nelder-Mead refinement
     around the best grid point.  The grid search runs every grid point as
-    one lane of a single lockstep golden-section search, and the first
-    grid point of the largest value wins.  The Nelder-Mead simplex is
-    bounded to alpha in [0, 1) and free in log theta; its theta is clamped
-    to [1e-4, 1e6] afterwards.
+    one lane of a single golden-section search, and the first grid point
+    of the largest value wins.  A lane is dropped from the search once it
+    provably cannot win: on every lane the log-likelihood moves by at most
+    (n - 1) |d log theta|, since each of the j - 1 new-species terms
+    theta / (theta + alpha i) and each of the n - 1 normaliser terms
+    theta / (theta + k) of its derivative lies in (0, 1], and the alpha
+    term does not depend on theta.  The winner keeps the bits of the full
+    search (`_golden_max`).  The Nelder-Mead simplex is bounded to alpha in
+    [0, 1) and free in log theta; its theta is clamped to [1e-4, 1e6]
+    afterwards.
 
     The alpha term of the likelihood is formed once for the grid's lanes
     and shared by every golden-section step; only the (alpha, theta) term
@@ -184,11 +246,12 @@ def fit_empirical_bayes(sample: SampleSummary) -> FitResult:
 
     alphas = np.arange(0.0, 1.0, _ALPHA_STEP)
     blocks = _block_term(alphas, fv, fm)
-    lts, vals = _golden_max(lambda lt: _loglik(alphas, exp_lanes(lt), n, j, fv, fm, blocks),
-                            np.full(alphas.size, math.log(_THETA_MIN)),
-                            np.full(alphas.size, math.log(_THETA_MAX)))
+    lanes, lts, vals = _golden_max(
+        lambda lanes, lt: _loglik(alphas[lanes], exp_lanes(lt), n, j, fv, fm, blocks[lanes]),
+        np.full(alphas.size, math.log(_THETA_MIN)), np.full(alphas.size, math.log(_THETA_MAX)),
+        n - 1.0, _allowance(n, j, blocks))
     i = int(np.argmax(vals))
-    best = (float(vals[i]), float(alphas[i]), math.exp(float(lts[i])))
+    best = (float(vals[i]), float(alphas[lanes[i]]), math.exp(float(lts[i])))
 
     def neg(x):
         a, lt = x

@@ -319,6 +319,27 @@ class TestPmfCommand:
         assert code == 0 and out.count("\n") == int(m) + 2
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
+    @pytest.mark.parametrize("n,j,alpha,theta,m", [
+        ("2", "1", "0.5", "0.5", "2"),
+        ("977", "300", "0.54", "26.67", "4885"),
+        ("2000", "447", "0", "178.48", "0"),
+    ])
+    def test_default_is_the_mixture(self, capsys, n, j, alpha, theta, m):
+        """Without --method, `unseen pmf` prints the pmf of `posterior_pmfs`,
+        the one the exact intervals draw from."""
+        code, out, _ = run_cli(capsys, "pmf", "--n", n, "--j", j, "--alpha", alpha,
+                               "--theta", theta, "--m", m)
+        pmf = posterior_pmfs(PYParams(float(alpha), float(theta)),
+                             SampleSummary(int(n), int(j)), [int(m)])[int(m)]
+        expect = "k,prob\n" + "".join(f"{k},{p:.12g}\n" for k, p in enumerate(pmf.probs))
+        assert code == 0 and out == expect
+
+    def test_default_above_dp_max_exit_2(self, capsys):
+        code, out, err = run_cli(capsys, "pmf", "--n", "977", "--j", "300", "--alpha", "0.54",
+                                 "--theta", "26.67", "--m", str(DP_MAX + 1))
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and err.startswith("error:") and "dp_max" in err
+
 
 class TestBenchmarkCommand:
     def test_synthetic_suite_shape_and_determinism(self, capsys, tmp_path):

@@ -226,3 +226,94 @@ class TestLockstepGridSearch:
         assert budget // (sample.j - 1) == 5  # the 100-point grid runs as 20 blocks
         monkeypatch.setattr(empirical_bayes, "_LANE_BUDGET", budget)
         assert fit_empirical_bayes(sample) == whole
+
+
+def _grid_runs(sample, monkeypatch):
+    """The fit's grid search on `sample`, run as the fit runs it and again
+    with an infinite Lipschitz constant, which drops no lane.  Each run is
+    ((lanes, argmax, max), the lane indices of each call of f)."""
+    runs = {}
+    real = empirical_bayes._golden_max
+
+    def spy(f, lo, hi, lipschitz, allowance):
+        for name, constant in (("pruned", lipschitz), ("full", math.inf)):
+            calls = []
+
+            def counted(lanes, x):
+                calls.append(lanes.copy())
+                return f(lanes, x)
+
+            runs[name] = (real(counted, lo, hi, constant, allowance), calls)
+        return runs["pruned"][0]
+
+    monkeypatch.setattr(empirical_bayes, "_golden_max", spy)
+    fit_empirical_bayes(sample)
+    return runs
+
+
+def _winner(result):
+    lanes, x, vals = result
+    i = int(np.argmax(vals))
+    return int(lanes[i]), float(x[i]).hex(), float(vals[i]).hex()
+
+
+PRUNING_SAMPLES = {
+    **{name: make for name, (make, _) in PINNED_FITS.items()},
+    "two_in_one_block": lambda: SampleSummary(2, 1, (2,)),
+    "six_singletons": lambda: SampleSummary(6, 6, (1,) * 6),
+    "one_block_of_10": lambda: SampleSummary(10, 1, (10,)),
+    "prior_alpha_0.99": lambda: sample_prior_partition(0.99, 5.0, 1000, RngStream(113)),
+    "prior_theta_1e5": lambda: sample_prior_partition(0.5, 1e5, 1000, RngStream(127)),
+}
+
+
+class TestPrunedGridSearch:
+    @pytest.mark.parametrize("name", PRUNING_SAMPLES)
+    def test_pruning_keeps_the_winner_bitwise(self, monkeypatch, name):
+        """The pruned search picks the lane of the full search, with the
+        bits of its log theta and its value; the winning lane is in every
+        call of f, and no call has zero lanes.  On the pinned samples the
+        pruned search evaluates under a third of the full search's
+        83 x 100 lanes."""
+        runs = _grid_runs(PRUNING_SAMPLES[name](), monkeypatch)
+        (pruned, calls), (full, full_calls) = runs["pruned"], runs["full"]
+        assert _winner(pruned) == _winner(full)
+        lane = _winner(full)[0]
+        assert all(lanes.size > 0 and lane in lanes for lanes in calls)
+        assert [lanes.size for lanes in full_calls] == [100] * (empirical_bayes._GOLDEN_ITERS + 3)
+        assert len(calls) == len(full_calls)
+        if name in PINNED_FITS:
+            assert sum(lanes.size for lanes in calls) < 83 * 100 / 3
+
+    @pytest.mark.parametrize("make", [
+        lambda: PINNED_FITS["tomato_flower"][0](),
+        lambda: SampleSummary(6, 6, (1,) * 6),
+        lambda: SampleSummary(2, 1, (2,)),
+        lambda: sample_prior_partition(0.5, 1e5, 1000, RngStream(127)),
+    ], ids=["tomato_flower", "six_singletons", "two_in_one_block", "prior_theta_1e5"])
+    def test_lipschitz_constant_holds(self, make):
+        """|l(u1) - l(u2)| <= (n - 1)|u1 - u2| plus the allowance for the
+        computed log-likelihood l of log theta, on lanes from alpha = 0 to
+        0.99, at random pairs in [log 1e-4, log 1e6] and at pairs a few
+        ulps apart, where the float error alone shows; half of the latter
+        sit just below theta = 1e6, where that error is largest."""
+        sample = make()
+        n, j = sample.n, sample.j
+        fv, fm = empirical_bayes._freq_multiset(sample)
+        grid = np.arange(0.0, 1.0, empirical_bayes._ALPHA_STEP)
+        allowance = empirical_bayes._allowance(n, j, empirical_bayes._block_term(grid, fv, fm))
+        rng = RngStream(131).generator()
+        lo, hi = math.log(1e-4), math.log(1e6)
+        u1 = np.concatenate([rng.uniform(lo, hi, 1500), hi - rng.uniform(0.0, 1e-3, 500)])
+        u2 = np.concatenate([rng.uniform(lo, hi, 1000),
+                             u1[1000:] + rng.integers(-4, 5, 1000) * 1e-15 * np.abs(u1[1000:])])
+        u2 = np.clip(u2, lo, hi)
+        for alpha in (0.0, 0.01, 0.5, 0.99):
+            alphas = np.full(u1.size, alpha)
+
+            def loglik(u):
+                thetas = np.fromiter(map(math.exp, u.tolist()), float, u.size)
+                return empirical_bayes._loglik(alphas, thetas, n, j, fv, fm)
+
+            gap = np.abs(loglik(u1) - loglik(u2)) - (n - 1) * np.abs(u1 - u2)
+            assert gap.max() <= allowance, (alpha, gap.max(), allowance)
