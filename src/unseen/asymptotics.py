@@ -3,11 +3,14 @@ interval for the unseen-species posterior.
 
 In the regime theta = tau*m, n = nu*m, j = rho*m (lambda = tau + nu), the
 posterior of the new-species count is asymptotically Gaussian with mean
-m*M and variance m*S^2 for explicit constants M, S^2, both continuous at
-alpha = 0, where they reduce to the Dirichlet forms.  `script_M` and
-`script_S_sq` are plain functions of (alpha, tau, nu, rho); they need
-tau > 0, 0 < rho <= nu and alpha in [0, 1), which `gaussian_approx` has
-from theta > 0, m >= 1 and 1 <= j <= n.
+m*M and variance m*S^2 for explicit constants M, S^2.  One formula for
+each serves every alpha, the Dirichlet prior alpha = 0 included: both are
+written with exprel(x) = expm1(x) / x, which is 1 at x = 0.  The scalar
+exprel of `scipy.special.cython_special` returns a Python float as fast as
+a `math` call; the ufunc's numpy scalar would slow the rest of the
+interval.  `script_M` and `script_S_sq` are plain functions of (alpha,
+tau, nu, rho); they need tau > 0, 0 < rho <= nu and alpha in [0, 1), which
+`gaussian_approx` has from theta > 0, m >= 1 and 1 <= j <= n.
 """
 
 from __future__ import annotations
@@ -16,10 +19,11 @@ import math
 from dataclasses import dataclass
 
 from scipy.special import ndtri
+from scipy.special.cython_special import exprel
 
-from .errors import DomainError
+from .errors import DomainError, check_count
 from .intervals import CredibleInterval
-from .model import PYParams, SampleSummary, _check_draw_count
+from .model import PYParams, SampleSummary
 
 
 @dataclass(frozen=True)
@@ -31,30 +35,27 @@ class GaussianApprox:
 
 
 def script_M(alpha: float, tau: float, nu: float, rho: float) -> float:
-    """Leading-order posterior mean constant at the ratios (tau, nu, rho)."""
-    lam = tau + nu
-    c = math.log1p(1.0 / lam)
-    if alpha == 0.0:
-        return tau * c
-    return (tau + rho * alpha) / alpha * math.expm1(alpha * c)
+    """Leading-order posterior mean constant at the ratios (tau, nu, rho),
+    (tau + rho alpha) expm1(alpha c) / alpha with c = log(1 + 1/lambda),
+    written with exprel(x) = expm1(x) / x, which is 1 at alpha = 0."""
+    c = math.log1p(1.0 / (tau + nu))
+    return (tau + rho * alpha) * c * exprel(alpha * c)
 
 
 def script_S_sq(alpha: float, tau: float, nu: float, rho: float) -> float:
     """Leading-order posterior variance constant at the ratios (tau, nu, rho)."""
     lam = tau + nu
     c = math.log1p(1.0 / lam)
-    if alpha == 0.0:
-        # as two ratios: lam * (lam + 1) overflows at large theta
-        return tau * c - (tau / lam) * (tau / (lam + 1.0))
     g = tau + rho * alpha
     big_a = math.exp(alpha * c)
-    return (g / lam) * big_a * ((lam / alpha) * math.expm1(alpha * c) - g * big_a / (lam + 1.0))
+    # as two ratios: lam * (lam + 1) overflows at large theta
+    return (g / lam) * big_a * (lam * c * exprel(alpha * c) - g * big_a / (lam + 1.0))
 
 
 def gaussian_approx(params: PYParams, sample: SampleSummary, m: int) -> GaussianApprox:
     """Gaussian approximation of the posterior count at additional sample
     m; the variance is clamped at 0."""
-    _check_draw_count(m, 1)
+    check_count(m, 1)
     if params.theta <= 0:
         raise DomainError(
             "the Gaussian approximation requires theta > 0; "
@@ -76,7 +77,7 @@ def gaussian_interval(
     mM + z*sqrt(mS^2)], clamped to the support [0, m]; (0, 0) at m = 0."""
     if not 0.0 < level < 1.0:
         raise DomainError("level must lie in (0, 1)")
-    _check_draw_count(m)
+    check_count(m)
     if m == 0:
         return CredibleInterval(0.0, 0.0, level, "gaussian")
     approx = gaussian_approx(params, sample, m)

@@ -64,13 +64,10 @@ SYNTHETIC_SUITE = {
     "uniform_d": DatasetSpec(kind="uniform", support_size=501, n=2000),
 }
 
-EST_FIXTURES = {
-    "tomato_flower": (2586, 1825),
-    "mastigamoeba": (715, 460),
-    "mastigamoeba_norm": (363, 248),
-    "naegleria_aerobic": (959, 473),
-    "naegleria_anaerobic": (969, 631),
-}
+# The EST suite's packaged stand-ins, data/est/standin_<name>.tsv; each
+# file holds the (n, j) of the library it stands in for.
+EST_FIXTURES = ("tomato_flower", "mastigamoeba", "mastigamoeba_norm",
+                "naegleria_aerobic", "naegleria_anaerobic")
 
 
 @dataclass

@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.special import gammaln
 
-from .errors import DomainError, SizeLimitError
+from .errors import DomainError, SizeLimitError, check_count
 
 # Largest order u of the closed-form triangle that its callers build.
 U_MAX = 60
@@ -46,11 +46,10 @@ class GfcTable:
     positive terms.  Entries with v > u are 0 (log -inf)."""
 
     def __init__(self, u_max: int, a: float, b: float):
-        if u_max < 0:
-            raise DomainError("u_max must be >= 0")
-        if not (0.0 <= a < 1.0 and b < 0.0):
-            raise DomainError(f"the triangle needs 0 <= a < 1 and b < 0, got a={a}, b={b}")
-        self.u_max = int(u_max)
+        check_count(u_max, 0, "u_max")
+        if not (0.0 <= a < 1.0 and -np.inf < b < 0.0):
+            raise DomainError(f"the triangle needs 0 <= a < 1 and finite b < 0, got a={a}, b={b}")
+        self.u_max = u_max
         self.a = float(a)
         self.b = float(b)
         size = self.u_max + 1
@@ -68,4 +67,5 @@ class GfcTable:
         """log D(u, v) for v = 0..u."""
         if not (0 <= u <= self.u_max):
             raise SizeLimitError(f"u={u} outside table range 0..{self.u_max}")
+        check_count(u, 0, "u")
         return self._logs[u, : u + 1].copy()

@@ -3,11 +3,12 @@ file ingestion/export."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, ParseError
+from .errors import DomainError, ParseError, check_count, check_positive
 from .model import SampleSummary
 from .samplers import RngStream, _count
 
@@ -27,10 +28,12 @@ class DatasetSpec:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise DomainError(f"unknown dataset kind {self.kind!r}")
-        if self.support_size < 1 or self.n < 1:
-            raise DomainError("support_size and n must be >= 1")
+        check_count(self.support_size, 1, "support_size")
+        check_count(self.n, 1, "n")
         if (self.shape is not None) != (self.kind == "zipf"):
             raise DomainError("shape must be given exactly for zipf datasets")
+        if self.shape is not None and not math.isfinite(self.shape):
+            raise DomainError(f"shape must be finite, got {self.shape!r}")
         if (self.weights is not None) != (self.kind == "polya"):
             raise DomainError("weights must be given exactly for polya datasets")
         if self.weights is not None:
@@ -38,8 +41,8 @@ class DatasetSpec:
             object.__setattr__(self, "weights", w)
             if len(w) != self.support_size:
                 raise DomainError("weights length must equal support_size")
-            if any(x <= 0 for x in w):
-                raise DomainError("all Polya weights must be positive")
+            for x in w:
+                check_positive(x, "every Polya weight")
 
 
 def generate(spec: DatasetSpec, rng: RngStream) -> SampleSummary:

@@ -4,14 +4,13 @@ metric used to compare an approximate interval against the exact one."""
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .errors import DomainError
-from .model import Pmf, PYParams, SampleSummary, _check_draw_count, posterior_pmfs
+from .errors import DomainError, check_count
+from .model import Pmf, PYParams, SampleSummary, posterior_pmfs
 from .samplers import RngStream, sample_from_pmf, sample_k_future, sample_ml_limit
 
 _METHODS = ("exact_mc", "mittag_leffler", "gaussian")
@@ -74,8 +73,7 @@ def _mc_interval(draws: np.ndarray, m: int, level: float, method: str) -> Credib
 
 
 def _check_mc_args(samples: int, level: float) -> None:
-    if not isinstance(samples, numbers.Integral):
-        raise DomainError(f"samples must be an integer, got {samples!r}")
+    check_count(samples, 0, "samples")
     if samples < _MIN_MC_SAMPLES:
         raise DomainError(f"need at least {_MIN_MC_SAMPLES} Monte Carlo samples")
     if samples > _MAX_MC_SAMPLES:
@@ -107,7 +105,7 @@ def exact_interval(
     chain's law up to the mass the pmf pass drops: the band entries below
     1e-30 and the weights of R below 1e-30.  `samples` lies in [100,
     10**7]."""
-    _check_draw_count(m)
+    check_count(m)
     _check_mc_args(samples, level)
     if pmf is not None and pmf.support_max != m:
         raise DomainError(f"pmf has support_max={pmf.support_max}, expected m={m}")

@@ -34,7 +34,6 @@ replicates from it by inverse CDF, and the rest run the thinning chain.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -42,7 +41,7 @@ from scipy.linalg.blas import daxpy
 from scipy.special import digamma
 
 from .combinatorics import U_MAX, GfcTable, log_rising_factorial
-from .errors import DomainError, NumericalIntegrityError, SizeLimitError
+from .errors import DomainError, NumericalIntegrityError, SizeLimitError, check_count
 
 # Largest m of the pmf passes: `posterior_pmfs` leaves larger m to the
 # thinning chain, and `posterior_pmf_dp` refuses them.
@@ -92,25 +91,30 @@ class SampleSummary:
     freqs: tuple[int, ...] | None = None
 
     def __post_init__(self):
-        if not (isinstance(self.n, numbers.Integral) and isinstance(self.j, numbers.Integral)):
-            raise DomainError(f"n and j must be integers, got n={self.n!r}, j={self.j!r}")
-        if self.n < 1 or self.j < 1 or self.j > self.n:
+        check_count(self.n, 1, "n")
+        check_count(self.j, 1, "j")
+        if self.j > self.n:
             raise DomainError(f"need 1 <= j <= n, got n={self.n}, j={self.j}")
         if self.freqs is None:
             return
-        freqs = tuple(int(f) for f in self.freqs)
-        object.__setattr__(self, "freqs", freqs)
+        freqs = tuple(self.freqs)
         if len(freqs) != self.j:
             raise DomainError(f"freqs has {len(freqs)} entries, expected j={self.j}")
-        if any(f < 1 for f in freqs):
-            raise DomainError("all frequencies must be >= 1")
+        for f in freqs:
+            check_count(f, 1, "every frequency")
+        # exact on checked counts: numpy integers become the Python ints
+        # that json and mpmath take
+        freqs = tuple(map(int, freqs))
+        object.__setattr__(self, "freqs", freqs)
         if sum(freqs) != self.n:
             raise DomainError(f"frequencies sum to {sum(freqs)}, expected n={self.n}")
 
     @classmethod
     def from_freqs(cls, freqs) -> "SampleSummary":
-        freqs = tuple(sorted((int(f) for f in freqs), reverse=True))
-        return cls(n=sum(freqs), j=len(freqs), freqs=freqs)
+        freqs = tuple(sorted(freqs, reverse=True))
+        # a fractional frequency fails the check in __post_init__, so int()
+        # truncates nothing that is kept
+        return cls(n=int(sum(freqs)), j=len(freqs), freqs=freqs)
 
 
 @dataclass(frozen=True)
@@ -156,15 +160,9 @@ class Pmf:
         return min(int(np.searchsorted(self.cdf(), p)), self.support_max)
 
 
-def _check_draw_count(m, least: int = 0) -> None:
-    # the exact-type test spares the common case the slower ABC check
-    if (type(m) is not int and not isinstance(m, numbers.Integral)) or m < least:
-        raise DomainError(f"m must be an integer >= {least}, got {m!r}")
-
-
 def posterior_mean(params: PYParams, sample: SampleSummary, m: int) -> float:
     """Posterior expected number of new species in m additional draws."""
-    _check_draw_count(m)
+    check_count(m)
     if m == 0:
         return 0.0
     a, t, n, j = params.alpha, params.theta, sample.n, sample.j
@@ -182,10 +180,12 @@ def _dp_steps(alpha: float, theta: float, n: int, j: int, m: int):
     pmf buffer (length m + 1, updated in place) and its live band
     [lo, hi).  After each draw, band entries at either edge below
     `_DP_FLOOR` are set to 0 and dropped, so every entry outside the band
-    is 0.  With n = j = 0 it is the prior chain.
+    is 0.  With n = j = 0 it is the prior chain.  The numerators
+    theta + alpha * (j + k) are positive: theta + alpha * j > 0 for j >= 1
+    and theta > -alpha, and the prior chain takes theta > 0.
 
     Blocks of draws run on fixed column windows as in `_prior_steps`.  A
-    block's probabilities p = (theta + alpha * (j + k))^+ / (theta + n + i)
+    block's probabilities p = (theta + alpha * (j + k)) / (theta + n + i)
     of a new species come from one 2-D divide, rounded as a divide per draw
     would be, and are clamped at 1 only when the largest (first row, last
     column) exceeds 1.  A draw then makes three in-place calls over the
@@ -194,7 +194,7 @@ def _dp_steps(alpha: float, theta: float, n: int, j: int, m: int):
     probs = np.zeros(m + 1)
     probs[0] = 1.0
     k = np.arange(m + 1, dtype=float)
-    p_new_numer = np.clip(theta + alpha * (j + k), 0.0, None)
+    p_new_numer = theta + alpha * (j + k)
     move_buf = np.empty(m + 1)
     # Per-call overhead is most of a draw at the usual band widths, so the
     # ufuncs take `out` by position and the names they use are local.
@@ -205,7 +205,7 @@ def _dp_steps(alpha: float, theta: float, n: int, j: int, m: int):
     while i < m:
         rows = min(64, m - i, max(1, _DP_BLOCK // (hi - lo + 64)))
         b_lo, b_hi = lo, min(hi + rows, m + 1)
-        # p >= 0 already: the numerator is clipped at 0 and theta + n + i > 0
+        # p > 0 already: both the numerator and theta + n + i are positive
         p = p_new_numer[b_lo:b_hi] / (theta + n + np.arange(i, i + rows))[:, None]
         if p[0, -1] > 1.0:
             np.minimum(p, 1.0, out=p)
@@ -352,7 +352,7 @@ def posterior_pmfs(params: PYParams, sample: SampleSummary, ms) -> dict[int, Pmf
     outside its window, at most (m + 1) * _DP_FLOOR."""
     ms = list(ms)
     for m in ms:
-        _check_draw_count(m)
+        check_count(m)
     a, n, j = params.alpha, sample.n, sample.j
     theta_total = params.theta + a * j
     windows = {}
@@ -369,7 +369,7 @@ def posterior_pmf_dp(params: PYParams, sample: SampleSummary, m: int) -> Pmf:
     reference that `posterior_pmfs`' mixture is checked against; entries
     below `_DP_FLOOR` at the edges of the band are dropped, at most
     (2m + 2) * _DP_FLOOR in all."""
-    _check_draw_count(m)
+    check_count(m)
     if m > DP_MAX:
         raise SizeLimitError(f"m={m} exceeds dp_max={DP_MAX}")
     for probs, _, _ in _dp_steps(params.alpha, params.theta, sample.n, sample.j, m):
@@ -388,7 +388,7 @@ def posterior_pmf_closed(params: PYParams, sample: SampleSummary, m: int) -> Pmf
     so the weights are summed in log space after subtracting the largest;
     their sum must reproduce (theta + n)_(m), the expansion identity, to
     within 1e-9 in log."""
-    _check_draw_count(m)
+    check_count(m)
     if m > U_MAX:
         raise SizeLimitError(f"m={m} exceeds u_max={U_MAX}")
     a, t, n, j = params.alpha, params.theta, sample.n, sample.j

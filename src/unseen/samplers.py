@@ -20,14 +20,20 @@ thinning chain that is two uniforms per lane for each round it runs.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import erfinv
 
-from .errors import DomainError, MethodUnavailableError, NumericalIntegrityError, SizeLimitError
-from .model import Pmf, PYParams, SampleSummary, _check_draw_count
+from .errors import (
+    DomainError,
+    MethodUnavailableError,
+    NumericalIntegrityError,
+    SizeLimitError,
+    check_count,
+    check_positive,
+)
+from .model import Pmf, PYParams, SampleSummary
 
 _CHUNK = 1 << 14
 
@@ -53,10 +59,8 @@ class RngStream:
     stream_id: int = 0
 
     def __post_init__(self):
-        for name in ("seed", "stream_id"):
-            value = getattr(self, name)
-            if not isinstance(value, numbers.Integral) or value < 0:
-                raise DomainError(f"{name} must be an integer >= 0, got {value!r}")
+        check_count(self.seed, 0, "seed")
+        check_count(self.stream_id, 0, "stream_id")
 
     def generator(self) -> np.random.Generator:
         ss = np.random.SeedSequence(entropy=self.seed, spawn_key=(self.stream_id,))
@@ -66,7 +70,8 @@ class RngStream:
         """Derive the stream for replicate/pair `index` under this seed; with
         index in [0, 1_000_003), every stream_id >= 1 has one parent and one
         index."""
-        if not isinstance(index, numbers.Integral) or not 0 <= index < 1_000_003:
+        check_count(index, 0, "split index")
+        if index >= 1_000_003:
             raise DomainError(f"split index must be an integer in [0, 1000003), got {index!r}")
         return RngStream(self.seed, self.stream_id * 1_000_003 + index + 1)
 
@@ -104,8 +109,7 @@ class MLLimitParams:
 
 def _as_batch(size) -> int:
     """The number of draws a sampler is asked for: an integer >= 0."""
-    if not isinstance(size, numbers.Integral) or size < 0:
-        raise DomainError(f"size must be an integer >= 0, got {size!r}")
+    check_count(size, 0, "size")
     return int(size)
 
 
@@ -151,7 +155,7 @@ def sample_k_future(params: PYParams, sample: SampleSummary, m: int, rng: RngStr
     at a cost that grows with the number of new species and rejected
     candidates rather than with m.  m is capped at 2**63 - 1, the largest
     count numpy's binomial draws."""
-    _check_draw_count(m)
+    check_count(m)
     if m > np.iinfo(np.int64).max:
         raise SizeLimitError(f"m={m} exceeds 2**63 - 1, the largest count of a binomial draw")
     count = _as_batch(size)
@@ -166,23 +170,21 @@ def sample_k_future(params: PYParams, sample: SampleSummary, m: int, rng: RngStr
 
 def sample_from_pmf(pmf: Pmf, rng: RngStream, size):
     """Draws from a pmf on {0, ..., support_max} by inverse CDF, one
-    uniform per draw: the smallest k with Pr[K <= k] > u.  Entries of
+    uniform per draw: the smallest k with Pr[K <= k] > u, from numpy's
+    weighted `choice`, which divides the cdf by its last entry.  Entries of
     probability 0 are never drawn."""
     count = _as_batch(size)
-    cdf = pmf.cdf()
-    u = rng.generator().random(count)
     _count(count)
-    return np.searchsorted(cdf / cdf[-1], u, side="right")
+    return rng.generator().choice(pmf.probs.size, size=count, p=pmf.probs)
 
 
 def sample_prior_kstar(alpha: float, theta_total: float, m: int, rng: RngStream, size):
     """Species count among m draws of the prior predictive chain started
     from an empty sample (the first draw always founds a species)."""
-    if not 0.0 <= alpha < 1.0:
-        raise DomainError("alpha must lie in [0, 1)")
-    if theta_total <= 0:
-        raise DomainError("theta_total must be positive")
-    _check_draw_count(m, 1)
+    PYParams(alpha, theta_total)  # the Pitman-Yor domain
+    # the chain divides by theta_total at its first draw
+    check_positive(theta_total, "theta_total")
+    check_count(m, 1)
     count = _as_batch(size)
     return _chain(rng.generator(), np.full(count, m), alpha, theta_total)
 
@@ -226,8 +228,7 @@ def sample_mittag_leffler(alpha: float, q: float, rng: RngStream, size):
     """
     if not 0.0 < alpha < 1.0:
         raise DomainError("alpha must lie strictly in (0, 1)")
-    if q <= 0:
-        raise DomainError("q must be positive")
+    check_positive(q, "q")
     count = _as_batch(size)
     gen = rng.generator()
     b = (1.0 - alpha) * q
@@ -261,7 +262,7 @@ def sample_mittag_leffler(alpha: float, q: float, rng: RngStream, size):
 def sample_ml_limit(params: PYParams, sample: SampleSummary, m: int, rng: RngStream, size):
     """Draws of the scaled Mittag-Leffler approximation to the posterior:
     c(m) * Beta(j + theta/alpha, n/alpha - j) * S_{alpha, (theta+n)/alpha}."""
-    _check_draw_count(m)
+    check_count(m)
     ml = MLLimitParams.from_posterior(params, sample, m)
     count = _as_batch(size)
     if ml.scale_c == 0.0:
@@ -280,12 +281,8 @@ def sample_prior_partition(alpha: float, theta: float, n: int, rng: RngStream) -
     Existing-species picks use the uniform-past-draw proposal with
     acceptance 1 - alpha/count, which is O(1) per draw.
     """
-    if not 0.0 <= alpha < 1.0:
-        raise DomainError("alpha must lie in [0, 1)")
-    if theta <= -alpha:
-        raise DomainError("theta must exceed -alpha")
-    if n < 1:
-        raise DomainError("n must be >= 1")
+    PYParams(alpha, theta)  # the Pitman-Yor domain
+    check_count(n, 1, "n")
     gen = rng.generator()
     labels = np.empty(n, dtype=np.int64)
     counts = [1]

@@ -24,7 +24,7 @@ from unseen.errors import (
 from unseen.intervals import CredibleInterval, coverage
 from unseen.model import DP_MAX, PYParams, SampleSummary, posterior_pmfs
 
-from conftest import standin_freqs
+from conftest import TABLE_FAV, standin_freqs
 
 
 def run_cli(capsys, *argv):
@@ -364,6 +364,13 @@ class TestBenchmarkCommand:
         assert len(rows) == 1 + 5
         names = {r[0] for r in rows[1:]}
         assert "tomato_flower" in names
+
+    def test_est_stand_ins_hold_the_published_sizes(self):
+        """The packaged stand-ins are the one copy of the EST sizes: each
+        ingests to the (n, j) of its library in the published table."""
+        got = {name: (s.n, s.j) for name, s in cli._est_samples(None)}
+        assert got == {name: (n, j) for name, (_, _, n, j) in TABLE_FAV.items()}
+        assert sorted(got) == sorted(cli.EST_FIXTURES)
 
     def test_est_dir_missing_files_exit_2(self, capsys, tmp_path):
         code = main(["benchmark", "--suite", "est", "--est-dir", str(tmp_path),

@@ -62,6 +62,13 @@ class TestTypes:
         s = SampleSummary(np.int64(10), np.int32(3))
         assert (s.n, s.j) == (10, 3)
 
+    def test_from_freqs_keeps_python_ints(self):
+        """Counts from numpy (a multinomial draw) give a summary of Python
+        ints, which mpmath references and json output take."""
+        s = SampleSummary.from_freqs(np.array([1, 4, 2], dtype=np.int64))
+        assert (s.n, s.j, s.freqs) == (7, 3, (4, 2, 1))
+        assert all(type(x) is int for x in (s.n, s.j, *s.freqs))
+
     @pytest.mark.parametrize("freqs", [(2,), (4, 2, 1), standin_freqs(977, 300).freqs])
     def test_frequencies_only_where_needed(self, tmp_path, freqs):
         """The posterior takes (n, j) alone; the fit and the export need the
