@@ -61,7 +61,10 @@ def generate(spec: DatasetSpec, rng: RngStream) -> SampleSummary:
     gen = rng.generator()
     N, n = spec.support_size, spec.n
     if spec.kind == "zipf":
-        p = np.arange(1, N + 1, dtype=float) ** (-spec.shape)
+        rank = np.arange(1, N + 1, dtype=float)
+        # a negative shape weighs the last rank most, so scale the ranks by
+        # N there: (rank / N) ** -shape <= 1 cannot overflow
+        p = rank ** (-spec.shape) if spec.shape >= 0 else (rank / N) ** (-spec.shape)
         p /= p.sum()
     elif spec.kind == "uniform":
         p = np.full(N, 1.0 / N)

@@ -6,17 +6,19 @@ sum of m_f [log Gamma(f - alpha) - log Gamma(1 - alpha)] (`_block_term`),
 and a term of (alpha, theta) (the rest of `_loglik`).  The grid search
 forms the alpha term once per fit for all its lanes.  `_loglik` is the one
 arithmetic of every evaluation: the grid's lanes, and, as one-lane calls
-through `_loglik_at`, Nelder-Mead's points, the final check and
-`ep_log_likelihood`.
+through `_loglik_at`, the points of the Newton ascent and
+`ep_log_likelihood`.  The Newton ascent that refines the grid's best point
+steps on the closed-form score and Hessian (`_score`).
 
 On every alpha lane |d loglik / d log theta| <= n - 1, so the grid's
 golden-section search drops a lane once that bound shows it cannot hold
 the grid's best value (`_golden_max`); the lane it keeps has the bits the
 full search gives it.
 
-The fit searches alpha on a grid of step 0.01 and theta in [1e-4, 1e6]
-only.  The likelihood itself is defined on all of theta > -alpha, and a fit
-that stops at either end of the theta range is flagged.
+The fit searches alpha on a grid of step 0.01, then on [0, 1 - 1e-12],
+and theta in [1e-4, 1e6] only.  The likelihood itself is defined on all of
+theta > -alpha, and a fit that stops at either end of the theta range is
+flagged.
 """
 
 from __future__ import annotations
@@ -25,8 +27,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
-from scipy.special import gammaln
+from scipy.special import digamma, gammaln, zeta
 
 from .errors import DegenerateSampleError, DomainError
 from .model import SampleSummary
@@ -35,9 +36,6 @@ _FLAGS = ("alpha_zero", "alpha_near_one", "theta_capped", "theta_at_min")
 
 # Most entries of one (lanes, j - 1) term matrix of `_loglik`: 16 MB.
 _LANE_BUDGET = 2_000_000
-
-# Iteration cap of the Nelder-Mead refinement.
-_REFINE_ITERS = 400
 
 # Golden-section iterations of the theta search on each grid lane.
 _GOLDEN_ITERS = 80
@@ -49,6 +47,18 @@ _ALPHA_STEP = 0.01
 # reaches the part (-alpha, 0] of the admissible range.
 _THETA_MIN = 1e-4
 _THETA_MAX = 1e6
+
+# The box (alpha, theta) of the Newton ascent.
+_LOWER = np.array([0.0, _THETA_MIN])
+_UPPER = np.array([1.0 - 1e-12, _THETA_MAX])
+
+# A fit has converged once its projected score is at most this times n.
+_SCORE_TOL = 1e-6
+
+# Cap on the steps of the Newton ascent.  Interior fits stop after 0-3
+# steps.  A likelihood that keeps rising toward theta = 1e-4 takes about
+# one step per unit of log theta, and the theta range spans 23 units.
+_NEWTON_STEPS = 50
 
 
 @dataclass(frozen=True)
@@ -202,35 +212,143 @@ def _allowance(n, j, blocks):
     return 2 * 256 * np.finfo(float).eps * size
 
 
+def _score(alpha, theta, n, j, freq_vals, freq_mult):
+    """Score and Hessian of the log-likelihood in (alpha, log theta), in
+    closed form.  With i < j over the new-species terms and k < n over the
+    normaliser terms:
+
+        d/d alpha     = sum_i i / (theta + alpha i)
+                        - sum_f m_f [psi(f - alpha) - psi(1 - alpha)],
+        d/d log theta = sum_i theta / (theta + alpha i)
+                        - sum_k theta / (theta + k),
+
+    and the second derivatives are the same sums with squared
+    denominators, psi' (zeta(2, .)) in place of psi.  The log theta score
+    pairs the terms i = k < j as theta (1 - alpha) i / ((theta + alpha i)
+    (theta + i)), so its sign is exact where both sums are near j and n,
+    at large theta, and writes the unpaired rest j <= k < n as theta
+    [psi(theta + n) - psi(theta + j)].  The cost is O(j + distinct f),
+    as for `_loglik`, whatever the size of n or of the counts.
+    """
+    i = np.arange(1.0, j)
+    a_new = i / (theta + alpha * i)
+    t_new = theta / (theta + alpha * i)
+    t_old = theta / (theta + i)
+    psi, psi1 = digamma([theta + n, theta + j]), zeta(2.0, [theta + j, theta + n])
+    rest = theta * (psi[0] - psi[1])
+    rest_2 = theta * theta * (psi1[0] - psi1[1])
+    block = freq_mult @ (digamma(freq_vals - alpha) - digamma(1.0 - alpha))
+    block_2 = freq_mult @ (zeta(2.0, freq_vals - alpha) - zeta(2.0, 1.0 - alpha))
+    cross = -(a_new @ t_new)
+    score = np.array([a_new.sum() - block, (1.0 - alpha) * (a_new @ t_old) - rest])
+    hessian = np.array([
+        [-(a_new @ a_new) + block_2, cross],
+        [cross, t_new @ (1.0 - t_new) - t_old @ (1.0 - t_old) - rest + rest_2]])
+    return score, hessian
+
+
+def _projected(x, score):
+    """The score at x with each coordinate that sits at a bound of the box
+    [_LOWER, _UPPER] while its score points out of the box set to 0, and
+    the mask of those held coordinates."""
+    held = ((x == _LOWER) & (score < 0.0)) | ((x == _UPPER) & (score > 0.0))
+    return np.where(held, 0.0, score), held
+
+
+def _newton(x, n, j, freq_vals, freq_mult):
+    """Projected Newton ascent of the log-likelihood in (alpha, log theta),
+    from x = (alpha, theta) and inside the box [_LOWER, _UPPER].
+
+    A coordinate at a bound whose score points out of the box is held
+    there; the projected score is the score with the held coordinates set
+    to 0.  The step solves the Newton equations of the free coordinates.
+    Where their Hessian is not negative definite, the step follows the
+    projected score instead, scaled to span the log theta range, so that a
+    likelihood still rising toward a bound reaches it in one step.  A
+    backtracking line search halves the step, projected onto the box,
+    until `_loglik_at` rises.  It gives up once the rise the score predicts
+    falls below the rounding error of `_loglik`, a few ulps of its largest
+    terms, the value and gammaln(theta + n), and the ascent stops there.
+    So every accepted step raises the value, and the result is never below
+    the start.
+
+    Returns (x, value, converged), where converged says that the ascent
+    stopped with the projected score at most _SCORE_TOL * n in each
+    coordinate.
+    """
+    args = (n, j, freq_vals, freq_mult)
+    value = _loglik_at(*x, *args)
+    span = math.log(_THETA_MAX / _THETA_MIN)
+    for _ in range(_NEWTON_STEPS):
+        score, hessian = _score(*x, *args)
+        score, held = _projected(x, score)
+        size = np.abs(score).max()
+        converged = size <= _SCORE_TOL * n
+        if size == 0.0:
+            break
+        # -1 on the diagonal of a held coordinate, 0 off it, so the Newton
+        # step leaves that coordinate where it is; h is negative definite
+        # where h[0, 0] < 0 < det, and the step is -h^-1 score
+        h = np.where(np.outer(~held, ~held), hessian, -np.eye(2))
+        det = h[0, 0] * h[1, 1] - h[0, 1] * h[1, 0]
+        if h[0, 0] < 0.0 < det:
+            step = np.array([h[0, 1] * score[1] - h[1, 1] * score[0],
+                             h[1, 0] * score[0] - h[0, 0] * score[1]]) / det
+        else:
+            step = score * (span / size)
+        resolution = np.finfo(float).eps * (abs(value) + 2.0 * gammaln(x[1] + n))
+        t, rise = 1.0, score @ step
+        while t * rise > resolution:
+            dlt = min(max(t * step[1], -span), span)
+            trial = np.clip([x[0] + t * step[0], x[1] * math.exp(dlt)], _LOWER, _UPPER)
+            v = _loglik_at(*trial, *args)
+            if v > value:
+                break
+            t /= 2.0
+        else:
+            break
+        x, value = trial, v
+    else:
+        converged = False
+    return x, value, bool(converged)
+
+
 def fit_empirical_bayes(sample: SampleSummary) -> FitResult:
     """Maximize the Ewens-Pitman likelihood over alpha in [0, 1) and theta
     in [1e-4, 1e6].
 
     Two stages: an alpha grid of step 0.01 with a golden-section theta
-    search on the log scale at each grid point, then Nelder-Mead refinement
-    around the best grid point.  The grid search runs every grid point as
-    one lane of a single golden-section search, and the first grid point
-    of the largest value wins.  A lane is dropped from the search once it
-    provably cannot win: on every lane the log-likelihood moves by at most
-    (n - 1) |d log theta|, since each of the j - 1 new-species terms
-    theta / (theta + alpha i) and each of the n - 1 normaliser terms
-    theta / (theta + k) of its derivative lies in (0, 1], and the alpha
-    term does not depend on theta.  The winner keeps the bits of the full
-    search (`_golden_max`).  The Nelder-Mead simplex is bounded to alpha in
-    [0, 1) and free in log theta; its theta is clamped to [1e-4, 1e6]
-    afterwards.
+    search on the log scale at each grid point, then projected Newton
+    ascent in (alpha, log theta) from the best grid point (`_newton`).
+    The grid search runs every grid point as one lane of a single
+    golden-section search, and the first grid point of the largest value
+    wins.  A lane is dropped from the search once it provably cannot win:
+    on every lane the log-likelihood moves by at most (n - 1) |d log
+    theta|, since each of the j - 1 new-species terms theta / (theta +
+    alpha i) and each of the n - 1 normaliser terms theta / (theta + k) of
+    its derivative lies in (0, 1], and the alpha term does not depend on
+    theta.  The winner keeps the bits of the full search (`_golden_max`).
+    The Newton ascent runs on the closed-form score and Hessian
+    (`_score`) inside the box alpha in [0, 1 - 1e-12], theta in [1e-4,
+    1e6], holds a coordinate at a bound while its score points out of the
+    box, and takes a step only if the value rises, so the fit is never
+    below the grid's best value.
 
     The alpha term of the likelihood is formed once for the grid's lanes
     and shared by every golden-section step; only the (alpha, theta) term
-    is formed per step.  Each Nelder-Mead point and the final check are
-    one-lane evaluations of the same arithmetic.
+    is formed per step.  Each point of the Newton ascent is a one-lane
+    evaluation of the same arithmetic.
+
+    The fit is converged when the ascent stops with its projected score,
+    the score with the held coordinates set to 0, at most 1e-6 n in each
+    coordinate.
 
     Boundary solutions are flagged, not rejected: `alpha_zero`,
     `alpha_near_one` (alpha within one grid step of 1), `theta_capped`
     (theta within 1% of 1e6) and `theta_at_min` (theta within 1% of the
     floor 1e-4, where the likelihood may still rise toward theta <= 0).
     Either theta flag, and a sample of all singletons or of one block,
-    make the fit not converged.
+    also make the fit not converged.
     """
     if sample.n < 2:
         raise DegenerateSampleError(
@@ -251,25 +369,9 @@ def fit_empirical_bayes(sample: SampleSummary) -> FitResult:
         np.full(alphas.size, math.log(_THETA_MIN)), np.full(alphas.size, math.log(_THETA_MAX)),
         n - 1.0, _allowance(n, j, blocks))
     i = int(np.argmax(vals))
-    best = (float(vals[i]), float(alphas[lanes[i]]), math.exp(float(lts[i])))
-
-    def neg(x):
-        a, lt = x
-        return -_loglik_at(float(a), math.exp(float(lt)), n, j, fv, fm)
-
-    res = minimize(
-        neg, np.array([best[1], math.log(best[2])]), method="Nelder-Mead",
-        bounds=[(0.0, 1.0 - 1e-12), (None, None)],
-        options={"maxiter": _REFINE_ITERS, "xatol": 1e-7, "fatol": 1e-10},
-    )
-    converged = bool(res.success)
-    alpha_hat, theta_hat = float(res.x[0]), math.exp(float(res.x[1]))
-    if alpha_hat < 1e-10:
-        alpha_hat = 0.0
-    theta_hat = min(max(theta_hat, _THETA_MIN), _THETA_MAX)
-    refined = _loglik_at(alpha_hat, theta_hat, n, j, fv, fm)
-    if refined < best[0]:
-        alpha_hat, theta_hat, refined = best[1], best[2], best[0]
+    x, loglik, converged = _newton(
+        np.array([alphas[lanes[i]], math.exp(float(lts[i]))]), n, j, fv, fm)
+    alpha_hat, theta_hat = x.tolist()
 
     flags = set()
     if alpha_hat == 0.0:
@@ -289,7 +391,7 @@ def fit_empirical_bayes(sample: SampleSummary) -> FitResult:
     return FitResult(
         alpha_hat=alpha_hat,
         theta_hat=theta_hat,
-        log_likelihood=refined,
+        log_likelihood=loglik,
         converged=converged,
         boundary_flags=frozenset(flags),
     )

@@ -96,13 +96,19 @@ class MLLimitParams:
                 "(the posterior concentrates at theta on the log-m scale); "
                 "use the exact or Gaussian method instead"
             )
+        beta_a, stable_q = j + t / a, (t + n) / a
+        if not (math.isfinite(beta_a) and math.isfinite(stable_q)):
+            raise DomainError(
+                f"theta/alpha overflows at theta = {t!r}, alpha = {a!r}: the "
+                "Mittag-Leffler limit is unavailable"
+            )
         # (t+n+m)^a - (t+n)^a without the cancellation at t + n >> m
         scale_c = (t + n) ** a * math.expm1(a * math.log1p(m / (t + n)))
         return cls(
             alpha=a,
-            beta_a=j + t / a,
+            beta_a=beta_a,
             beta_b=n / a - j,
-            stable_q=(t + n) / a,
+            stable_q=stable_q,
             scale_c=scale_c,
         )
 

@@ -446,10 +446,10 @@ class TestBenchmarkCommand:
     def test_only_mc_columns_moved(self, capsys, tmp_path):
         """Drawing the exact-MC replicates from the one pmf pass per dataset
         moves only the columns built from those draws: every other column
-        keeps the bytes it had when each row ran the chain.  ml_lo and
-        ml_hi are pinned as the Gaussian-envelope angle sampler draws them,
-        and the polya_c rows as the Dirichlet-multinomial draw generates
-        their sample."""
+        keeps the bytes it had when each row ran the chain, at the fits of
+        the Newton-refined search.  ml_lo and ml_hi are pinned as the
+        Gaussian-envelope angle sampler draws them, and the polya_c rows as
+        the Dirichlet-multinomial draw generates their sample."""
         drop = {"exact_lo", "exact_hi", "ml_cov", "gauss_cov"}
         out = tmp_path / "s3.csv"
         code = main(["benchmark", "--suite", "synthetic", "--m-grid", "0..5n:4",
@@ -459,7 +459,7 @@ class TestBenchmarkCommand:
         keep = [i for i, name in enumerate(table[0]) if name not in drop]
         text = "\n".join(",".join(r[i] for i in keep) for r in table)
         digest = hashlib.sha256(text.encode()).hexdigest()
-        assert digest == "459b00d7347f9a8986f5f85618ae9d1a764051fdb091fe023d9ad8d0bac68edf"
+        assert digest == "10dcd973f19cbef38fdedcf085c54ab3729da59f4e5c8872c4eb813f9039c4e5"
 
     def test_est_suite_pinned(self, capsys, tmp_path):
         """Every column of an EST sweep, exact-MC cells included, keeps its
@@ -470,7 +470,7 @@ class TestBenchmarkCommand:
                      "--samples", "300", "--seed", "3", "--out", str(out)])
         assert code == 0
         digest = hashlib.sha256(out.read_bytes()).hexdigest()
-        assert digest == "398fc2093aa2ac802b29389c69cf845b2241b50901e7585ab7a8b7f5c846b653"
+        assert digest == "08fa54580d8cb7c146441aead63b4b25fa8a1ab48dd81a92c60ed05cf2f333e2"
 
     def test_chain_runs_above_dp_max(self, capsys, tmp_path, monkeypatch):
         """Rows up to DP_MAX draw from the shared pmf pass; rows above it

@@ -73,16 +73,16 @@ class TestGenerate:
 
     def test_zipf_occupancy_matches_exact_expectation(self):
         """Realized distinct count vs the exact occupancy moments of the
-        generating law (independent oracle; 5 sigma band)."""
-        N, shape, n = 301, 2.0, 977
-        probs = np.arange(1.0, N + 1.0) ** (-shape)
-        probs /= probs.sum()
-        mean, var = occupancy_expectation(probs, n)
-        js = [
-            generate(DatasetSpec(kind="zipf", support_size=N, shape=shape, n=n), RngStream(s)).j
-            for s in range(30)
-        ]
-        assert abs(np.mean(js) - mean) <= 5.0 * np.sqrt(var / len(js))
+        generating law (independent oracle; 5 sigma band), at a positive
+        and at two negative shapes.  At shape -200, 301 ** 200 overflows a
+        float, but the law is still well defined."""
+        for N, shape, n in [(301, 2.0, 977), (301, -0.5, 977), (301, -200.0, 977)]:
+            probs = np.exp(-shape * (np.log(np.arange(1.0, N + 1.0)) - math.log(N)))
+            probs /= probs.sum()
+            mean, var = occupancy_expectation(probs, n)
+            spec = DatasetSpec(kind="zipf", support_size=N, shape=shape, n=n)
+            js = [generate(spec, RngStream(s)).j for s in range(30)]
+            assert abs(np.mean(js) - mean) <= 5.0 * np.sqrt(var / len(js)), shape
 
     def test_uniform_occupancy_matches_exact_expectation(self):
         N, n = 501, 2000

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -95,11 +96,39 @@ class TestFit:
         assert "alpha_zero" in fit.boundary_flags
         assert not fit.converged
 
-    def test_all_singletons_caps_theta(self):
-        fit = fit_empirical_bayes(SampleSummary(6, 6, (1,) * 6))
-        assert "theta_capped" in fit.boundary_flags
-        assert fit.theta_hat >= 0.99e6
-        assert not fit.converged
+    def test_all_singletons_caps_theta(self, monkeypatch):
+        """Both scores stay positive on the whole box, so the fit ends at
+        its corner.  One step from the grid's best point reaches it, and
+        both coordinates are held there, so the likelihood is evaluated at
+        those two points only.  At n = 3 the likelihood's rounding error
+        near theta = 1e6 is larger than its rise toward the corner."""
+        points = []
+        real = empirical_bayes._loglik_at
+
+        def loglik_at(alpha, theta, *args):
+            points.append((alpha, theta))
+            return real(alpha, theta, *args)
+
+        monkeypatch.setattr(empirical_bayes, "_loglik_at", loglik_at)
+        for n in (6, 3):
+            points.clear()
+            fit = fit_empirical_bayes(SampleSummary(n, n, (1,) * n))
+            assert "theta_capped" in fit.boundary_flags
+            assert (fit.alpha_hat, fit.theta_hat) == (1.0 - 1e-12, 1e6)
+            assert not fit.converged
+            assert len(points) == 2 and points[-1] == (1.0 - 1e-12, 1e6)
+
+    def test_large_count_fits_in_bounded_memory(self):
+        """The score, like the likelihood, costs O(j + distinct f): a
+        species seen 1e9 times allocates nothing of that size."""
+        tracemalloc.start()
+        try:
+            fit = fit_empirical_bayes(SampleSummary.from_freqs([10**9, 3, 1, 1]))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
+        assert fit.boundary_flags == {"theta_at_min"} and not fit.converged
 
     def test_result_consistency(self):
         sample = sample_prior_partition(0.5, 5.0, 2000, RngStream(101))
@@ -183,33 +212,48 @@ def _est_sample(name):
     return dict(_est_samples(None))[name]
 
 
-# (alpha_hat, theta_hat, log_likelihood): the first two as computed by the
-# scalar one-grid-point-at-a-time search that the lockstep search replaced,
-# the rest as computed before the likelihood's alpha term was formed once
-# per grid.  polya_c's sample is the Dirichlet-multinomial draw.
+# (alpha_hat, theta_hat, log_likelihood) as the grid search and its Newton
+# ascent compute them.  polya_c's sample is the Dirichlet-multinomial draw.
 PINNED_FITS = {
     "alpha_zero": (_uniform_like_sample,
                    "(0.0, 208.8162673002511, -10052.676871432548)"),
     "interior": (lambda: sample_prior_partition(0.5, 5.0, 2000, RngStream(101)),
-                 "(0.48074272048162003, 4.896031703012677, -6290.880524006419)"),
+                 "(0.480742716249163, 4.8960288357861685, -6290.880524006421)"),
     "polya_c": (lambda: _synthetic_sample("polya_c"),
-                "(0.0, 210.8865769103242, -10041.467556830123)"),
+                "(0.0, 210.88660381637908, -10041.467556830128)"),
     "uniform_d": (lambda: _synthetic_sample("uniform_d"),
                   "(0.0, 210.19519369218702, -10056.473863263584)"),
     "zipf_a": (lambda: _synthetic_sample("zipf_a"),
-               "(0.46531667116373665, 0.657799734431501, -1419.7838476677416)"),
+               "(0.46531664020563, 0.6578005566404241, -1419.7838476677416)"),
     "zipf_b": (lambda: _synthetic_sample("zipf_b"),
-               "(0.3364359984017909, 3.925268292759117, -4277.797020493852)"),
+               "(0.33643596341688975, 3.9252706224510874, -4277.7970204938565)"),
     "tomato_flower": (lambda: _est_sample("tomato_flower"),
-                      "(0.900182378954665, 29.603310811144823, -4715.480177855079)"),
+                      "(0.9001823875981028, 29.60331271650053, -4715.480177855086)"),
     "mastigamoeba": (lambda: _est_sample("mastigamoeba"),
-                     "(0.8240585708203249, 23.391058768650176, -1417.6814800748339)"),
+                     "(0.8240585698704208, 23.391056417951457, -1417.6814800748343)"),
     "mastigamoeba_norm": (lambda: _est_sample("mastigamoeba_norm"),
-                          "(0.8072310137103939, 22.19838130779522, -634.3689803159275)"),
+                          "(0.8072310348298205, 22.19837674471728, -634.3689803159281)"),
     "naegleria_aerobic": (lambda: _est_sample("naegleria_aerobic"),
-                          "(0.7540133066881398, 20.11668233707224, -2445.86298296224)"),
+                          "(0.7540133110042193, 20.116678895510958, -2445.8629829622414)"),
     "naegleria_anaerobic": (lambda: _est_sample("naegleria_anaerobic"),
-                            "(0.8441830246055927, 24.174430222290443, -1922.4806377075756)"),
+                            "(0.8441830259697541, 24.174430541947356, -1922.4806377075763)"),
+}
+
+# (alpha_hat, theta_hat, log_likelihood) as the fit gave them when a
+# simplex search refined the grid's best point.  Each refit reaches the
+# log-likelihood here less 1e-9.
+FLOOR_FITS = {
+    "alpha_zero": (0.0, 208.8162673002511, -10052.676871432548),
+    "interior": (0.48074272048162003, 4.896031703012677, -6290.880524006419),
+    "polya_c": (0.0, 210.8865769103242, -10041.467556830123),
+    "uniform_d": (0.0, 210.19519369218702, -10056.473863263584),
+    "zipf_a": (0.46531667116373665, 0.657799734431501, -1419.7838476677416),
+    "zipf_b": (0.3364359984017909, 3.925268292759117, -4277.797020493852),
+    "tomato_flower": (0.900182378954665, 29.603310811144823, -4715.480177855079),
+    "mastigamoeba": (0.8240585708203249, 23.391058768650176, -1417.6814800748339),
+    "mastigamoeba_norm": (0.8072310137103939, 22.19838130779522, -634.3689803159275),
+    "naegleria_aerobic": (0.7540133066881398, 20.11668233707224, -2445.86298296224),
+    "naegleria_anaerobic": (0.8441830246055927, 24.174430222290443, -1922.4806377075756),
 }
 
 
@@ -317,3 +361,117 @@ class TestPrunedGridSearch:
 
             gap = np.abs(loglik(u1) - loglik(u2)) - (n - 1) * np.abs(u1 - u2)
             assert gap.max() <= allowance, (alpha, gap.max(), allowance)
+
+
+# (sorted boundary flags, converged) of each PRUNING_SAMPLES fit as the
+# simplex refinement gave them; the Newton ascent keeps them.
+BOUNDARY_STATES = {
+    "alpha_zero": (["alpha_zero"], True),
+    "interior": ([], True),
+    "polya_c": (["alpha_zero"], True),
+    "uniform_d": (["alpha_zero"], True),
+    "zipf_a": ([], True),
+    "zipf_b": ([], True),
+    "tomato_flower": ([], True),
+    "mastigamoeba": ([], True),
+    "mastigamoeba_norm": ([], True),
+    "naegleria_aerobic": ([], True),
+    "naegleria_anaerobic": ([], True),
+    "two_in_one_block": (["alpha_zero", "theta_at_min"], False),
+    "six_singletons": (["alpha_near_one", "theta_capped"], False),
+    "one_block_of_10": (["alpha_zero", "theta_at_min"], False),
+    "prior_alpha_0.99": ([], True),
+    "prior_theta_1e5": (["alpha_zero"], True),
+}
+
+
+def _projected_score(alpha, theta, sample):
+    """The fit's projected score at (alpha, theta) in (alpha, log theta)."""
+    fv, fm = empirical_bayes._freq_multiset(sample)
+    score, _ = empirical_bayes._score(alpha, theta, sample.n, sample.j, fv, fm)
+    return empirical_bayes._projected(np.array([alpha, theta]), score)[0]
+
+
+class TestNewtonAscent:
+    @pytest.mark.parametrize("name", FLOOR_FITS)
+    def test_reaches_the_floor(self, name):
+        fit = fit_empirical_bayes(PINNED_FITS[name][0]())
+        assert fit.log_likelihood >= FLOOR_FITS[name][2] - 1e-9
+
+    @pytest.mark.parametrize("name", PRUNING_SAMPLES)
+    def test_boundary_state_and_score(self, monkeypatch, name):
+        """The flags and converged are as pinned, the fit is never below the
+        grid's best value, and a converged fit has a projected score of at
+        most 1e-6 n in each coordinate."""
+        grid_best, values = [], []
+        real_max, real_at = empirical_bayes._golden_max, empirical_bayes._loglik_at
+
+        def spy_max(*args):
+            result = real_max(*args)
+            grid_best.append(float(result[2].max()))
+            return result
+
+        def spy_at(*args):
+            values.append(real_at(*args))
+            return values[-1]
+
+        monkeypatch.setattr(empirical_bayes, "_golden_max", spy_max)
+        monkeypatch.setattr(empirical_bayes, "_loglik_at", spy_at)
+        sample = PRUNING_SAMPLES[name]()
+        fit = fit_empirical_bayes(sample)
+        assert (sorted(fit.boundary_flags), fit.converged) == BOUNDARY_STATES[name]
+        # a step is taken only where the value rises, so the fit keeps the
+        # largest value the ascent saw
+        assert fit.log_likelihood == max(values) >= grid_best[0]
+        assert type(fit.alpha_hat) is float and type(fit.theta_hat) is float
+        if fit.converged:
+            score = _projected_score(fit.alpha_hat, fit.theta_hat, sample)
+            assert np.abs(score).max() <= 1e-6 * sample.n, score
+
+    def test_converged_is_the_score_rule(self, monkeypatch):
+        """converged compares the final projected score with the stated
+        tolerance: below the float noise of the score, no fit converges."""
+        sample = PINNED_FITS["interior"][0]()
+        assert fit_empirical_bayes(sample).converged
+        monkeypatch.setattr(empirical_bayes, "_SCORE_TOL", 1e-20)
+        assert not fit_empirical_bayes(sample).converged
+
+    def test_capped_theta_holds_while_alpha_moves(self, monkeypatch):
+        """Where the likelihood still rises at theta = 1e6, theta is held at
+        the cap and alpha is fitted given it: its score is 0 there.  Newton
+        steps in alpha alone get there in a few evaluations; following the
+        score instead takes about ten times as many."""
+        evaluations = []
+        real = empirical_bayes._loglik_at
+
+        def loglik_at(*args):
+            evaluations.append(args[:2])
+            return real(*args)
+
+        monkeypatch.setattr(empirical_bayes, "_loglik_at", loglik_at)
+        sample = sample_prior_partition(0.6, 5e5, 3000, RngStream(210))
+        fit = fit_empirical_bayes(sample)
+        assert len(evaluations) <= 10
+        assert fit.theta_hat == 1e6 and 0.0 < fit.alpha_hat < 0.99
+        assert fit.boundary_flags == {"theta_capped"} and not fit.converged
+        score = _projected_score(fit.alpha_hat, fit.theta_hat, sample)
+        assert score[1] == 0.0 and abs(score[0]) <= 1e-6 * sample.n
+
+    @pytest.mark.parametrize("alpha,theta", [(1e-3, 208.8), (0.48, 4.9), (0.3, 1e-3),
+                                             (0.9, 1e5), (0.99, 1e6)])
+    def test_score_is_the_likelihood_gradient(self, alpha, theta):
+        """The closed-form score and Hessian match central differences of
+        the likelihood and of the score, in alpha and in log theta."""
+        sample = sample_prior_partition(0.5, 5.0, 2000, RngStream(101))
+        fv, fm = empirical_bayes._freq_multiset(sample)
+        n, j = sample.n, sample.j
+        score, hessian = empirical_bayes._score(alpha, theta, n, j, fv, fm)
+        h = 1e-5
+        for axis, (da, dlt) in enumerate([(h, 0.0), (0.0, h)]):
+            hi = (alpha + da, theta * math.exp(dlt))
+            lo = (alpha - da, theta * math.exp(-dlt))
+            diff = (ep_log_likelihood(*hi, sample) - ep_log_likelihood(*lo, sample)) / (2 * h)
+            assert diff == pytest.approx(score[axis], rel=1e-4, abs=1e-6 * n)
+            column = (empirical_bayes._score(*hi, n, j, fv, fm)[0]
+                      - empirical_bayes._score(*lo, n, j, fv, fm)[0]) / (2 * h)
+            assert column == pytest.approx(hessian[:, axis], rel=1e-4, abs=1e-6 * n)

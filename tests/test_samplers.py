@@ -460,6 +460,14 @@ class TestMlLimit:
         assert ml.scale_c == pytest.approx(1980.67 ** 0.54 - 1003.67 ** 0.54)
         assert ml.scale_c > 0
 
+    @pytest.mark.parametrize("alpha,theta", [(0.5, 1e308), (1e-300, 1e10)])
+    def test_overflow_names_theta_and_alpha(self, alpha, theta):
+        """Where (theta + n)/alpha or j + theta/alpha overflows, the error
+        names the arguments the user gave, not the limit's q."""
+        with pytest.raises(DomainError, match="theta = .* alpha = ") as exc:
+            MLLimitParams.from_posterior(PYParams(alpha, theta), SampleSummary(100, 40), 10)
+        assert "q must be" not in str(exc.value)
+
     @pytest.mark.parametrize("theta", [1e6, 1e12, 1e17, 1e20])
     def test_scale_c_at_large_theta(self, theta):
         """c = (theta+n+m)^alpha - (theta+n)^alpha keeps its relative
