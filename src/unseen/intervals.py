@@ -41,14 +41,6 @@ class CredibleInterval:
         if (self.mc_samples is None) != (self.method == "gaussian"):
             raise DomainError("mc_samples must be present exactly when the method is Monte Carlo")
 
-    @property
-    def width(self) -> float:
-        return self.hi - self.lo
-
-    @property
-    def midpoint(self) -> float:
-        return 0.5 * (self.lo + self.hi)
-
 
 def _equal_tailed(draws: np.ndarray, level: float) -> tuple[float, float]:
     """Equal-tailed interval from order statistics at ceiling ranks (no

@@ -86,12 +86,13 @@ class TestGaussianInterval:
 
     def test_width_shrinks_with_level(self):
         params, sample = PYParams(0.5, 10.0), SampleSummary(100, 40)
-        w = [gaussian_interval(params, sample, 200, level).width
-             for level in (0.999, 0.95, 0.5, 0.05, 1e-6)]
+        cis = [gaussian_interval(params, sample, 200, level)
+               for level in (0.999, 0.95, 0.5, 0.05, 1e-6)]
+        w = [ci.hi - ci.lo for ci in cis]
         assert all(b < a for a, b in zip(w, w[1:]))
         tiny = gaussian_interval(params, sample, 200, 1e-9)
         mid = gaussian_approx(params, sample, 200).mean
-        assert tiny.midpoint == pytest.approx(mid, rel=1e-6)
+        assert (tiny.lo + tiny.hi) / 2 == pytest.approx(mid, rel=1e-6)
 
     def test_refuses_nonpositive_theta(self):
         params = PYParams(0.5, 0.0)

@@ -447,7 +447,7 @@ class TestBenchmarkCommand:
         """Drawing the exact-MC replicates from the one pmf pass per dataset
         moves only the columns built from those draws: every other column
         keeps the bytes it had when each row ran the chain, at the fits of
-        the Newton-refined search.  ml_lo and ml_hi are pinned as the
+        the mesh's Newton ascent.  ml_lo and ml_hi are pinned as the
         Gaussian-envelope angle sampler draws them, and the polya_c rows as
         the Dirichlet-multinomial draw generates their sample."""
         drop = {"exact_lo", "exact_hi", "ml_cov", "gauss_cov"}
@@ -459,7 +459,7 @@ class TestBenchmarkCommand:
         keep = [i for i, name in enumerate(table[0]) if name not in drop]
         text = "\n".join(",".join(r[i] for i in keep) for r in table)
         digest = hashlib.sha256(text.encode()).hexdigest()
-        assert digest == "10dcd973f19cbef38fdedcf085c54ab3729da59f4e5c8872c4eb813f9039c4e5"
+        assert digest == "1afd6a24638d533eddaa8923d3ec1c664a7ed8518ec24310cd8c13f40dbbf6f9"
 
     def test_est_suite_pinned(self, capsys, tmp_path):
         """Every column of an EST sweep, exact-MC cells included, keeps its
@@ -470,7 +470,7 @@ class TestBenchmarkCommand:
                      "--samples", "300", "--seed", "3", "--out", str(out)])
         assert code == 0
         digest = hashlib.sha256(out.read_bytes()).hexdigest()
-        assert digest == "08fa54580d8cb7c146441aead63b4b25fa8a1ab48dd81a92c60ed05cf2f333e2"
+        assert digest == "58646a41b4edba0be7e0573f9ca44871c8fcb140e93ad1a5053f4274f0fa9044"
 
     def test_chain_runs_above_dp_max(self, capsys, tmp_path, monkeypatch):
         """Rows up to DP_MAX draw from the shared pmf pass; rows above it

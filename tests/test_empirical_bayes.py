@@ -6,7 +6,7 @@ import pytest
 
 from unseen import empirical_bayes
 from unseen.cli import SYNTHETIC_SUITE, _est_samples
-from unseen.datasets import generate
+from unseen.datasets import DatasetSpec, generate
 from unseen.empirical_bayes import ep_log_likelihood, fit_empirical_bayes
 from unseen.errors import DegenerateSampleError
 from unseen.model import SampleSummary
@@ -98,7 +98,7 @@ class TestFit:
 
     def test_all_singletons_caps_theta(self, monkeypatch):
         """Both scores stay positive on the whole box, so the fit ends at
-        its corner.  One step from the grid's best point reaches it, and
+        its corner.  One step from the mesh's best point reaches it, and
         both coordinates are held there, so the likelihood is evaluated at
         those two points only.  At n = 3 the likelihood's rounding error
         near theta = 1e6 is larger than its rise toward the corner."""
@@ -129,6 +129,19 @@ class TestFit:
             tracemalloc.stop()
         assert peak < 1e6
         assert fit.boundary_flags == {"theta_at_min"} and not fit.converged
+
+    def test_mesh_fits_in_bounded_memory(self):
+        """The mesh runs one `_loglik` call per theta column, so its term
+        matrix is 100 lanes by j - 1, about 1.5 MB at tomato_flower's
+        j = 1825; one call over the whole mesh would take about 32 MB."""
+        sample = _est_sample("tomato_flower")
+        tracemalloc.start()
+        try:
+            fit_empirical_bayes(sample)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6
 
     def test_result_consistency(self):
         sample = sample_prior_partition(0.5, 5.0, 2000, RngStream(101))
@@ -212,31 +225,31 @@ def _est_sample(name):
     return dict(_est_samples(None))[name]
 
 
-# (alpha_hat, theta_hat, log_likelihood) as the grid search and its Newton
-# ascent compute them.  polya_c's sample is the Dirichlet-multinomial draw.
+# (alpha_hat, theta_hat, log_likelihood) as the mesh and its Newton ascent
+# compute them.  polya_c's sample is the Dirichlet-multinomial draw.
 PINNED_FITS = {
     "alpha_zero": (_uniform_like_sample,
-                   "(0.0, 208.8162673002511, -10052.676871432548)"),
+                   "(0.0, 208.8162576687606, -10052.67687143255)"),
     "interior": (lambda: sample_prior_partition(0.5, 5.0, 2000, RngStream(101)),
-                 "(0.480742716249163, 4.8960288357861685, -6290.880524006421)"),
+                 "(0.4807427162490828, 4.896028835849318, -6290.880524006425)"),
     "polya_c": (lambda: _synthetic_sample("polya_c"),
-                "(0.0, 210.88660381637908, -10041.467556830128)"),
+                "(0.0, 210.88659748172955, -10041.467556830123)"),
     "uniform_d": (lambda: _synthetic_sample("uniform_d"),
-                  "(0.0, 210.19519369218702, -10056.473863263584)"),
+                  "(0.0, 210.19520237289686, -10056.473863263587)"),
     "zipf_a": (lambda: _synthetic_sample("zipf_a"),
-               "(0.46531664020563, 0.6578005566404241, -1419.7838476677416)"),
+               "(0.4653166585491231, 0.6578001274863243, -1419.7838476677425)"),
     "zipf_b": (lambda: _synthetic_sample("zipf_b"),
-               "(0.33643596341688975, 3.9252706224510874, -4277.7970204938565)"),
+               "(0.33643596389352026, 3.925270623022477, -4277.797020493854)"),
     "tomato_flower": (lambda: _est_sample("tomato_flower"),
-                      "(0.9001823875981028, 29.60331271650053, -4715.480177855086)"),
+                      "(0.9001823874331512, 29.60331407989266, -4715.480177855083)"),
     "mastigamoeba": (lambda: _est_sample("mastigamoeba"),
-                     "(0.8240585698704208, 23.391056417951457, -1417.6814800748343)"),
+                     "(0.824058563311367, 23.391066510567285, -1417.681480074834)"),
     "mastigamoeba_norm": (lambda: _est_sample("mastigamoeba_norm"),
-                          "(0.8072310348298205, 22.19837674471728, -634.3689803159281)"),
+                          "(0.8072310028580899, 22.19838668825312, -634.3689803159276)"),
     "naegleria_aerobic": (lambda: _est_sample("naegleria_aerobic"),
-                          "(0.7540133110042193, 20.116678895510958, -2445.8629829622414)"),
+                          "(0.7540133110041015, 20.116678895626517, -2445.862982962242)"),
     "naegleria_anaerobic": (lambda: _est_sample("naegleria_anaerobic"),
-                            "(0.8441830259697541, 24.174430541947356, -1922.4806377075763)"),
+                            "(0.8441830151985755, 24.174454491812668, -1922.4806377075765)"),
 }
 
 # (alpha_hat, theta_hat, log_likelihood) as the fit gave them when a
@@ -272,99 +285,36 @@ class TestLockstepGridSearch:
         assert fit_empirical_bayes(sample) == whole
 
 
-def _grid_runs(sample, monkeypatch):
-    """The fit's grid search on `sample`, run as the fit runs it and again
-    with an infinite Lipschitz constant, which drops no lane.  Each run is
-    ((lanes, argmax, max), the lane indices of each call of f)."""
-    runs = {}
-    real = empirical_bayes._golden_max
-
-    def spy(f, lo, hi, lipschitz, allowance):
-        for name, constant in (("pruned", lipschitz), ("full", math.inf)):
-            calls = []
-
-            def counted(lanes, x):
-                calls.append(lanes.copy())
-                return f(lanes, x)
-
-            runs[name] = (real(counted, lo, hi, constant, allowance), calls)
-        return runs["pruned"][0]
-
-    monkeypatch.setattr(empirical_bayes, "_golden_max", spy)
-    fit_empirical_bayes(sample)
-    return runs
-
-
-def _winner(result):
-    lanes, x, vals = result
-    i = int(np.argmax(vals))
-    return int(lanes[i]), float(x[i]).hex(), float(vals[i]).hex()
-
-
-PRUNING_SAMPLES = {
+FIT_SAMPLES = {
     **{name: make for name, (make, _) in PINNED_FITS.items()},
     "two_in_one_block": lambda: SampleSummary(2, 1, (2,)),
     "six_singletons": lambda: SampleSummary(6, 6, (1,) * 6),
     "one_block_of_10": lambda: SampleSummary(10, 1, (10,)),
     "prior_alpha_0.99": lambda: sample_prior_partition(0.99, 5.0, 1000, RngStream(113)),
     "prior_theta_1e5": lambda: sample_prior_partition(0.5, 1e5, 1000, RngStream(127)),
+    "zipf_j25": lambda: generate(DatasetSpec("zipf", 561, 1831, shape=2.55), RngStream(7090)),
+    "prior_j1898": lambda: sample_prior_partition(0.9347809615165383, -0.11910309534747054,
+                                                  3433, RngStream(5200)),
+    # the Newton step at the mesh's best point meets an indefinite Hessian
+    "zipf_n41": lambda: generate(DatasetSpec("zipf", 620, 41, shape=2.3874482128744443),
+                                 RngStream(544383)),
+    # the mesh's best point lies on a flat stretch at theta = 1e-4
+    "prior_n23": lambda: sample_prior_partition(0.346003505548958, 0.307348068658784, 23,
+                                                RngStream(403898)),
+    # the ascent runs down the alpha-theta ridge to alpha = 0
+    "prior_ridge": lambda: sample_prior_partition(0.6276128709091582, 254056.78139089444, 1556,
+                                                  RngStream(404333)),
+    # the ascent from the golden-section start zigzagged to a stop at
+    # theta = 1e-4, 2.9e-6 below the interior maximum
+    "prior_n2807": lambda: sample_prior_partition(0.9763788408922225, 0.6002310810018847, 2807,
+                                                  RngStream(380575)),
 }
 
 
-class TestPrunedGridSearch:
-    @pytest.mark.parametrize("name", PRUNING_SAMPLES)
-    def test_pruning_keeps_the_winner_bitwise(self, monkeypatch, name):
-        """The pruned search picks the lane of the full search, with the
-        bits of its log theta and its value; the winning lane is in every
-        call of f, and no call has zero lanes.  On the pinned samples the
-        pruned search evaluates under a third of the full search's
-        83 x 100 lanes."""
-        runs = _grid_runs(PRUNING_SAMPLES[name](), monkeypatch)
-        (pruned, calls), (full, full_calls) = runs["pruned"], runs["full"]
-        assert _winner(pruned) == _winner(full)
-        lane = _winner(full)[0]
-        assert all(lanes.size > 0 and lane in lanes for lanes in calls)
-        assert [lanes.size for lanes in full_calls] == [100] * (empirical_bayes._GOLDEN_ITERS + 3)
-        assert len(calls) == len(full_calls)
-        if name in PINNED_FITS:
-            assert sum(lanes.size for lanes in calls) < 83 * 100 / 3
-
-    @pytest.mark.parametrize("make", [
-        lambda: PINNED_FITS["tomato_flower"][0](),
-        lambda: SampleSummary(6, 6, (1,) * 6),
-        lambda: SampleSummary(2, 1, (2,)),
-        lambda: sample_prior_partition(0.5, 1e5, 1000, RngStream(127)),
-    ], ids=["tomato_flower", "six_singletons", "two_in_one_block", "prior_theta_1e5"])
-    def test_lipschitz_constant_holds(self, make):
-        """|l(u1) - l(u2)| <= (n - 1)|u1 - u2| plus the allowance for the
-        computed log-likelihood l of log theta, on lanes from alpha = 0 to
-        0.99, at random pairs in [log 1e-4, log 1e6] and at pairs a few
-        ulps apart, where the float error alone shows; half of the latter
-        sit just below theta = 1e6, where that error is largest."""
-        sample = make()
-        n, j = sample.n, sample.j
-        fv, fm = empirical_bayes._freq_multiset(sample)
-        grid = np.arange(0.0, 1.0, empirical_bayes._ALPHA_STEP)
-        allowance = empirical_bayes._allowance(n, j, empirical_bayes._block_term(grid, fv, fm))
-        rng = RngStream(131).generator()
-        lo, hi = math.log(1e-4), math.log(1e6)
-        u1 = np.concatenate([rng.uniform(lo, hi, 1500), hi - rng.uniform(0.0, 1e-3, 500)])
-        u2 = np.concatenate([rng.uniform(lo, hi, 1000),
-                             u1[1000:] + rng.integers(-4, 5, 1000) * 1e-15 * np.abs(u1[1000:])])
-        u2 = np.clip(u2, lo, hi)
-        for alpha in (0.0, 0.01, 0.5, 0.99):
-            alphas = np.full(u1.size, alpha)
-
-            def loglik(u):
-                thetas = np.fromiter(map(math.exp, u.tolist()), float, u.size)
-                return empirical_bayes._loglik(alphas, thetas, n, j, fv, fm)
-
-            gap = np.abs(loglik(u1) - loglik(u2)) - (n - 1) * np.abs(u1 - u2)
-            assert gap.max() <= allowance, (alpha, gap.max(), allowance)
-
-
-# (sorted boundary flags, converged) of each PRUNING_SAMPLES fit as the
-# simplex refinement gave them; the Newton ascent keeps them.
+# (sorted boundary flags, converged) of each FIT_SAMPLES fit as the
+# simplex refinement, or for the next five the golden-section start of the
+# Newton ascent, gave them; the ascent from the mesh keeps them.  The last
+# is the interior maximum that start missed.
 BOUNDARY_STATES = {
     "alpha_zero": (["alpha_zero"], True),
     "interior": ([], True),
@@ -382,6 +332,12 @@ BOUNDARY_STATES = {
     "one_block_of_10": (["alpha_zero", "theta_at_min"], False),
     "prior_alpha_0.99": ([], True),
     "prior_theta_1e5": (["alpha_zero"], True),
+    "zipf_j25": ([], True),
+    "prior_j1898": ([], True),
+    "zipf_n41": ([], True),
+    "prior_n23": ([], True),
+    "prior_ridge": (["alpha_zero"], True),
+    "prior_n2807": ([], True),
 }
 
 
@@ -398,31 +354,43 @@ class TestNewtonAscent:
         fit = fit_empirical_bayes(PINNED_FITS[name][0]())
         assert fit.log_likelihood >= FLOOR_FITS[name][2] - 1e-9
 
-    @pytest.mark.parametrize("name", PRUNING_SAMPLES)
+    @pytest.mark.parametrize("name", FIT_SAMPLES)
     def test_boundary_state_and_score(self, monkeypatch, name):
-        """The flags and converged are as pinned, the fit is never below the
-        grid's best value, and a converged fit has a projected score of at
-        most 1e-6 n in each coordinate."""
-        grid_best, values = [], []
-        real_max, real_at = empirical_bayes._golden_max, empirical_bayes._loglik_at
+        """The mesh is one `_loglik` call of 100 lanes per theta column, and
+        the ascent starts at its best point.  The flags and converged are as
+        pinned, the fit is never below the mesh's best value, the ascent
+        takes at most 40 evaluations (at most 37 on 11244 random fits), and a
+        converged fit has a projected score of at most 1e-6 n in each
+        coordinate."""
+        calls, values, mesh_size = [], [], []
+        real_loglik, real_at = empirical_bayes._loglik, empirical_bayes._loglik_at
+        real_newton = empirical_bayes._newton
 
-        def spy_max(*args):
-            result = real_max(*args)
-            grid_best.append(float(result[2].max()))
-            return result
+        def spy_loglik(*args):
+            calls.append(real_loglik(*args))
+            return calls[-1]
 
         def spy_at(*args):
             values.append(real_at(*args))
             return values[-1]
 
-        monkeypatch.setattr(empirical_bayes, "_golden_max", spy_max)
+        def spy_newton(*args):
+            mesh_size.append(len(calls))
+            return real_newton(*args)
+
+        monkeypatch.setattr(empirical_bayes, "_loglik", spy_loglik)
         monkeypatch.setattr(empirical_bayes, "_loglik_at", spy_at)
-        sample = PRUNING_SAMPLES[name]()
+        monkeypatch.setattr(empirical_bayes, "_newton", spy_newton)
+        sample = FIT_SAMPLES[name]()
         fit = fit_empirical_bayes(sample)
+        mesh = calls[:mesh_size[0]]
+        assert [lanes.size for lanes in mesh] == [100] * empirical_bayes._THETA_COLUMNS
+        assert values[0] == max(float(lanes.max()) for lanes in mesh)
         assert (sorted(fit.boundary_flags), fit.converged) == BOUNDARY_STATES[name]
         # a step is taken only where the value rises, so the fit keeps the
         # largest value the ascent saw
-        assert fit.log_likelihood == max(values) >= grid_best[0]
+        assert fit.log_likelihood == max(values) >= values[0]
+        assert len(values) <= 40
         assert type(fit.alpha_hat) is float and type(fit.theta_hat) is float
         if fit.converged:
             score = _projected_score(fit.alpha_hat, fit.theta_hat, sample)
