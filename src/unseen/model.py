@@ -189,7 +189,8 @@ def _dp_steps(alpha: float, theta: float, n: int, j: int, m: int):
     of a new species come from one 2-D divide, rounded as a divide per draw
     would be, and are clamped at 1 only when the largest (first row, last
     column) exceeds 1.  A draw then makes three in-place calls over the
-    window: P * p into a move buffer, P *= 1 - p, and the shifted add.
+    window: P * p into a move buffer, P *= 1 - p, and the shifted add, a
+    BLAS axpy with factor 1.
     """
     probs = np.zeros(m + 1)
     probs[0] = 1.0
@@ -197,8 +198,9 @@ def _dp_steps(alpha: float, theta: float, n: int, j: int, m: int):
     p_new_numer = theta + alpha * (j + k)
     move_buf = np.empty(m + 1)
     # Per-call overhead is most of a draw at the usual band widths, so the
-    # ufuncs take `out` by position and the names they use are local.
-    multiply, add, floor = np.multiply, np.add, _DP_FLOOR
+    # ufuncs take `out` by position, the names they use are local, and the
+    # trim loops read and write the band's edges as Python floats.
+    multiply, floor, pv = np.multiply, _DP_FLOOR, memoryview(probs)
     lo, hi = 0, 1
     yield probs, lo, hi
     i = 0
@@ -210,19 +212,21 @@ def _dp_steps(alpha: float, theta: float, n: int, j: int, m: int):
         if p[0, -1] > 1.0:
             np.minimum(p, 1.0, out=p)
         q = 1.0 - p
-        state, move = probs[b_lo:b_hi], move_buf[: b_hi - b_lo]
+        width = b_hi - b_lo
+        state, move = probs[b_lo:b_hi], move_buf[:width]
         tail, head = state[1:], move[:-1]
         for r in range(rows):
             if hi <= m:
                 hi += 1
             multiply(state, p[r], move)
             state *= q[r]
-            add(tail, head, tail)
-            while probs[lo] < floor:
-                probs[lo] = 0.0
+            # fma(1, x, y) rounds as x + y does
+            daxpy(head, tail, width - 1, 1.0)
+            while pv[lo] < floor:
+                pv[lo] = 0.0
                 lo += 1
-            while probs[hi - 1] < floor:
-                probs[hi - 1] = 0.0
+            while pv[hi - 1] < floor:
+                pv[hi - 1] = 0.0
                 hi -= 1
             yield probs, lo, hi
         i += rows
@@ -268,7 +272,7 @@ def _prior_steps(alpha: float, theta_total: float, r_max: int):
     # flux[0] stays 0: the flux into the window's first column from below,
     # where every entry is 0
     flux = np.zeros(r_max + 2)
-    multiply, floor = np.multiply, _DP_FLOOR
+    multiply, floor, pv = np.multiply, _DP_FLOOR, memoryview(probs)
     i = 1
     while i < r_max:
         rows = min(64, r_max - i)
@@ -283,11 +287,11 @@ def _prior_steps(alpha: float, theta_total: float, r_max: int):
             step = 1.0 / (theta_total + r)
             daxpy(f_out, state, width, -step)
             daxpy(f_in, state, width, step)
-            while probs[lo] < floor:
-                probs[lo] = 0.0
+            while pv[lo] < floor:
+                pv[lo] = 0.0
                 lo += 1
-            while probs[hi - 1] < floor:
-                probs[hi - 1] = 0.0
+            while pv[hi - 1] < floor:
+                pv[hi - 1] = 0.0
                 hi -= 1
             yield probs, lo, hi
         i += rows

@@ -131,9 +131,10 @@ class TestFit:
         assert fit.boundary_flags == {"theta_at_min"} and not fit.converged
 
     def test_mesh_fits_in_bounded_memory(self):
-        """The mesh runs one `_loglik` call per theta column, so its term
-        matrix is 100 lanes by j - 1, about 1.5 MB at tomato_flower's
-        j = 1825; one call over the whole mesh would take about 32 MB."""
+        """The mesh is scored in closed form, a few arrays of 100 lanes by
+        24 columns, and `_loglik` re-scores only its near-ties: one lane at
+        tomato_flower, a term matrix of j - 1 = 1824 entries.  One `_loglik`
+        call over the whole mesh would take about 32 MB."""
         sample = _est_sample("tomato_flower")
         tracemalloc.start()
         try:
@@ -277,12 +278,15 @@ class TestLockstepGridSearch:
         assert repr((fit.alpha_hat, fit.theta_hat, fit.log_likelihood)) == expect
 
     def test_lane_blocks_do_not_change_the_fit(self, monkeypatch):
-        sample = sample_prior_partition(0.5, 5.0, 2000, RngStream(101))
+        """Six singletons leave four near-ties on the mesh, which one
+        `_loglik` call re-scores; run one lane a block, they keep the fit's
+        bits."""
+        sample = SampleSummary(6, 6, (1,) * 6)
         whole = fit_empirical_bayes(sample)
-        budget = 1000
-        assert budget // (sample.j - 1) == 5  # the 100-point grid runs as 20 blocks
-        monkeypatch.setattr(empirical_bayes, "_LANE_BUDGET", budget)
+        calls = _spy_loglik(monkeypatch)
+        monkeypatch.setattr(empirical_bayes, "_LANE_BUDGET", sample.j - 1)
         assert fit_empirical_bayes(sample) == whole
+        assert calls[0] == 4  # the re-score runs as four blocks
 
 
 FIT_SAMPLES = {
@@ -341,6 +345,72 @@ BOUNDARY_STATES = {
 }
 
 
+def _exact_mesh(sample):
+    """The fit's mesh scored by brute force, one `_loglik` call of all the
+    alpha lanes per theta column: the reference for the closed-form mesh."""
+    fv, fm = empirical_bayes._freq_multiset(sample)
+    alphas = empirical_bayes._MESH_ALPHAS
+    blocks = empirical_bayes._block_term(alphas, fv, fm)
+    return np.column_stack([
+        empirical_bayes._loglik(alphas, np.full(alphas.size, theta), sample.n, sample.j,
+                                fv, fm, blocks)
+        for theta in empirical_bayes._MESH_THETAS])
+
+
+def _mesh_point(mesh):
+    """(alpha, theta) of the first maximum of a mesh, in alpha-major order."""
+    lane, column = np.unravel_index(np.argmax(mesh), mesh.shape)
+    return empirical_bayes._MESH_ALPHAS[lane], empirical_bayes._MESH_THETAS[column]
+
+
+def _spy_loglik(monkeypatch):
+    """Record the lane count of each `_loglik` call."""
+    calls = []
+    real = empirical_bayes._loglik
+
+    def spy(alphas, *args):
+        calls.append(alphas.size)
+        return real(alphas, *args)
+
+    monkeypatch.setattr(empirical_bayes, "_loglik", spy)
+    return calls
+
+
+def _fit_start(monkeypatch, sample):
+    """The (alpha, theta) the fit's Newton ascent starts from."""
+    starts = []
+    real = empirical_bayes._newton
+
+    def spy(x, *args):
+        starts.append(tuple(x.tolist()))
+        return real(x, *args)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(empirical_bayes, "_newton", spy)
+        fit_empirical_bayes(sample)
+    return starts[0]
+
+
+def _random_samples(seed, count):
+    """Prior partitions, Zipf and uniform samples of random size and shape."""
+    draw = RngStream(seed).generator()
+    for index in range(count):
+        rng = RngStream(seed).split(index)
+        n = int(math.exp(draw.uniform(math.log(3), math.log(6000))))
+        kind = index % 3
+        if kind == 0:
+            alpha = draw.uniform(0.0, 0.999)
+            theta = (draw.uniform(-alpha, 1.0) if draw.random() < 0.2
+                     else math.exp(draw.uniform(math.log(1e-3), math.log(1e6))))
+            yield sample_prior_partition(alpha, max(theta, -alpha / 2), n, rng)
+        elif kind == 1:
+            spec = DatasetSpec("zipf", int(draw.integers(1, 5000)), n,
+                               shape=draw.uniform(-1.0, 3.0))
+            yield generate(spec, rng)
+        else:
+            yield generate(DatasetSpec("uniform", int(draw.integers(1, 5000)), n), rng)
+
+
 def _projected_score(alpha, theta, sample):
     """The fit's projected score at (alpha, theta) in (alpha, log theta)."""
     fv, fm = empirical_bayes._freq_multiset(sample)
@@ -356,36 +426,23 @@ class TestNewtonAscent:
 
     @pytest.mark.parametrize("name", FIT_SAMPLES)
     def test_boundary_state_and_score(self, monkeypatch, name):
-        """The mesh is one `_loglik` call of 100 lanes per theta column, and
-        the ascent starts at its best point.  The flags and converged are as
-        pinned, the fit is never below the mesh's best value, the ascent
-        takes at most 40 evaluations (at most 37 on 11244 random fits), and a
-        converged fit has a projected score of at most 1e-6 n in each
-        coordinate."""
-        calls, values, mesh_size = [], [], []
-        real_loglik, real_at = empirical_bayes._loglik, empirical_bayes._loglik_at
-        real_newton = empirical_bayes._newton
-
-        def spy_loglik(*args):
-            calls.append(real_loglik(*args))
-            return calls[-1]
+        """The ascent starts at the exact mesh's best point.  The flags and
+        converged are as pinned, the fit is never below the mesh's best
+        value, the ascent takes at most 40 evaluations (at most 37 on 11244
+        random fits), and a converged fit has a projected score of at most
+        1e-6 n in each coordinate."""
+        values = []
+        real_at = empirical_bayes._loglik_at
 
         def spy_at(*args):
             values.append(real_at(*args))
             return values[-1]
 
-        def spy_newton(*args):
-            mesh_size.append(len(calls))
-            return real_newton(*args)
-
-        monkeypatch.setattr(empirical_bayes, "_loglik", spy_loglik)
-        monkeypatch.setattr(empirical_bayes, "_loglik_at", spy_at)
-        monkeypatch.setattr(empirical_bayes, "_newton", spy_newton)
         sample = FIT_SAMPLES[name]()
+        mesh = _exact_mesh(sample)
+        monkeypatch.setattr(empirical_bayes, "_loglik_at", spy_at)
         fit = fit_empirical_bayes(sample)
-        mesh = calls[:mesh_size[0]]
-        assert [lanes.size for lanes in mesh] == [100] * empirical_bayes._THETA_COLUMNS
-        assert values[0] == max(float(lanes.max()) for lanes in mesh)
+        assert values[0] == mesh.max()
         assert (sorted(fit.boundary_flags), fit.converged) == BOUNDARY_STATES[name]
         # a step is taken only where the value rises, so the fit keeps the
         # largest value the ascent saw
@@ -443,3 +500,60 @@ class TestNewtonAscent:
             column = (empirical_bayes._score(*hi, n, j, fv, fm)[0]
                       - empirical_bayes._score(*lo, n, j, fv, fm)[0]) / (2 * h)
             assert column == pytest.approx(hessian[:, axis], rel=1e-4, abs=1e-6 * n)
+
+
+def _check_start(monkeypatch, sample, label):
+    """The closed form lies within its bound of `_loglik` on every mesh
+    cell, and the fit starts at the brute-force mesh's first maximum."""
+    fv, fm = empirical_bayes._freq_multiset(sample)
+    blocks = empirical_bayes._block_term(empirical_bayes._MESH_ALPHAS, fv, fm)
+    closed, bound = empirical_bayes._closed_mesh(sample.n, sample.j, blocks)
+    mesh = _exact_mesh(sample)
+    assert (np.abs(closed - mesh) <= bound).all(), label
+    start = _fit_start(monkeypatch, sample)
+    assert start == _mesh_point(mesh), label
+    assert ep_log_likelihood(*start, sample) == mesh.max(), label
+
+
+class TestClosedFormMesh:
+    """The closed-form mesh with its rounding bound picks the start a
+    brute-force `_loglik` mesh picks, so the fit keeps its bits."""
+
+    @pytest.mark.parametrize("name", FIT_SAMPLES)
+    def test_start_is_the_exact_mesh_maximum(self, monkeypatch, name):
+        _check_start(monkeypatch, FIT_SAMPLES[name](), name)
+
+    def test_start_on_random_samples(self, monkeypatch):
+        for index, sample in enumerate(_random_samples(2028, 300)):
+            if sample.n >= 2:
+                _check_start(monkeypatch, sample, index)
+
+    def test_near_tie_is_settled_exactly(self, monkeypatch):
+        """Raise one lane's alpha term until its best cell meets the mesh's
+        maximum to within a few ulps, far inside the closed form's bound
+        (about 1e-8 there, at theta near 1e6).  Both cells are re-scored,
+        and the start is the one `_loglik` ranks first, whichever way the
+        nudge tips the tie."""
+        sample = FIT_SAMPLES["prior_theta_1e5"]()
+        top = _exact_mesh(sample)
+        lane = 10
+        lift = top.max() - top[lane].max()
+        ulp = np.spacing(abs(top.max()))
+        real = empirical_bayes._block_term
+        starts = set()
+        for ulps in (-4, 4):
+            bump = lift + ulps * ulp
+
+            def block_term(alphas, *args, bump=bump):
+                alpha = empirical_bayes._MESH_ALPHAS[lane]
+                return real(alphas, *args) + np.where(alphas == alpha, bump, 0.0)
+
+            monkeypatch.setattr(empirical_bayes, "_block_term", block_term)
+            mesh = _exact_mesh(sample)
+            first, second = np.sort(mesh.ravel())[-2:][::-1]
+            assert 0.0 <= first - second <= 8 * ulp
+            calls = _spy_loglik(monkeypatch)
+            _check_start(monkeypatch, sample, ulps)
+            assert calls[0] >= 2
+            starts.add(_mesh_point(mesh))
+        assert len(starts) == 2
