@@ -28,7 +28,7 @@ import numpy as np
 from scipy.special import digamma, gammaln, zeta
 
 from .errors import DegenerateSampleError, DomainError
-from .model import SampleSummary
+from .model import SampleSummary, _dot
 
 _FLAGS = ("alpha_zero", "alpha_near_one", "theta_capped", "theta_at_min")
 
@@ -196,7 +196,10 @@ def _score(alpha, theta, n, j, freq_vals, freq_mult):
     (theta + i)), so its sign is exact where both sums are near j and n,
     at large theta, and writes the unpaired rest j <= k < n as theta
     [psi(theta + n) - psi(theta + j)].  The cost is O(j + distinct f),
-    as for `_loglik`, whatever the size of n or of the counts.
+    as for `_loglik`, whatever the size of n or of the counts.  The sums
+    of products are dots in pieces of at most 10 000 entries (`_dot`), so
+    that none runs on BLAS worker threads and the fit does not depend on
+    their number.
     """
     i = np.arange(1.0, j)
     a_new = i / (theta + alpha * i)
@@ -205,13 +208,13 @@ def _score(alpha, theta, n, j, freq_vals, freq_mult):
     psi, psi1 = digamma([theta + n, theta + j]), zeta(2.0, [theta + j, theta + n])
     rest = theta * (psi[0] - psi[1])
     rest_2 = theta * theta * (psi1[0] - psi1[1])
-    block = freq_mult @ (digamma(freq_vals - alpha) - digamma(1.0 - alpha))
-    block_2 = freq_mult @ (zeta(2.0, freq_vals - alpha) - zeta(2.0, 1.0 - alpha))
-    cross = -(a_new @ t_new)
-    score = np.array([a_new.sum() - block, (1.0 - alpha) * (a_new @ t_old) - rest])
+    block = _dot(freq_mult, digamma(freq_vals - alpha) - digamma(1.0 - alpha))
+    block_2 = _dot(freq_mult, zeta(2.0, freq_vals - alpha) - zeta(2.0, 1.0 - alpha))
+    cross = -_dot(a_new, t_new)
+    score = np.array([a_new.sum() - block, (1.0 - alpha) * _dot(a_new, t_old) - rest])
     hessian = np.array([
-        [-(a_new @ a_new) + block_2, cross],
-        [cross, t_new @ (1.0 - t_new) - t_old @ (1.0 - t_old) - rest + rest_2]])
+        [-_dot(a_new, a_new) + block_2, cross],
+        [cross, _dot(t_new, 1.0 - t_new) - _dot(t_old, 1.0 - t_old) - rest + rest_2]])
     return score, hessian
 
 

@@ -29,6 +29,14 @@ mass a pass drops is at most (2m + 2) * _DP_FLOOR, too little for the
 below `_DP_FLOOR`, at most (m + 1) * _DP_FLOOR.  `posterior_pmfs` alone
 picks an exact interval's route: the m it returns a pmf for draw their
 replicates from it by inverse CDF, and the rest run the thinning chain.
+
+No BLAS call of the package covers more than `_BLAS_CHUNK` (10 000)
+entries.  Above that size the bundled OpenBLAS hands a dot or an axpy to
+worker threads, which on a 2-vCPU host costs ten or more times a call of
+10 000 entries and leaves the workers spinning on the other cores through
+the calls that follow.  A longer vector goes through `_dot` or `_axpy` in
+consecutive pieces of at most 10 000 entries; every shorter call is made
+as before.
 """
 
 from __future__ import annotations
@@ -55,11 +63,39 @@ DP_MAX = 20000
 # each side) and slow every draw of the recursion.
 _DP_FLOOR = 1e-30
 
+# Most entries of one BLAS call: OpenBLAS runs a level-1 call over more
+# entries than this (its MULTI_THREAD_MINIMAL) on worker threads.  It is a
+# multiple of the axpy kernels' 16-wide unroll, so an axpy split at its
+# multiples rounds every entry as one call does.
+_BLAS_CHUNK = 10_000
+
 # The recursion forms its transition probabilities for a block of at most
 # 64 draws and about this many entries at a time (two such arrays, p and
 # 1 - p, live at once): enough draws to spread the per-block calls, few
 # enough entries that the arrays stay small.
 _DP_BLOCK = 1 << 14
+
+
+def _dot(x, y):
+    """x @ y for 1-d arrays in BLAS calls of at most `_BLAS_CHUNK` entries:
+    bitwise x @ y up to that size, and above it the dots of consecutive
+    pieces of `_BLAS_CHUNK` entries summed in order, a fixed order that no
+    thread count changes."""
+    if x.size <= _BLAS_CHUNK:
+        return x @ y
+    total = 0.0
+    for s in range(0, x.size, _BLAS_CHUNK):
+        total += x[s : s + _BLAS_CHUNK] @ y[s : s + _BLAS_CHUNK]
+    return total
+
+
+def _axpy(x, y, n, a, offx=0, incx=1, offy=0):
+    """`daxpy(x, y, n, a, offx, incx, offy)` into a unit-stride y, in calls
+    of at most `_BLAS_CHUNK` entries.  An axpy is elementwise and the
+    pieces start at multiples of the kernels' unroll, so y gets the bytes
+    of one call."""
+    for s in range(0, n, _BLAS_CHUNK):
+        daxpy(x, y, min(_BLAS_CHUNK, n - s), a, offx + s * incx, incx, offy + s)
 
 
 @dataclass(frozen=True)
@@ -142,12 +178,16 @@ class Pmf:
         return self.probs.size - 1
 
     def mean(self) -> float:
-        return float(np.arange(self.probs.size) @ self.probs)
+        """Mean of the pmf, a dot in pieces of at most 10 000 entries
+        (`_dot`), so that no call runs on BLAS worker threads and the
+        value does not depend on their number."""
+        return float(_dot(np.arange(self.probs.size), self.probs))
 
     def variance(self) -> float:
+        """Variance of the pmf about `mean`, a dot in pieces as there."""
         k = np.arange(self.probs.size)
         mu = self.mean()
-        return float(((k - mu) ** 2) @ self.probs)
+        return float(_dot((k - mu) ** 2, self.probs))
 
     def cdf(self) -> np.ndarray:
         return np.cumsum(self.probs)
@@ -190,7 +230,10 @@ def _dp_steps(alpha: float, theta: float, n: int, j: int, m: int):
     would be, and are clamped at 1 only when the largest (first row, last
     column) exceeds 1.  A draw then makes three in-place calls over the
     window: P * p into a move buffer, P *= 1 - p, and the shifted add, a
-    BLAS axpy with factor 1.
+    BLAS axpy with factor 1.  A window of more than 10 000 entries, at
+    alpha near 1 for example, takes the axpy in pieces (`_axpy`), so that
+    it does not run on BLAS worker threads; the window is fixed for the
+    block, so the choice is made once a block.
     """
     probs = np.zeros(m + 1)
     probs[0] = 1.0
@@ -215,13 +258,14 @@ def _dp_steps(alpha: float, theta: float, n: int, j: int, m: int):
         width = b_hi - b_lo
         state, move = probs[b_lo:b_hi], move_buf[:width]
         tail, head = state[1:], move[:-1]
+        axpy = daxpy if width - 1 <= _BLAS_CHUNK else _axpy
         for r in range(rows):
             if hi <= m:
                 hi += 1
             multiply(state, p[r], move)
             state *= q[r]
             # fma(1, x, y) rounds as x + y does
-            daxpy(head, tail, width - 1, 1.0)
+            axpy(head, tail, width - 1, 1.0)
             while pv[lo] < floor:
                 pv[lo] = 0.0
                 lo += 1
@@ -258,7 +302,9 @@ def _prior_steps(alpha: float, theta_total: float, r_max: int):
     F = P * c, then two BLAS axpys into P, of -F_k and of F_{k-1}, each
     times 1 / (theta_total + i); over a wide band an axpy costs a fraction
     of a ufunc over the same entries, so two of them beat a subtract and
-    one axpy.
+    one axpy.  A window of more than 10 000 entries takes its axpys in
+    pieces (`_axpy`), chosen once a block, so that none runs on BLAS
+    worker threads.
     """
     probs = np.zeros(r_max + 1)
     probs[0] = 1.0
@@ -280,13 +326,14 @@ def _prior_steps(alpha: float, theta_total: float, r_max: int):
         width = b_hi - b_lo
         state, c_win = probs[b_lo:b_hi], c[b_lo:b_hi]
         f_out, f_in = flux[1 : width + 1], flux[:width]
+        axpy = daxpy if width <= _BLAS_CHUNK else _axpy
         for r in range(i, i + rows):
             if hi <= r_max:
                 hi += 1
             multiply(state, c_win, f_out)
             step = 1.0 / (theta_total + r)
-            daxpy(f_out, state, width, -step)
-            daxpy(f_in, state, width, step)
+            axpy(f_out, state, width, -step)
+            axpy(f_in, state, width, step)
             while pv[lo] < floor:
                 pv[lo] = 0.0
                 lo += 1
@@ -318,7 +365,8 @@ def _mixture_pmfs(
     the top of every window: for each m, windows[m] = (r_lo, w) holds the
     weights w of R = r_lo, r_lo + 1, ..., and the pass adds w(r) times its
     band after r draws into the pmf at m, one in-place BLAS axpy per step
-    and m."""
+    and m.  A band of more than 10 000 entries is added in pieces
+    (`_axpy`), so that no axpy runs on BLAS worker threads."""
     if not windows:
         return {}
     accs = {m: np.zeros(m + 1) for m in windows}
@@ -326,13 +374,18 @@ def _mixture_pmfs(
     pending = sorted(((r_lo, r_lo + w.size, w.tolist(), accs[m])
                       for m, (r_lo, w) in windows.items()), key=lambda job: -job[0])
     ends = {job[1] for job in pending}
+    r_max = max(ends) - 1
+    # a band after r >= 1 draws holds at most r entries, so a pass of at
+    # most _BLAS_CHUNK draws never tests a band's width
+    wide = r_max > _BLAS_CHUNK
     active = []
-    for r, (probs, lo, hi) in enumerate(_prior_steps(alpha, theta_total, max(ends) - 1)):
+    for r, (probs, lo, hi) in enumerate(_prior_steps(alpha, theta_total, r_max)):
         while pending and pending[-1][0] == r:
             active.append(pending.pop())
+        axpy = _axpy if wide and hi - lo > _BLAS_CHUNK else daxpy
         for r_lo, _, w, acc in active:
             # acc[lo:hi] += w(r) * probs[lo:hi]
-            daxpy(probs, acc, hi - lo, w[r - r_lo], lo, 1, lo)
+            axpy(probs, acc, hi - lo, w[r - r_lo], lo, 1, lo)
         if r + 1 in ends:
             active = [job for job in active if job[1] > r + 1]
     return {m: Pmf(acc / acc.sum()) for m, acc in accs.items()}

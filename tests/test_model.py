@@ -1,11 +1,16 @@
 import hashlib
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath
 import numpy as np
 import pytest
 
+import unseen
 from unseen.asymptotics import gaussian_interval
 from unseen.datasets import export_label_counts
 from unseen.empirical_bayes import ep_log_likelihood, fit_empirical_bayes
@@ -665,3 +670,100 @@ def test_prior_steps_against_recursion(alpha, theta_total, r_max):
 def test_mixture_against_mpmath(alpha, theta, n, j, m):
     got = posterior_pmfs(PYParams(alpha, theta), SampleSummary(n, j), [m])[m]
     assert np.max(np.abs(got.probs - _pmf_mpmath(alpha, theta, n, j, m))) <= 1e-13
+
+
+@pytest.mark.parametrize("n", [1, 9999, 10000, 10001, 20000, 25017])
+def test_dot_in_pieces(n):
+    """`_dot` is bitwise x @ y up to 10 000 entries, and above that the
+    in-order sum of the dots of consecutive 10 000-entry pieces, with
+    Pmf.mean's integer left operand as with floats."""
+    rng = np.random.default_rng(n)
+    x, y = rng.standard_normal(n), rng.random(n)
+    k = np.arange(n)
+    if n <= 10000:
+        assert model._dot(x, y) == x @ y
+        assert model._dot(k, y) == k @ y
+        return
+    for left in (x, k):
+        total = 0.0
+        for s in range(0, n, 10000):
+            total += left[s : s + 10000] @ y[s : s + 10000]
+        assert repr(model._dot(left, y)) == repr(total)
+
+
+@pytest.fixture
+def daxpy_sizes(monkeypatch):
+    """The n of every `model.daxpy` call from here on."""
+    daxpy, sizes = model.daxpy, []
+
+    def recorded(x, y, n, *args):
+        sizes.append(n)
+        return daxpy(x, y, n, *args)
+
+    monkeypatch.setattr(model, "daxpy", recorded)
+    return sizes
+
+
+@pytest.mark.parametrize("n,off", [(10000, 0), (10001, 3), (16906, 1), (30017, 0)])
+def test_axpy_in_pieces(n, off, daxpy_sizes):
+    """`_axpy` gives y the bytes of one daxpy call, at the offsets the
+    mixture passes, in calls of at most 10 000 entries."""
+    rng = np.random.default_rng(n)
+    x, y = rng.standard_normal(n + off), rng.standard_normal(n + off)
+    a = float(rng.standard_normal())
+    one = y.copy()
+    model.daxpy(x, one, n, a, off, 1, off)
+    daxpy_sizes.clear()
+    model._axpy(x, y, n, a, off, 1, off)
+    assert y.tobytes() == one.tobytes()
+    assert max(daxpy_sizes) <= 10000 and sum(daxpy_sizes) == n
+
+
+def test_wide_window_kernels_make_no_call_above_10000(daxpy_sizes, monkeypatch):
+    """At alpha near 1 the band reaches 16906 entries.  Every daxpy call of
+    the recursion and of the mixture covers at most 10 000 entries, and
+    the pmfs have the bytes of one call per step (the chunk patched above
+    m + 1)."""
+    params, sample, m = PYParams(0.999999, 0.5), SampleSummary(40, 3), 20000
+    dp = posterior_pmf_dp(params, sample, m)
+    assert max(daxpy_sizes) == 10000
+    daxpy_sizes.clear()
+    mixed = posterior_pmfs(params, sample, [m])[m]
+    assert max(daxpy_sizes) == 10000
+
+    monkeypatch.setattr(model, "_BLAS_CHUNK", m + 2)
+    daxpy_sizes.clear()
+    assert posterior_pmf_dp(params, sample, m).probs.tobytes() == dp.probs.tobytes()
+    assert max(daxpy_sizes) > 10000
+    daxpy_sizes.clear()
+    assert posterior_pmfs(params, sample, [m])[m].probs.tobytes() == mixed.probs.tobytes()
+    assert max(daxpy_sizes) > 10000
+
+
+# Moments of a pmf over 12 931 entries and the fit of a sample with j =
+# 12000 species, all of whose dots pass 10 000 entries.
+_THREAD_SCRIPT = """
+from unseen import PYParams, SampleSummary, fit_empirical_bayes, posterior_pmfs
+pmf = posterior_pmfs(PYParams(0.9, 29.6), SampleSummary(2586, 1825), [12930])[12930]
+print(repr(pmf.mean()), repr(pmf.variance()))
+freqs = [max(1, round(30000 / (i + 1) ** 1.1)) for i in range(12000)]
+print(fit_empirical_bayes(SampleSummary.from_freqs(freqs)))
+"""
+
+
+@pytest.mark.skipif((os.cpu_count() or 1) < 2,
+                    reason="one CPU: OpenBLAS runs every call on one thread")
+def test_results_do_not_depend_on_blas_threads():
+    """The same moments and fit under one BLAS thread and under two, where
+    OpenBLAS would split any call over 10 000 entries and sum its parts in
+    another order."""
+    src = str(Path(unseen.__file__).resolve().parents[1])
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        run = subprocess.run([sys.executable, "-c", _THREAD_SCRIPT], env=env,
+                             capture_output=True, text=True, timeout=120, check=True)
+        outputs.append(run.stdout)
+    assert "converged=True" in outputs[0]
+    assert outputs[0] == outputs[1]
