@@ -13,16 +13,16 @@ the top of R's window serves every m.  And the closed form in terms of
 generalized factorial coefficients (small-m validation path), one
 positive log-space triangle at every alpha, the Dirichlet case included.
 
-The two passes run on two kernels that share one scheme: a block of up
-to 64 draws runs on a column window fixed at its start, three calls a
-draw.  They differ only in arithmetic.  `_dp_steps`, the posterior
-recursion, multiplies by transition probabilities p and 1 - p formed a
-block at a time; `_prior_steps`, the mixture's kernel, moves the prior
-chain's flux with no p and no clamp.  The recursion stays as the
-reference, so the checks of one against the other compare two kernels
-rather than one kernel with itself.
+Both passes run on one kernel, `_chain_steps`, the forward recursion of
+a chain whose draw i founds a species with probability (theta_total +
+alpha k) / (base + i).  `posterior_pmf_dp` stays a route of its own
+because it runs the posterior chain directly to m, with no BetaBinomial
+mixture, so a check of the mixture against it tests Pitman's identity
+and the mixture's window and weights, not one sum against itself.  The
+tests keep a plain per-draw recursion as an independent reference for
+the kernel's arithmetic.
 
-Both kernels keep only the band of counts whose probability is at least
+The kernel keeps only the band of counts whose probability is at least
 `_DP_FLOOR` (1e-30), so a pass costs O(m * band) rather than O(m^2); the
 mass a pass drops is at most (2m + 2) * _DP_FLOOR, too little for the
 2**-53 grid of a uniform to see.  The mixture also drops R's weights
@@ -68,12 +68,6 @@ _DP_FLOOR = 1e-30
 # multiple of the axpy kernels' 16-wide unroll, so an axpy split at its
 # multiples rounds every entry as one call does.
 _BLAS_CHUNK = 10_000
-
-# The recursion forms its transition probabilities for a block of at most
-# 64 draws and about this many entries at a time (two such arrays, p and
-# 1 - p, live at once): enough draws to spread the per-block calls, few
-# enough entries that the arrays stay small.
-_DP_BLOCK = 1 << 14
 
 
 def _dot(x, y):
@@ -212,126 +206,81 @@ def posterior_mean(params: PYParams, sample: SampleSummary, m: int) -> float:
     return float((j + t / a) * np.expm1(log_ratio))
 
 
-def _dp_steps(alpha: float, theta: float, n: int, j: int, m: int):
-    """Forward recursion of the new-species count over m predictive draws,
-    the reference.
+def _chain_steps(alpha: float, theta_total: float, base: float, m: int):
+    """Forward recursion of the species count of a chain of m draws, the
+    package's one pmf kernel.
 
-    Yields (buffer, lo, hi) after 0, 1, ..., m draws: the unnormalised
-    pmf buffer (length m + 1, updated in place) and its live band
-    [lo, hi).  After each draw, band entries at either edge below
-    `_DP_FLOOR` are set to 0 and dropped, so every entry outside the band
-    is 0.  With n = j = 0 it is the prior chain.  The numerators
-    theta + alpha * (j + k) are positive: theta + alpha * j > 0 for j >= 1
-    and theta > -alpha, and the prior chain takes theta > 0.
+    After i draws with k species, draw i founds a new species with
+    probability p_k = c_k / (base + i), c_k = theta_total + alpha k.  The
+    posterior chain (`posterior_pmf_dp`) takes theta_total = theta +
+    alpha j and base = theta + n, and counts new species; the prior chain
+    (`_mixture_pmfs`) takes base = theta_total.  Every c_k is positive:
+    theta + alpha j > 0 for j >= 1 and theta > -alpha.
 
-    Blocks of draws run on fixed column windows as in `_prior_steps`.  A
-    block's probabilities p = (theta + alpha * (j + k)) / (theta + n + i)
-    of a new species come from one 2-D divide, rounded as a divide per draw
-    would be, and are clamped at 1 only when the largest (first row, last
-    column) exceeds 1.  A draw then makes three in-place calls over the
-    window: P * p into a move buffer, P *= 1 - p, and the shifted add, a
-    BLAS axpy with factor 1.  A window of more than 10 000 entries, at
-    alpha near 1 for example, takes the axpy in pieces (`_axpy`), so that
-    it does not run on BLAS worker threads; the window is fixed for the
-    block, so the choice is made once a block.
-    """
-    probs = np.zeros(m + 1)
-    probs[0] = 1.0
-    k = np.arange(m + 1, dtype=float)
-    p_new_numer = theta + alpha * (j + k)
-    move_buf = np.empty(m + 1)
-    # Per-call overhead is most of a draw at the usual band widths, so the
-    # ufuncs take `out` by position, the names they use are local, and the
-    # trim loops read and write the band's edges as Python floats.
-    multiply, floor, pv = np.multiply, _DP_FLOOR, memoryview(probs)
-    lo, hi = 0, 1
-    yield probs, lo, hi
-    i = 0
-    while i < m:
-        rows = min(64, m - i, max(1, _DP_BLOCK // (hi - lo + 64)))
-        b_lo, b_hi = lo, min(hi + rows, m + 1)
-        # p > 0 already: both the numerator and theta + n + i are positive
-        p = p_new_numer[b_lo:b_hi] / (theta + n + np.arange(i, i + rows))[:, None]
-        if p[0, -1] > 1.0:
-            np.minimum(p, 1.0, out=p)
-        q = 1.0 - p
-        width = b_hi - b_lo
-        state, move = probs[b_lo:b_hi], move_buf[:width]
-        tail, head = state[1:], move[:-1]
-        axpy = daxpy if width - 1 <= _BLAS_CHUNK else _axpy
-        for r in range(rows):
-            if hi <= m:
-                hi += 1
-            multiply(state, p[r], move)
-            state *= q[r]
-            # fma(1, x, y) rounds as x + y does
-            axpy(head, tail, width - 1, 1.0)
-            while pv[lo] < floor:
-                pv[lo] = 0.0
-                lo += 1
-            while pv[hi - 1] < floor:
-                pv[hi - 1] = 0.0
-                hi -= 1
-            yield probs, lo, hi
-        i += rows
+    Yields (buffer, lo, hi) after 0, 1, ..., m draws: the unnormalised pmf
+    buffer (length m + 1, updated in place) and its live band [lo, hi).
+    After each draw, band entries at either edge below `_DP_FLOOR` are set
+    to 0 and dropped, so every entry outside the band is 0.
 
+    The first draw is written in closed form, (1 - p_0, p_0) with p_0 =
+    theta_total / base; for the prior chain x / x is exactly 1, so that
+    pass starts from the exact state K*_1 = 1.  Every later draw runs in
+    flux form: with the flux F_k = P_k c_k into k + 1, draw i maps P to
 
-def _prior_steps(alpha: float, theta_total: float, r_max: int):
-    """Forward recursion of the prior chain's species count K*_r, the
-    mixture's kernel.
+        P_k + (F_{k-1} - F_k) / (base + i),
 
-    Yields (buffer, lo, hi) after r = 0, 1, ..., r_max draws, like
-    `_dp_steps(alpha, theta_total, 0, 0, r_max)`: the pmf buffer (length
-    r_max + 1, updated in place) and its live band [lo, hi), with the same
-    edge floor.  It runs in flux form: with c_k = theta_total + alpha k and
-    the flux F_k = P_k c_k into k + 1, draw i maps P to
-
-        P_k + (F_{k-1} - F_k) / (theta_total + i),
-
-    the same map as P_k (1 - p_k) + P_{k-1} p_{k-1} with p_k = c_k /
-    (theta_total + i), without forming p or 1 - p.  The first draw always
-    founds a species (p_0 = 1 at i = 0), so the pass starts from the exact
-    state K*_1 = 1 rather than from the rounding that p_0 - 1 would leave.
-    Where p_k rounds to 1 (theta_total near 1e300), P_k - F_k / (theta_total
-    + i) can round to just below 0 at the band's lower edge; that entry is
-    below the floor and leaves the band like any other.
+    the map P_k (1 - p_k) + P_{k-1} p_{k-1} without forming p or 1 - p, so
+    no p needs a clamp at 1.  Where p_k rounds to 1 (theta near 1e300, or
+    alpha near 1 at theta 1e17), P_k - F_k / (base + i) can round to just
+    below 0 at the band's lower edge; that entry is below the floor and
+    leaves the band like any other.
     A block of up to 64 draws runs on the fixed column window [lo, hi +
     rows), the band at the block's start plus the columns it can reach;
     entries of the window outside the band are 0 and stay 0, except the
     one the band grows into.  A draw makes three calls over the window:
     F = P * c, then two BLAS axpys into P, of -F_k and of F_{k-1}, each
-    times 1 / (theta_total + i); over a wide band an axpy costs a fraction
-    of a ufunc over the same entries, so two of them beat a subtract and
-    one axpy.  A window of more than 10 000 entries takes its axpys in
-    pieces (`_axpy`), chosen once a block, so that none runs on BLAS
-    worker threads.
+    times 1 / (base + i); over a wide band an axpy costs a fraction of a
+    ufunc over the same entries, so two of them beat a subtract and one
+    axpy.  A window of more than 10 000 entries takes its axpys in pieces
+    (`_axpy`), chosen once a block, so that none runs on BLAS worker
+    threads.
     """
-    probs = np.zeros(r_max + 1)
+    probs = np.zeros(m + 1)
     probs[0] = 1.0
     yield probs, 0, 1
-    if r_max == 0:
+    if m == 0:
         return
-    probs[0], probs[1] = 0.0, 1.0
-    lo, hi = 1, 2
+    p0 = theta_total / base
+    probs[0], probs[1] = 1.0 - p0, p0
+    # Per-call overhead is most of a draw at the usual band widths, so the
+    # ufunc takes `out` by position, the names it uses are local, and the
+    # trim loops read and write the band's edges as Python floats.
+    multiply, floor, pv = np.multiply, _DP_FLOOR, memoryview(probs)
+    lo, hi = 0, 2
+    while pv[lo] < floor:
+        pv[lo] = 0.0
+        lo += 1
+    while pv[hi - 1] < floor:
+        pv[hi - 1] = 0.0
+        hi -= 1
     yield probs, lo, hi
-    c = theta_total + alpha * np.arange(r_max + 1, dtype=float)
+    c = theta_total + alpha * np.arange(m + 1, dtype=float)
     # flux[0] stays 0: the flux into the window's first column from below,
     # where every entry is 0
-    flux = np.zeros(r_max + 2)
-    multiply, floor, pv = np.multiply, _DP_FLOOR, memoryview(probs)
+    flux = np.zeros(m + 2)
     i = 1
-    while i < r_max:
-        rows = min(64, r_max - i)
-        b_lo, b_hi = lo, min(hi + rows, r_max + 1)
+    while i < m:
+        rows = min(64, m - i)
+        b_lo, b_hi = lo, min(hi + rows, m + 1)
         width = b_hi - b_lo
         state, c_win = probs[b_lo:b_hi], c[b_lo:b_hi]
         f_out, f_in = flux[1 : width + 1], flux[:width]
         axpy = daxpy if width <= _BLAS_CHUNK else _axpy
         for r in range(i, i + rows):
-            if hi <= r_max:
+            if hi <= m:
                 hi += 1
             multiply(state, c_win, f_out)
-            step = 1.0 / (theta_total + r)
+            step = 1.0 / (base + r)
             axpy(f_out, state, width, -step)
             axpy(f_in, state, width, step)
             while pv[lo] < floor:
@@ -361,7 +310,7 @@ def _beta_binomial_log_weights(a: float, b: float, m: int) -> np.ndarray:
 def _mixture_pmfs(
     alpha: float, theta_total: float, windows: dict[int, tuple[int, np.ndarray]]
 ) -> dict[int, Pmf]:
-    """Pmfs of K*_R by one pass of the prior chain (`_prior_steps`) to
+    """Pmfs of K*_R by one pass of the prior chain (`_chain_steps`) to
     the top of every window: for each m, windows[m] = (r_lo, w) holds the
     weights w of R = r_lo, r_lo + 1, ..., and the pass adds w(r) times its
     band after r draws into the pmf at m, one in-place BLAS axpy per step
@@ -379,7 +328,7 @@ def _mixture_pmfs(
     # most _BLAS_CHUNK draws never tests a band's width
     wide = r_max > _BLAS_CHUNK
     active = []
-    for r, (probs, lo, hi) in enumerate(_prior_steps(alpha, theta_total, r_max)):
+    for r, (probs, lo, hi) in enumerate(_chain_steps(alpha, theta_total, theta_total, r_max)):
         while pending and pending[-1][0] == r:
             active.append(pending.pop())
         axpy = _axpy if wide and hi - lo > _BLAS_CHUNK else daxpy
@@ -429,7 +378,8 @@ def posterior_pmf_dp(params: PYParams, sample: SampleSummary, m: int) -> Pmf:
     check_count(m)
     if m > DP_MAX:
         raise SizeLimitError(f"m={m} exceeds dp_max={DP_MAX}")
-    for probs, _, _ in _dp_steps(params.alpha, params.theta, sample.n, sample.j, m):
+    a, t = params.alpha, params.theta
+    for probs, _, _ in _chain_steps(a, t + a * sample.j, t + sample.n, m):
         pass
     return Pmf(probs / probs.sum())
 

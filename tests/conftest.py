@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from unseen import DomainError, PYParams, SampleSummary
+from unseen import model
 
 
 # Leading-order mean and variance constants of the prior-chain species count
@@ -208,3 +209,34 @@ def zipf_a():
 def params_sample(name):
     a, t, n, j = ALL_SETS[name]
     return PYParams(alpha=a, theta=t), SampleSummary(n, j)
+
+
+def plain_recursion(alpha, theta, n, j, m):
+    """Forward recursion of the new-species count over m posterior
+    predictive draws, one draw at a time: the independent reference for
+    `model._chain_steps`.  Yields (buffer, lo, hi) after 0, 1, ..., m
+    draws, like the kernel: the unnormalised pmf buffer (length m + 1,
+    updated in place) and its live band, trimmed at `model._DP_FLOOR` as
+    it reads when the pass starts.  With n = j = 0 it is the prior chain
+    with theta' = theta."""
+    probs = np.zeros(m + 1)
+    probs[0] = 1.0
+    numer = theta + alpha * (j + np.arange(m + 1, dtype=float))
+    floor = model._DP_FLOOR
+    lo, hi = 0, 1
+    yield probs, lo, hi
+    for i in range(m):
+        hi = min(hi + 1, m + 1)
+        band = probs[lo:hi]
+        p = numer[lo:hi] / (theta + n + i)
+        np.minimum(p, 1.0, out=p)
+        move = band * p
+        band *= 1.0 - p
+        band[1:] += move[:-1]
+        while probs[lo] < floor:
+            probs[lo] = 0.0
+            lo += 1
+        while probs[hi - 1] < floor:
+            probs[hi - 1] = 0.0
+            hi -= 1
+        yield probs, lo, hi

@@ -33,8 +33,7 @@ from unseen.intervals import coverage, exact_interval, ml_interval
 from unseen.model import (
     PYParams,
     SampleSummary,
-    _dp_steps,
-    _prior_steps,
+    _chain_steps,
     posterior_mean,
     posterior_pmf_dp,
 )
@@ -392,10 +391,10 @@ def test_c5_coverage_ordering():
 # -------------------------------------------------------------- criterion 6
 
 def test_c6_oracle_equivalence_full_grid():
-    """The DP recursion behind posterior_pmf_dp vs the closed form over the
-    full small-instance grid; the closed path is assembled from one
-    coefficient triangle per (alpha, n, j) so the sweep stays within the
-    runtime budget."""
+    """The kernel's posterior pass behind posterior_pmf_dp vs the closed
+    form over the full small-instance grid; the closed path is assembled
+    from one coefficient triangle per (alpha, n, j) so the sweep stays
+    within the runtime budget."""
     t0 = time.monotonic()
     m_max = 25
     thetas = (0.5, 1.0, 10.0)
@@ -409,8 +408,9 @@ def test_c6_oracle_equivalence_full_grid():
                 table = GfcTable(m_max, alpha, -n + j * alpha)
                 tri = [table.log_row(m) for m in range(m_max + 1)]
                 for theta in thetas:
-                    # the posterior recursion's buffer after m = 0..m_max draws
-                    traj = [b.copy() for b, _, _ in _dp_steps(alpha, theta, n, j, m_max)]
+                    # the posterior pass's buffer after m = 0..m_max draws
+                    steps = _chain_steps(alpha, theta + alpha * j, theta + n, m_max)
+                    traj = [b.copy() for b, _, _ in steps]
                     # log prod_{i<k} (theta + alpha (j + i)), k = 0..m_max
                     lr = np.concatenate(
                         [[0.0], np.cumsum(np.log(theta + alpha * (j + np.arange(m_max))))]
@@ -455,9 +455,9 @@ def _empirical_ks(draws, mm, ss2):
 
 def _prior_chain_law(alpha, theta_total, m):
     """Exact pmf of the prior-chain species count: the prior pass that the
-    mixture of `posterior_pmfs` runs (`_prior_steps`, the flux-form kernel),
+    mixture of `posterior_pmfs` runs (`_chain_steps` with base = theta'),
     up to the band's dropped tail of at most (2m + 2) * 1e-30."""
-    for law, _, _ in _prior_steps(alpha, theta_total, m):
+    for law, _, _ in _chain_steps(alpha, theta_total, theta_total, m):
         pass
     return law
 

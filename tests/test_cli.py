@@ -239,7 +239,7 @@ class TestEstimateCommand:
         pass serves it; m above DP_MAX runs the chain with no pass of its
         own."""
         grids, passes = [], []
-        prior_steps = model._prior_steps
+        chain_steps = model._chain_steps
 
         def counted(params, sample, ms):
             grids.append(list(ms))
@@ -247,10 +247,10 @@ class TestEstimateCommand:
 
         def counted_pass(*args):
             passes.append(args)
-            return prior_steps(*args)
+            return chain_steps(*args)
 
         monkeypatch.setattr(cli, "posterior_pmfs", counted)
-        monkeypatch.setattr(model, "_prior_steps", counted_pass)
+        monkeypatch.setattr(model, "_chain_steps", counted_pass)
         code, out, _ = run_cli(
             capsys, "estimate", "--n", "100", "--j", "40", "--alpha", "0.5", "--theta", "10",
             "--m", f"0,12,5,12,{DP_MAX + 1}", "--samples", "100", "--methods", "exact",
@@ -308,9 +308,9 @@ class TestPmfCommand:
          "a6dea08c5bde118e61cd56b8274fdd4471957f7120fb768fd399a0199e7a2915"),
         ("977", "300", "0.54", "26.67", "4885",
          "ad717dd7fce3ac9ce074531afbb07fd1e0b1d3b8e1f5061e0bdcff95e22ddf08"),
-        # the reference recursion's widest window
+        # the posterior pass's widest window
         ("40", "3", "0.999999", "0.5", "20000",
-         "0e0bdb3d71dd9a7d0cfed90b36c09136df321e20a8e904fd4789fad1d27adc87"),
+         "2270ee7a791f6f2899a5e6f724f26c65438a4e9697e56f69fd7af3435cbc55bf"),
     ])
     def test_dp_output_pinned(self, capsys, n, j, alpha, theta, m, digest):
         """`unseen pmf --method dp` keeps its bytes, one line per k."""

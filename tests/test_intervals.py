@@ -124,7 +124,7 @@ class TestExactInterval:
         def no_pmf(*args, **kwargs):
             raise AssertionError("no pmf pass above DP_MAX")
 
-        monkeypatch.setattr(model, "_prior_steps", no_pmf)
+        monkeypatch.setattr(model, "_chain_steps", no_pmf)
         monkeypatch.setattr(intervals, "sample_from_pmf", no_pmf)
         params, sample, m = PYParams(0.5, 0.5), SampleSummary(2, 1), DP_MAX + 1
         ci = exact_interval(params, sample, m, 0.95, 100, RngStream(10))

@@ -21,8 +21,7 @@ from unseen.model import (
     Pmf,
     PYParams,
     SampleSummary,
-    _dp_steps,
-    _prior_steps,
+    _chain_steps,
     posterior_mean,
     posterior_pmf_closed,
     posterior_pmf_dp,
@@ -30,7 +29,7 @@ from unseen.model import (
 )
 from unseen.samplers import RngStream, sample_k_future, sample_ml_limit, sample_prior_kstar
 
-from conftest import standin_freqs
+from conftest import plain_recursion, standin_freqs
 
 
 class TestTypes:
@@ -205,9 +204,9 @@ class TestPmfs:
 
         def counted(*args):
             passes.append(args)
-            return _prior_steps(*args)
+            return _chain_steps(*args)
 
-        monkeypatch.setattr(model, "_prior_steps", counted)
+        monkeypatch.setattr(model, "_chain_steps", counted)
         grid = [5, model.DP_MAX + 1, 0, model.DP_MAX, 5, 10**20]
         pmfs = posterior_pmfs(params, sample, reversed(grid))
         assert sorted(pmfs) == [0, 5, model.DP_MAX] and len(passes) == 1
@@ -317,20 +316,29 @@ def test_closed_form_against_mpmath(alpha, theta, n, j, m):
 
 @pytest.fixture
 def floor_1e300(monkeypatch):
-    """The band floor the older pins were computed at; `_dp_steps` reads
-    the floor when it starts."""
+    """The band floor the older pins were computed at; the kernel and the
+    plain recursion read the floor when they start."""
     monkeypatch.setattr(model, "_DP_FLOOR", 1e-300)
 
 
+def _posterior_steps(alpha, theta, n, j, m):
+    """The kernel's posterior pass, the one `posterior_pmf_dp` runs."""
+    return _chain_steps(alpha, theta + alpha * j, theta + n, m)
+
+
 def _check_banded_pmf(case, sha, mean, var):
-    alpha, theta, n, j, m = case
-    pmf = posterior_pmf_dp(PYParams(alpha, theta), SampleSummary(n, j), m)
+    """The plain recursion's pmf keeps its pins, and the kernel's posterior
+    pass ends on a band that trimmed."""
+    for band, _, _ in plain_recursion(*case):
+        pass
+    pmf = Pmf(band / band.sum())
     kept = np.where(pmf.probs >= 1e-250, pmf.probs, 0.0)
     assert hashlib.sha256(kept.tobytes()).hexdigest() == sha
     assert repr(pmf.mean()) == mean
     assert repr(pmf.variance()) == var
 
-    for band, lo, hi in _dp_steps(alpha, theta, n, j, m):
+    m = case[-1]
+    for band, lo, hi in _posterior_steps(*case):
         pass
     live = np.flatnonzero(band)
     assert (lo, hi) == (live[0], live[-1] + 1)
@@ -397,11 +405,11 @@ def test_one_pass_pmfs_equal_single_runs(case):
 
 
 def _buffers_digest(case):
-    """SHA-256 of the raw `_dp_steps` buffer (tail bits included) at draws
-    i < 130, every 61st draw and the last."""
+    """SHA-256 of the plain recursion's raw buffer (tail bits included) at
+    draws i < 130, every 61st draw and the last."""
     m = case[-1]
     digest = hashlib.sha256()
-    for i, (buf, _, _) in enumerate(_dp_steps(*case)):
+    for i, (buf, _, _) in enumerate(plain_recursion(*case)):
         assert buf.size == m + 1
         if i < 130 or i % 61 == 0 or i == m:
             digest.update(buf.tobytes())
@@ -409,10 +417,8 @@ def _buffers_digest(case):
     return digest.hexdigest()
 
 
-# `_buffers_digest` as computed by the draw-by-draw recursion before the
-# transition probabilities were formed in blocks, at the floor of 1e-300.
-# The first case is one where the clamp of p at 1 binds; in the last, lo
-# moves inside a block.
+# `_buffers_digest` at the floor of 1e-300.  The first case is one where
+# the plain recursion's clamp of p at 1 binds.
 PINNED_DP_BUFFERS = [
     ((0.999999999, 1e17, 1, 1, 50),
      "b9fa7a41e232da6ef3713a695d1457d9109c164b0dd35b9425e137acd220d2b7"),
@@ -453,8 +459,7 @@ PINNED_DP_BUFFERS_FLOOR_1E30 = [
      "c419aaebb9dfebcbfb65f1043f490d8c4b789967f2aa15f08b85e399ff8e2fe8"),
     ((0.9, 29.6, 2586, 1825, 12930),
      "ccb37583365672c3100238db4adc18a45242effa9d4031ed9d17fb9889a41fe3"),
-    # the widest window: the band reaches 16906 entries, so about 10440
-    # draws run in blocks of one row
+    # the widest window: the band reaches 16906 entries
     ((0.999999, 0.5, 40, 3, 20000),
      "d63b46bb890b56d24439d281a1c9d4153b0c4fe2355a978f7472d88584aa5a0c"),
 ]
@@ -465,9 +470,21 @@ def test_dp_buffers_pinned_at_floor(case, sha):
     assert _buffers_digest(case) == sha
 
 
+@pytest.mark.parametrize("case", sorted(
+    {c for c, *_ in PINNED_DP + PINNED_DP_BUFFERS_FLOOR_1E30}))
+def test_dp_against_plain_recursion(case):
+    """On every pinned case `posterior_pmf_dp`, the kernel's posterior
+    pass, is within 1e-15 of the plain recursion."""
+    alpha, theta, n, j, m = case
+    for band, _, _ in plain_recursion(*case):
+        pass
+    got = posterior_pmf_dp(PYParams(alpha, theta), SampleSummary(n, j), m)
+    assert np.max(np.abs(got.probs - band / band.sum())) <= 1e-15
+
+
 def _block_edge_digest():
-    """A band this narrow takes blocks of 64 draws; the grid has points on
-    both sides of two block edges."""
+    """The kernel runs blocks of 64 draws; the grid has points on both
+    sides of two block edges."""
     params, sample = PYParams(0.25, 3.0), SampleSummary(40, 12)
     digest = hashlib.sha256()
     for m in [0, 1, 63, 64, 65, 127, 128, 129, 200]:
@@ -478,12 +495,12 @@ def _block_edge_digest():
 @pytest.mark.usefixtures("floor_1e300")
 def test_one_pass_pmfs_pinned_across_block_edges():
     assert _block_edge_digest() == (
-        "c7c2168c571a58f8e35443b8bb8ced81e8949f48539694fc929cd49ab9f6df2f")
+        "fd6dadace857b204714efd1e62f71a27c54c547425d344fa39ed937fcce73f35")
 
 
 def test_one_pass_pmfs_pinned_across_block_edges_at_floor():
     assert _block_edge_digest() == (
-        "c6372bc49dd9a4da105256948ede0687b5214af3916b78dbc380d529d681957e")
+        "1c604072ea714a720de55a82ad40a4a9d632c49dc0b8d16850eef6b14fbf3e78")
 
 
 @pytest.mark.parametrize("case", sorted(
@@ -593,11 +610,11 @@ def test_mixture_matches_recursion_on_narrow_windows(name):
 
 
 def _recursion_grid(params, sample, grid):
-    """Pmfs of one posterior-recursion pass to max(grid), kept at every m
-    of the grid."""
+    """Pmfs of one pass of the plain recursion to max(grid), kept at every
+    m of the grid."""
     out = {}
-    for i, (probs, _, _) in enumerate(_dp_steps(params.alpha, params.theta, sample.n, sample.j,
-                                                max(grid))):
+    for i, (probs, _, _) in enumerate(plain_recursion(params.alpha, params.theta, sample.n,
+                                                      sample.j, max(grid))):
         if i in grid:
             # entries past i are still 0
             head = probs[: i + 1]
@@ -641,18 +658,39 @@ def _prior_pass_to_r_hi(name):
     pytest.param(1 - 1e-9, 0.5, 2000, id="alpha_1-1e-9"),
 ])
 def test_prior_steps_against_recursion(alpha, theta_total, r_max):
-    """The mixture's flux-form kernel against the prior pass of the
-    posterior recursion, state by state, over the benchmark fits' passes to
-    r_hi at m = 20000 and at the edges of theta' and alpha: every buffer
-    within 1e-14, nothing left at K*_r = 0 once a draw is made, and no
-    negative entry."""
-    steps = zip(_prior_steps(alpha, theta_total, r_max), _dp_steps(alpha, theta_total, 0, 0, r_max))
+    """The kernel's prior pass against the plain recursion's, state by
+    state, over the benchmark fits' passes to r_hi at m = 20000 and at the
+    edges of theta' and alpha."""
+    _check_pass(alpha, theta_total, 0, 0, r_max)
+
+
+@pytest.mark.parametrize("case", [
+    pytest.param((0.999999999, 1e17, 1, 1, 50), id="alpha_1-1e-9-theta_1e17"),
+    pytest.param((0.5, 1e300, 20, 10, 30), id="theta_1e300"),
+    pytest.param((0.54, -0.54 + 1e-3, 977, 300, 2000), id="theta_-alpha+1e-3"),
+    pytest.param((0.999999, -0.999999 + 1e-3, 40, 3, 2000), id="alpha_1-1e-6-theta_-alpha+1e-3"),
+    pytest.param((0.0, 1e-3, 2000, 447, 2000), id="alpha_0-theta_1e-3"),
+])
+def test_posterior_steps_against_recursion(case):
+    """The kernel's posterior pass, where p of a new species can round
+    above 1 and the plain recursion clamps it, against that recursion
+    state by state."""
+    _check_pass(*case)
+
+
+def _check_pass(alpha, theta, n, j, m):
+    """The kernel's pass against the plain recursion, state by state: every
+    buffer within 1e-14, no negative entry, every band entry at or above
+    the floor and every entry outside the band 0; with n = 0, the prior
+    chain, nothing left at count 0 once a draw is made."""
+    steps = zip(_posterior_steps(alpha, theta, n, j, m), plain_recursion(alpha, theta, n, j, m))
     for r, ((got, lo, hi), (want, _, _)) in enumerate(steps):
         assert np.max(np.abs(got - want)) <= 1e-14, r
-        assert r == 0 or got[0] == 0.0, r
+        assert n or r == 0 or got[0] == 0.0, r
         assert got.min() >= 0.0, r
+        assert np.all(got[lo:hi] >= model._DP_FLOOR), r
         assert not got[:lo].any() and not got[hi:].any(), r
-    assert r == r_max
+    assert r == m
 
 
 @pytest.mark.parametrize("alpha,theta,n,j,m", [
@@ -721,7 +759,7 @@ def test_axpy_in_pieces(n, off, daxpy_sizes):
 
 def test_wide_window_kernels_make_no_call_above_10000(daxpy_sizes, monkeypatch):
     """At alpha near 1 the band reaches 16906 entries.  Every daxpy call of
-    the recursion and of the mixture covers at most 10 000 entries, and
+    the posterior pass and of the mixture covers at most 10 000 entries, and
     the pmfs have the bytes of one call per step (the chunk patched above
     m + 1)."""
     params, sample, m = PYParams(0.999999, 0.5), SampleSummary(40, 3), 20000

@@ -384,6 +384,18 @@ class TestMittagLeffler:
             se = (draws ** p).std() / math.sqrt(reps)
             assert abs(got - target) <= 4.0 * se, (alpha, q, p)
 
+    @pytest.mark.parametrize("q", [0.01, 0.5, 3.0, 40.0, 1e4, 1e8])
+    def test_half_against_gamma_law(self, q):
+        """At alpha = 1/2 the moments Gamma(q+p+1) Gamma(q/2+1) /
+        (Gamma(q+1) Gamma(q/2+p/2+1)) reduce, by the duplication formula,
+        to 2^p Gamma((q+1)/2 + p/2) / Gamma((q+1)/2): S_{1/2,q} has the law
+        of 2 sqrt(G), G ~ Gamma((q+1)/2).  One-sample KS against it."""
+        from scipy.stats import gamma, kstest
+
+        draws = sample_mittag_leffler(0.5, q, RngStream(43), size=200_000)
+        law = gamma((q + 1.0) / 2.0)
+        assert kstest(draws, lambda s: law.cdf(s * s / 4.0)).pvalue > 1e-3, q
+
     def test_stream_consistency(self):
         from scipy.stats import ks_2samp
 
