@@ -316,8 +316,9 @@ def cmd_benchmark(args) -> int:
 
 
 def _mixture_pmf(params: PYParams, sample: SampleSummary, m: int) -> Pmf:
-    """The production pmf at one m: `posterior_pmfs`' mixture, which
-    serves m up to DP_MAX only."""
+    """The production pmf at one m, the one the exact intervals draw from:
+    `posterior_pmfs`' mixture, or its Bernoulli product at alpha = 0,
+    which serve m up to DP_MAX only."""
     pmf = posterior_pmfs(params, sample, [m]).get(m)
     if pmf is None:
         raise SizeLimitError(f"m={m} exceeds dp_max={DP_MAX}")
@@ -386,7 +387,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_pmf.add_argument("--theta", type=float, required=True)
     p_pmf.add_argument("--m", type=int, required=True)
     p_pmf.add_argument("--method", choices=list(_PMF_METHODS), default="mixture",
-                       help="mixture: the pmf the exact intervals draw from (the default); "
+                       help="mixture: the pmf the exact intervals draw from (the default; "
+                            "at alpha = 0 the product of the draws' Bernoulli pmfs); "
                             "dp and closed: the two independent references")
     p_pmf.set_defaults(func=cmd_pmf)
     return parser

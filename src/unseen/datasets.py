@@ -73,8 +73,8 @@ def generate(spec: DatasetSpec, rng: RngStream) -> SampleSummary:
         _count(N)
     counts = gen.multinomial(n, p)
     _count(n)
-    freqs = counts[counts > 0]
-    return SampleSummary.from_freqs(freqs)
+    # Python ints: a numpy integer takes the slow ABC path of check_count
+    return SampleSummary.from_freqs(counts[counts > 0].tolist())
 
 
 def ingest(path: str, mode: str = "labels") -> SampleSummary:

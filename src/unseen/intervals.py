@@ -11,12 +11,12 @@ import numpy as np
 
 from .errors import DomainError, check_count
 from .model import Pmf, PYParams, SampleSummary, posterior_pmfs
-from .samplers import RngStream, sample_from_pmf, sample_k_future, sample_ml_limit
+from .samplers import RngStream, _pmf_order_statistics, sample_k_future, sample_ml_limit
 
 _METHODS = ("exact_mc", "mittag_leffler", "gaussian")
 
 # Bounds on the Monte Carlo replicates of one interval; at the top, the
-# draws and their sorted copy take a few hundred MB.
+# draws and their partitioned copy take a few hundred MB.
 _MIN_MC_SAMPLES = 100
 _MAX_MC_SAMPLES = 10_000_000
 
@@ -42,26 +42,31 @@ class CredibleInterval:
             raise DomainError("mc_samples must be present exactly when the method is Monte Carlo")
 
 
-def _equal_tailed(draws: np.ndarray, level: float) -> tuple[float, float]:
-    """Equal-tailed interval from order statistics at ceiling ranks (no
-    interpolation, so endpoints are realizable sample values).  The tail
-    mass is formed exactly from the level's decimal form: in floats
-    1 - 0.95 = 0.05000000000000004, which would put the lower endpoint of
-    2000 draws at rank 51 rather than 50."""
-    r = draws.size
+def _tail_ranks(r: int, level: float) -> tuple[int, int]:
+    """1-based ranks of the equal-tailed endpoints among r draws, at the
+    ceiling (no interpolation, so endpoints are realizable sample values).
+    The tail mass is formed exactly from the level's decimal form: in
+    floats 1 - 0.95 = 0.05000000000000004, which would put the lower
+    endpoint of 2000 draws at rank 51 rather than 50."""
     half_delta = (1 - Fraction(str(level))) / 2
-    draws = np.sort(draws)
-    lo_rank = max(math.ceil(r * half_delta), 1)
-    hi_rank = min(math.ceil(r * (1 - half_delta)), r)
+    return max(math.ceil(r * half_delta), 1), min(math.ceil(r * (1 - half_delta)), r)
+
+
+def _equal_tailed(draws: np.ndarray, level: float) -> tuple[float, float]:
+    """Equal-tailed interval of `draws`: its order statistics at
+    `_tail_ranks`, found by a partition rather than a sort."""
+    lo_rank, hi_rank = _tail_ranks(draws.size, level)
+    draws = np.partition(draws, (lo_rank - 1, hi_rank - 1))
     return float(draws[lo_rank - 1]), float(draws[hi_rank - 1])
 
 
-def _mc_interval(draws: np.ndarray, m: int, level: float, method: str) -> CredibleInterval:
-    """Equal-tailed interval of `draws` with both endpoints clamped into
+def _mc_interval(lo: float, hi: float, m: int, level: float, method: str,
+                 samples: int) -> CredibleInterval:
+    """Interval (lo, hi) of `samples` draws with both endpoints clamped into
     [0, m], the support of the count it approximates; rounding can put
     every draw a few ulps above m."""
-    lo, hi = (min(max(x, 0.0), float(m)) for x in _equal_tailed(draws.astype(float), level))
-    return CredibleInterval(lo, hi, level, method, mc_samples=draws.size)
+    lo, hi = (min(max(float(x), 0.0), float(m)) for x in (lo, hi))
+    return CredibleInterval(lo, hi, level, method, mc_samples=int(samples))
 
 
 def _check_mc_args(samples: int, level: float) -> None:
@@ -87,16 +92,14 @@ def exact_interval(
     replicates.  The replicates are drawn by inverse CDF from the exact
     posterior pmf at m: `pmf` when given (for instance from
     `posterior_pmfs` over a grid, one pass for many m), else
-    `posterior_pmfs` at m alone, which gives the same pmf.  Where
-    `posterior_pmfs`, the one place that picks the route, gives no pmf,
-    each replicate runs the thinning chain (`sample_k_future`) instead.
-    Both routes use the law of K given (n, j): the prior chain's species
-    count after R ~ BetaBinomial(m; theta + alpha*j, n - alpha*j) draws.
-    The pass mixes the prior chain's pmfs over R; the chain draws its own
-    R per replicate and runs R prior-chain draws.  The pmf draws have the
-    chain's law up to the mass the pmf pass drops: the band entries below
-    1e-30 and the weights of R below 1e-30.  `samples` lies in [100,
-    10**7]."""
+    `posterior_pmfs` at m alone, which gives the same pmf.  Of those draws
+    only the two at the endpoints' ranks are formed
+    (`samplers._pmf_order_statistics`); the interval is the one the full
+    set of `sample_from_pmf` draws gives.  Where `posterior_pmfs`, the one
+    place that picks the route, gives no pmf, each replicate runs the
+    thinning chain (`sample_k_future`) instead.  Both routes use the law
+    of K given (n, j); the pmf draws have the chain's law up to the mass
+    the pmf pass drops below 1e-30.  `samples` lies in [100, 10**7]."""
     check_count(m)
     _check_mc_args(samples, level)
     if pmf is not None and pmf.support_max != m:
@@ -109,9 +112,10 @@ def exact_interval(
         pmf = posterior_pmfs(params, sample, [m]).get(m)
     if pmf is None:
         draws = sample_k_future(params, sample, m, rng, size=samples)
+        lo, hi = _equal_tailed(draws.astype(float), level)
     else:
-        draws = sample_from_pmf(pmf, rng, size=samples)
-    return _mc_interval(draws, m, level, "exact_mc")
+        lo, hi = _pmf_order_statistics(pmf, rng, samples, _tail_ranks(samples, level))
+    return _mc_interval(lo, hi, m, level, "exact_mc", samples)
 
 
 def ml_interval(
@@ -127,8 +131,8 @@ def ml_interval(
     _check_mc_args(samples, level)
     if rng is None:
         rng = RngStream(0)
-    return _mc_interval(sample_ml_limit(params, sample, m, rng, size=samples), m, level,
-                        "mittag_leffler")
+    draws = sample_ml_limit(params, sample, m, rng, size=samples)
+    return _mc_interval(*_equal_tailed(draws, level), m, level, "mittag_leffler", samples)
 
 
 def _round_half_up(x: float) -> int:

@@ -2,23 +2,29 @@
 
 Given a sample of n observations containing j distinct species, the
 posterior law of the number of new species among m further draws depends
-on the data only through (n, j).  Three evaluations of that law are
+on the data only through (n, j).  Four evaluations of that law are
 provided.  A banded forward recursion over the posterior predictive chain
-(`posterior_pmf_dp`), the reference.  A mixture over the prior chain
-(`posterior_pmfs`, the production path): given (n, j), K_{n,m} has the
-law of K*_R, with R ~ BetaBinomial(m; theta + alpha j, n - alpha j) the
-draws that leave the seen species and K*_r the species count of r prior
-draws with theta' = theta + alpha j (Pitman, 1996), so one prior pass to
-the top of R's window serves every m.  And the closed form in terms of
-generalized factorial coefficients (small-m validation path), one
-positive log-space triangle at every alpha, the Dirichlet case included.
+(`posterior_pmf_dp`), the reference.  Two production routes, which
+`posterior_pmfs` picks between.  At alpha > 0, a mixture over the prior
+chain: given (n, j), K_{n,m} has the law of K*_R, with R ~
+BetaBinomial(m; theta + alpha j, n - alpha j) the draws that leave the
+seen species and K*_r the species count of r prior draws with theta' =
+theta + alpha j (Pitman, 1996), so one prior pass to the top of R's
+window serves every m.  At alpha = 0 (the Dirichlet prior), where draw i
+founds a species with probability theta / (theta + n + i) whatever came
+before, a product of those m Bernoulli pmfs (`_bernoulli_product_pmfs`),
+built by convolution from one product tree.  And the closed form in
+terms of generalized factorial coefficients (small-m validation path),
+one positive log-space triangle at every alpha, the Dirichlet case
+included.
 
-Both passes run on one kernel, `_chain_steps`, the forward recursion of
-a chain whose draw i founds a species with probability (theta_total +
-alpha k) / (base + i).  `posterior_pmf_dp` stays a route of its own
-because it runs the posterior chain directly to m, with no BetaBinomial
-mixture, so a check of the mixture against it tests Pitman's identity
-and the mixture's window and weights, not one sum against itself.  The
+The DP and the mixture run on one kernel, `_chain_steps`, the forward
+recursion of a chain whose draw i founds a species with probability
+(theta_total + alpha k) / (base + i).  `posterior_pmf_dp` stays a route
+of its own, and the reference, because it runs the posterior chain
+directly to m: a check of the mixture against it tests Pitman's identity
+and the mixture's window and weights, and a check of the Bernoulli
+product against it tests the product with no arithmetic in common.  The
 tests keep a plain per-draw recursion as an independent reference for
 the kernel's arithmetic.
 
@@ -26,9 +32,11 @@ The kernel keeps only the band of counts whose probability is at least
 `_DP_FLOOR` (1e-30), so a pass costs O(m * band) rather than O(m^2); the
 mass a pass drops is at most (2m + 2) * _DP_FLOOR, too little for the
 2**-53 grid of a uniform to see.  The mixture also drops R's weights
-below `_DP_FLOOR`, at most (m + 1) * _DP_FLOOR.  `posterior_pmfs` alone
-picks an exact interval's route: the m it returns a pmf for draw their
-replicates from it by inverse CDF, and the rest run the thinning chain.
+below `_DP_FLOOR`, at most (m + 1) * _DP_FLOOR, and the product the
+entries of its blocks and partial products below it.  `posterior_pmfs`
+alone picks an exact interval's route: the m it returns a pmf for draw
+their replicates from it by inverse CDF, and the rest run the thinning
+chain.
 
 No BLAS call of the package covers more than `_BLAS_CHUNK` (10 000)
 entries.  Above that size the bundled OpenBLAS hands a dot or an axpy to
@@ -340,29 +348,170 @@ def _mixture_pmfs(
     return {m: Pmf(acc / acc.sum()) for m, acc in accs.items()}
 
 
+def _trim(off: int, vec: np.ndarray) -> tuple[int, np.ndarray]:
+    """(off, vec) with vec's entries below `_DP_FLOOR` set to 0 and vec cut
+    to a copy of its support, the cut added to the offset.  A pmf of
+    k + 1 entries has one of at least 1 / (k + 1), so some entry stays."""
+    vec[vec < _DP_FLOOR] = 0.0
+    (live,) = np.nonzero(vec)
+    return off + int(live[0]), vec[live[0] : live[-1] + 1].copy()
+
+
+def _trim_columns(cols: np.ndarray, offs: np.ndarray):
+    """`_trim` of every column of `cols` at once: each column shifted so
+    that its support starts at row 0, with zeros past its support, in as
+    many rows as the widest support.  Returns (columns, offsets, widths)."""
+    cols[cols < _DP_FLOOR] = 0.0
+    live = cols > 0.0
+    lo = live.argmax(axis=0)
+    width = live.shape[0] - live[::-1].argmax(axis=0) - lo
+    rows = int(width.max())
+    padded = np.concatenate([cols, np.zeros((rows, cols.shape[1]))])
+    return np.take_along_axis(padded, lo + np.arange(rows)[:, None], axis=0), offs + lo, width
+
+
+# Bernoullis in a leaf of the Dirichlet product tree, and the levels above
+# the leaves whose pairs are convolved on 2-d arrays, a level at a time;
+# the levels above those convolve one pair at a time.
+_LEAF = 64
+_COLUMN_LEVELS = 3
+
+
+def _tree_node(levels, nodes, level: int, b: int) -> tuple[int, np.ndarray]:
+    """Node b of the product tree's level `level`, the Bernoullis [b, b +
+    1) * _LEAF * 2**level: a column of `levels` up to their top, and above
+    it the trimmed convolution of its two children; cached in `nodes`."""
+    if (level, b) not in nodes:
+        if level < len(levels):
+            cols, offs, width = levels[level]
+            nodes[level, b] = int(offs[b]), cols[: width[b], b].copy()
+        else:
+            (off_l, left), (off_r, right) = (
+                _tree_node(levels, nodes, level - 1, c) for c in (2 * b, 2 * b + 1))
+            nodes[level, b] = _trim(off_l + off_r, np.convolve(left, right))
+    return nodes[level, b]
+
+
+def _bernoulli_product_pmfs(theta: float, n: int, ms) -> dict[int, Pmf]:
+    """Pmfs at the m of `ms` of K_{n,m} at alpha = 0, the sum of m
+    independent Bernoulli(p_i), p_i = theta / (theta + n + i), i < m.
+
+    [0, m) splits into aligned dyadic blocks, from the top bit of m down,
+    and the pmf is the convolution of the blocks' pmfs, left to right.
+    Blocks of `_LEAF` Bernoullis or more are nodes of one product tree
+    over [0, max m); the last m mod `_LEAF` Bernoullis are a prefix of a
+    leaf.  A leaf runs the Bernoulli update P_k q_i + P_{k-1} p_i, with p_i
+    and q_i = (n + i) / (theta + n + i) each formed directly, never as
+    1 - p.  The leaves are the columns of one 2-d array, and so are the
+    nodes of each of the `_COLUMN_LEVELS` levels above them; higher nodes,
+    and the products along m's blocks, are one `np.convolve` each.  Every
+    sum is of nonnegative terms, so entries keep their relative accuracy
+    down to `_DP_FLOOR`.
+
+    Every node and partial product is cut at the floor to its own support
+    (`_trim`) before it is used.  Its entries are then sums of the same
+    terms in the same order whatever the grid: zeros past a column's
+    support add exactly 0, and `np.convolve` sees only the support.  So
+    each m's pmf depends only on (theta, n, m).  The dots of `np.convolve`
+    are as long as the shorter support, under 2 000 entries at m <=
+    DP_MAX (the sd of K is at most sqrt(m) / 2), so none runs on BLAS
+    worker threads."""
+    if not ms:
+        return {}
+    top = max(ms)
+    leaves = -(-top // _LEAF)
+    rests = {}
+    for m in ms:
+        rests.setdefault(m % _LEAF, []).append(m)
+    # n + i for the Bernoullis of leaf b in column b
+    ni = n + np.arange(leaves * _LEAF, dtype=float).reshape(leaves, _LEAF).T.copy()
+    total = theta + ni
+    p, q = theta / total, np.divide(ni, total, out=ni)
+    cols = np.zeros((_LEAF + 1, leaves))
+    cols[0] = 1.0
+    moved = np.empty((_LEAF, leaves))
+    multiply, add = np.multiply, np.add
+    tails = {}
+    for s in range(_LEAF):
+        # cols[k] = cols[k] * q_s + cols[k - 1] * p_s, k <= s + 1, with
+        # `out` by position into buffers made once
+        below, here, up = moved[: s + 1], cols[: s + 1], cols[1 : s + 2]
+        multiply(here, p[s], below)
+        multiply(here, q[s], here)
+        add(up, below, up)
+        for m in rests.get(s + 1, ()):
+            tails[m] = _trim(0, cols[: s + 2, m // _LEAF].copy())
+    # the nodes of the lowest levels, one column each; level l has blocks
+    # of _LEAF * 2**l Bernoullis
+    levels = []
+    full = top // _LEAF
+    if full:
+        levels.append(_trim_columns(cols[:, :full], np.zeros(full, dtype=np.int64)))
+        while len(levels) <= _COLUMN_LEVELS and levels[-1][1].size > 1:
+            cols, offs, _ = levels[-1]
+            pairs, rows = offs.size // 2, cols.shape[0]
+            left, right = cols[:, 0 : 2 * pairs : 2], cols[:, 1 : 2 * pairs : 2]
+            # out[k + t] += left[k] * right[t], summed over k in order
+            out, term = np.zeros((2 * rows - 1, pairs)), np.empty((rows, pairs))
+            for k in range(rows):
+                multiply(right, left[k], term)
+                add(out[k : k + rows], term, out[k : k + rows])
+            levels.append(_trim_columns(out, offs[0 : 2 * pairs : 2] + offs[1 : 2 * pairs : 2]))
+    # heads[e]: the product over the first e leaves, e's blocks from its
+    # top bit down, each a product of the last head and the next block
+    nodes, heads, pmfs = {}, {}, {}
+    for m in ms:
+        off, vec, e, q = 0, np.ones(1), 0, m // _LEAF
+        for level in reversed(range(q.bit_length())):
+            if q >> level & 1:
+                e += 1 << level
+                if e not in heads:
+                    off_b, block = _tree_node(levels, nodes, level, (e >> level) - 1)
+                    heads[e] = _trim(off + off_b, np.convolve(vec, block))
+                off, vec = heads[e]
+        if m in tails:
+            off_t, tail = tails[m]
+            off, vec = _trim(off + off_t, np.convolve(vec, tail))
+        probs = np.zeros(m + 1)
+        probs[off : off + vec.size] = vec
+        pmfs[m] = Pmf(probs / probs.sum())
+    return pmfs
+
+
 def posterior_pmfs(params: PYParams, sample: SampleSummary, ms) -> dict[int, Pmf]:
     """Exact posterior pmfs at the m of `ms` up to DP_MAX, the one place
     that picks an exact route.  Every m of `ms` is checked first; those
     above DP_MAX are left out of the result, as their exact replicates
     come from the thinning chain (`samplers.sample_k_future`), not a pmf.
 
-    Given (n, j), K_{n,m} has the law of K*_R (Pitman, 1996): R ~
+    At alpha = 0, K_{n,m} is a sum of m independent Bernoulli(theta /
+    (theta + n + i)), and its pmf is their product by convolution
+    (`_bernoulli_product_pmfs`): one product tree to the grid's largest
+    m, from which each m takes its dyadic blocks.  It is exact up to the
+    entries below `_DP_FLOOR` that each block and partial product drops,
+    and shares no arithmetic with the DP reference.
+
+    At alpha > 0, K_{n,m} has the law of K*_R (Pitman, 1996): R ~
     BetaBinomial(m; theta + alpha j, n - alpha j) of the m draws leave the
     seen species, and K*_r is the species count of r draws of the prior
     chain with theta' = theta + alpha j.  R's window is where its weight
     is at least `_DP_FLOOR`, [r_lo, r_hi], and one prior pass to the
-    largest r_hi of the grid mixes every m (`_mixture_pmfs`).  Each m's
-    window and weights depend only on (alpha, theta, n, j, m), so a grid
-    gives each m the pmf a call for m alone gives.  The mass dropped is
-    the band floor's, at most (2m + 2) * _DP_FLOOR, plus R's weight
-    outside its window, at most (m + 1) * _DP_FLOOR."""
+    largest r_hi of the grid mixes every m (`_mixture_pmfs`).  The mass
+    dropped is the band floor's, at most (2m + 2) * _DP_FLOOR, plus R's
+    weight outside its window, at most (m + 1) * _DP_FLOOR.
+
+    On both routes each m's pmf depends only on (alpha, theta, n, j, m),
+    so a grid gives each m the pmf a call for m alone gives."""
     ms = list(ms)
     for m in ms:
         check_count(m)
     a, n, j = params.alpha, sample.n, sample.j
+    served = {m for m in ms if m <= DP_MAX}
+    if a == 0.0:
+        return _bernoulli_product_pmfs(params.theta, n, served)
     theta_total = params.theta + a * j
     windows = {}
-    for m in {m for m in ms if m <= DP_MAX}:
+    for m in served:
         w = np.exp(_beta_binomial_log_weights(theta_total, n - a * j, m))
         (kept,) = np.nonzero(w >= _DP_FLOOR)
         windows[m] = (int(kept[0]), w[kept[0] : kept[-1] + 1])
@@ -372,7 +521,7 @@ def posterior_pmfs(params: PYParams, sample: SampleSummary, ms) -> dict[int, Pmf
 def posterior_pmf_dp(params: PYParams, sample: SampleSummary, m: int) -> Pmf:
     """Exact posterior pmf of the new-species count by one pass of the
     forward recursion over the posterior predictive chain to m, the
-    reference that `posterior_pmfs`' mixture is checked against; entries
+    reference that both routes of `posterior_pmfs` are checked against; entries
     below `_DP_FLOOR` at the edges of the band are dropped, at most
     (2m + 2) * _DP_FLOOR in all."""
     check_count(m)

@@ -184,6 +184,21 @@ def sample_from_pmf(pmf: Pmf, rng: RngStream, size):
     return rng.generator().choice(pmf.probs.size, size=count, p=pmf.probs)
 
 
+def _pmf_order_statistics(pmf: Pmf, rng: RngStream, size: int, ranks) -> list[int]:
+    """The draws at the 1-based `ranks` of `size` draws of `sample_from_pmf`,
+    its bits without its other draws: the same `size` uniforms, of which
+    only those at `ranks` are inverted on the same normalised cdf.  The
+    inverse cdf is nondecreasing, so the uniform at a rank maps to the draw
+    at that rank.  Counts `size` draws."""
+    count = _as_batch(size)
+    _count(count)
+    u = rng.generator().random(count)
+    u = np.partition(u, [r - 1 for r in ranks])
+    cdf = pmf.probs.cumsum()
+    cdf /= cdf[-1]
+    return [int(cdf.searchsorted(u[r - 1], side="right")) for r in ranks]
+
+
 def sample_prior_kstar(alpha: float, theta_total: float, m: int, rng: RngStream, size):
     """Species count among m draws of the prior predictive chain started
     from an empty sample (the first draw always founds a species)."""
@@ -199,9 +214,11 @@ def _neg_log_sinc(y: np.ndarray) -> np.ndarray:
     """-log(sin(y)/y) on [0, pi); below y = 0.1 its Taylor series
     sum_k zeta(2k)/(k*pi^(2k)) * y^(2k), five terms, keeps relative accuracy."""
     y2 = y * y
-    series = y2 * (1 / 6 + y2 * (1 / 180 + y2 * (1 / 2835 + y2 * (1 / 37800 + y2 / 467775))))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(y < 0.1, series, -np.log(np.sin(y) / y))
+    out = y2 * (1 / 6 + y2 * (1 / 180 + y2 * (1 / 2835 + y2 * (1 / 37800 + y2 / 467775))))
+    far = y >= 0.1
+    y = y[far]
+    out[far] = -np.log(np.sin(y) / y)
+    return out
 
 
 def _log_zolotarev_excess(u: np.ndarray, alpha: float) -> np.ndarray:
@@ -239,7 +256,8 @@ def sample_mittag_leffler(alpha: float, q: float, rng: RngStream, size):
     gen = rng.generator()
     b = (1.0 - alpha) * q
     s = math.pi * math.sqrt(alpha * b / 2.0)
-    angles = np.empty(count)
+    # g at the kept angles, from the evaluation that accepted them
+    excess = np.empty(count)
     filled = 0
     rounds = 0
     while filled < count:
@@ -255,14 +273,14 @@ def sample_mittag_leffler(alpha: float, q: float, rng: RngStream, size):
         _count(2 * k)
         # s underflows to 0 only where the envelope is flat to rounding
         u = erfinv(v[:k] * math.erf(s)) / s if s > 0.0 else v[:k]
-        ok = np.log(v[k:]) <= (s * u) ** 2 - b * _log_zolotarev_excess(u, alpha)
-        take = u[ok][:todo]
-        angles[filled : filled + take.size] = take
+        g = _log_zolotarev_excess(u, alpha)
+        take = g[np.log(v[k:]) <= (s * u) ** 2 - b * g][:todo]
+        excess[filled : filled + take.size] = take
         filled += take.size
     gam = gen.gamma(b + 1.0, size=count)
     _count(count)
     log_a0 = (alpha * math.log(alpha) + (1.0 - alpha) * math.log1p(-alpha)) / (1.0 - alpha)
-    return np.exp((1.0 - alpha) * (np.log(gam) - log_a0 - _log_zolotarev_excess(angles, alpha)))
+    return np.exp((1.0 - alpha) * (np.log(gam) - log_a0 - excess))
 
 
 def sample_ml_limit(params: PYParams, sample: SampleSummary, m: int, rng: RngStream, size):

@@ -482,13 +482,13 @@ class TestBenchmarkCommand:
             chain_ms.append(m)
             return real_chain(params, sample, m, rng, size)
 
-        def from_pmf(pmf, rng, size):
+        def from_pmf(pmf, rng, size, ranks):
             pmf_ms.append(pmf.support_max)
-            return real_from_pmf(pmf, rng, size)
+            return real_from_pmf(pmf, rng, size, ranks)
 
-        real_chain, real_from_pmf = intervals.sample_k_future, intervals.sample_from_pmf
+        real_chain, real_from_pmf = intervals.sample_k_future, intervals._pmf_order_statistics
         monkeypatch.setattr(intervals, "sample_k_future", chain)
-        monkeypatch.setattr(intervals, "sample_from_pmf", from_pmf)
+        monkeypatch.setattr(intervals, "_pmf_order_statistics", from_pmf)
         out = tmp_path / "x.csv"
         grid = f"{DP_MAX - 1}..{DP_MAX + 1}:3"
         code = main(["benchmark", "--suite", "est", "--est-dir", str(tmp_path), "--m-grid", grid,

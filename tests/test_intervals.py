@@ -4,7 +4,15 @@ import pytest
 from unseen.errors import DomainError, MethodUnavailableError, SizeLimitError
 from unseen import intervals, model, samplers
 from unseen.intervals import CredibleInterval, _equal_tailed, coverage, exact_interval, ml_interval
-from unseen.model import DP_MAX, PYParams, SampleSummary, posterior_mean, posterior_pmf_dp
+from unseen.model import (
+    DP_MAX,
+    Pmf,
+    PYParams,
+    SampleSummary,
+    posterior_mean,
+    posterior_pmf_dp,
+    posterior_pmfs,
+)
 from unseen.samplers import RngStream
 
 from conftest import TAB0
@@ -35,6 +43,32 @@ def test_equal_tailed_ranks_exact_for_decimal_levels(r, level, ranks):
     arithmetic, which 1 - level in floats can overshoot by a rank."""
     draws = np.arange(1.0, r + 1.0)
     assert _equal_tailed(draws[::-1].copy(), level) == tuple(float(k) for k in ranks)
+
+
+_ORDER_STAT_PMFS = {
+    "zeros_inside": lambda: Pmf(np.array([0.25, 0.0, 0.0, 0.5, 0.0, 0.25])),
+    "mixture": lambda: posterior_pmfs(PYParams(0.5, 0.5), SampleSummary(2, 1), [300])[300],
+    "dirichlet_product": lambda: posterior_pmfs(PYParams(0.0, 206.07), SampleSummary(2000, 489),
+                                                [5000])[5000],
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ORDER_STAT_PMFS))
+@pytest.mark.parametrize("samples", [100, 101, 2000, 2001])
+@pytest.mark.parametrize("level", [0.5, 0.9, 0.95, 0.99])
+def test_pmf_interval_from_two_order_statistics(name, samples, level):
+    """The pmf route inverts only the uniforms at the endpoints' ranks; its
+    interval is the bytes of `sample_from_pmf`'s full set of draws cut by
+    `_equal_tailed`, and by a full sort, and it counts `samples` draws."""
+    pmf = _ORDER_STAT_PMFS[name]()
+    m, rng = pmf.support_max, RngStream(17, samples)
+    draws = samplers.sample_from_pmf(pmf, rng, size=samples).astype(float)
+    before = samplers.draw_count()
+    ci = exact_interval(PYParams(0.5, 0.5), SampleSummary(2, 1), m, level, samples, rng, pmf=pmf)
+    assert samplers.draw_count() - before == samples
+    assert (ci.lo, ci.hi) == _equal_tailed(draws, level)
+    ranks = intervals._tail_ranks(samples, level)
+    assert (ci.lo, ci.hi) == tuple(np.sort(draws)[r - 1] for r in ranks)
 
 
 class TestExactInterval:
@@ -125,7 +159,7 @@ class TestExactInterval:
             raise AssertionError("no pmf pass above DP_MAX")
 
         monkeypatch.setattr(model, "_chain_steps", no_pmf)
-        monkeypatch.setattr(intervals, "sample_from_pmf", no_pmf)
+        monkeypatch.setattr(intervals, "_pmf_order_statistics", no_pmf)
         params, sample, m = PYParams(0.5, 0.5), SampleSummary(2, 1), DP_MAX + 1
         ci = exact_interval(params, sample, m, 0.95, 100, RngStream(10))
         chain = samplers.sample_k_future(params, sample, m, RngStream(10), size=100)

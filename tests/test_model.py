@@ -710,6 +710,100 @@ def test_mixture_against_mpmath(alpha, theta, n, j, m):
     assert np.max(np.abs(got.probs - _pmf_mpmath(alpha, theta, n, j, m))) <= 1e-13
 
 
+def _extended_recursion(theta, n, ms):
+    """Pmfs at the m of `ms` of the sum of Bernoulli(theta / (theta + n +
+    i)), i < m, by the per-draw update P_k q + P_{k-1} p in long double
+    (64-bit significand on x86-64), each p and q formed directly: a
+    reference about 2**-11 of a float's rounding away from exact."""
+    top = max(ms)
+    probs = np.zeros(top + 1, dtype=np.longdouble)
+    probs[0] = 1
+    theta = np.longdouble(theta)
+    out = {0: np.ones(1)} if 0 in ms else {}
+    lo, hi = 0, 1
+    for i in range(top):
+        hi = min(hi + 1, top + 1)
+        ni = np.longdouble(n + i)
+        band = probs[lo:hi]
+        moved = band[:-1] * (theta / (theta + ni))
+        band *= ni / (theta + ni)
+        band[1:] += moved
+        while probs[lo] < 1e-40:
+            probs[lo] = 0
+            lo += 1
+        while probs[hi - 1] < 1e-40:
+            probs[hi - 1] = 0
+            hi -= 1
+        if i + 1 in ms:
+            head = probs[: i + 2]
+            out[i + 1] = (head / head.sum()).astype(float)
+    return out
+
+
+DIRICHLET_MS = (0, 1, 63, 64, 65, 1000, 20000)
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).nmant < 63, reason="needs an extended long double")
+@pytest.mark.parametrize("theta", [1e-4, 1.0, 210.9, 1e6, 1e300])
+@pytest.mark.parametrize("n,j", [(1, 1), (10, 3), (2000, 496), (2000, 2000)])
+def test_bernoulli_product_against_recursions(theta, n, j):
+    """At alpha = 0 `posterior_pmfs` is the Bernoulli product.  Each pmf
+    has no negative entry, one run of entries at or above the floor and 0
+    outside it, and sums to 1 within 1e-12.  It is within 1e-15 of the
+    long-double recursion, and within 1e-15 of `plain_recursion` beyond
+    that recursion's own distance from the long-double one: at theta = 1
+    and n = 2000, its 20 000 roundings of 1 - p put it 2e-15 off."""
+    pmfs = posterior_pmfs(PYParams(0.0, theta), SampleSummary(n, j), DIRICHLET_MS)
+    assert sorted(pmfs) == list(DIRICHLET_MS)
+    plain = _recursion_grid(PYParams(0.0, theta), SampleSummary(n, j), set(DIRICHLET_MS))
+    extended = _extended_recursion(theta, n, DIRICHLET_MS)
+    for m in DIRICHLET_MS:
+        got = pmfs[m].probs
+        assert got.min() >= 0.0 and abs(got.sum() - 1.0) <= 1e-12, m
+        live = np.flatnonzero(got)
+        assert live[-1] - live[0] + 1 == live.size, m
+        assert got[live].min() >= 0.5 * model._DP_FLOOR, m
+        assert np.max(np.abs(got - extended[m])) <= 1e-15, m
+        own = np.max(np.abs(plain[m] - extended[m]))
+        assert np.max(np.abs(got - plain[m])) <= 1e-15 + own, m
+
+
+@pytest.mark.parametrize("theta", [1e-4, 206.07367960501995, 1e6, 1e300])
+@pytest.mark.parametrize("grid", [
+    pytest.param("readme", id="readme_grid"),
+    pytest.param([model.DP_MAX - 1, model.DP_MAX, model.DP_MAX + 1], id="dp_max"),
+])
+def test_bernoulli_product_independent_of_grid(theta, grid):
+    """Every pmf of the product over a grid is bitwise the pmf of a call
+    for its m alone: on the README sweep's 50-point grid 0..5n, and across
+    DP_MAX, where the last m gets no pmf."""
+    from unseen.cli import _parse_m_grid
+
+    params, sample = PYParams(0.0, theta), SampleSummary(2000, 489)
+    if grid == "readme":
+        grid = _parse_m_grid("0..5n", sample.n)
+        assert len(grid) == 50
+    pmfs = posterior_pmfs(params, sample, grid)
+    assert sorted(pmfs) == [m for m in sorted(grid) if m <= model.DP_MAX]
+    for m in pmfs:
+        single = posterior_pmfs(params, sample, [m])[m]
+        assert pmfs[m].probs.tobytes() == single.probs.tobytes(), m
+
+
+def test_bernoulli_product_runs_no_chain(monkeypatch):
+    """At alpha = 0 no pmf of `posterior_pmfs` runs the chain kernel, and
+    the DP reference still does."""
+    def no_chain(*args):
+        raise AssertionError("the chain kernel ran")
+
+    params, sample = PYParams(0.0, 206.07), SampleSummary(2000, 489)
+    dp = posterior_pmf_dp(params, sample, 3000)
+    monkeypatch.setattr(model, "_chain_steps", no_chain)
+    got = posterior_pmfs(params, sample, [0, 3000, model.DP_MAX + 1])
+    assert sorted(got) == [0, 3000] and got[0].probs.tolist() == [1.0]
+    assert np.max(np.abs(got[3000].probs - dp.probs)) <= 1e-12
+
+
 @pytest.mark.parametrize("n", [1, 9999, 10000, 10001, 20000, 25017])
 def test_dot_in_pieces(n):
     """`_dot` is bitwise x @ y up to 10 000 entries, and above that the

@@ -3,6 +3,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from scipy.special import erfinv
 
 from unseen import samplers
 from unseen.errors import DomainError, MethodUnavailableError, SizeLimitError
@@ -452,6 +453,58 @@ class TestMittagLeffler:
             sample_mittag_leffler(0.0, 1.0, RngStream(0), size=1)
         with pytest.raises(DomainError):
             sample_mittag_leffler(0.5, -1.0, RngStream(0), size=1)
+
+
+def _where_neg_log_sinc(y):
+    """-log(sin(y)/y) with both branches evaluated everywhere, as the
+    sampler once formed it."""
+    y2 = y * y
+    series = y2 * (1 / 6 + y2 * (1 / 180 + y2 * (1 / 2835 + y2 * (1 / 37800 + y2 / 467775))))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(y < 0.1, series, -np.log(np.sin(y) / y))
+
+
+def _where_log_zolotarev_excess(u, alpha):
+    x, h = np.pi * u, _where_neg_log_sinc
+    return (h(x) - alpha * h(alpha * x) - (1.0 - alpha) * h((1.0 - alpha) * x)) / (1.0 - alpha)
+
+
+def _two_evaluation_mittag_leffler(alpha, q, rng, size):
+    """`sample_mittag_leffler` as it was: g evaluated on every proposal and
+    again on the kept angles, each time through `_where_neg_log_sinc`."""
+    gen = rng.generator()
+    b = (1.0 - alpha) * q
+    s = math.pi * math.sqrt(alpha * b / 2.0)
+    angles, filled = np.empty(size), 0
+    while filled < size:
+        todo = size - filled
+        k = max(todo, min(2 * todo, samplers._CHUNK))
+        v = gen.random(2 * k)
+        u = erfinv(v[:k] * math.erf(s)) / s if s > 0.0 else v[:k]
+        ok = np.log(v[k:]) <= (s * u) ** 2 - b * _where_log_zolotarev_excess(u, alpha)
+        take = u[ok][:todo]
+        angles[filled : filled + take.size] = take
+        filled += take.size
+    gam = gen.gamma(b + 1.0, size=size)
+    log_a0 = (alpha * math.log(alpha) + (1.0 - alpha) * math.log1p(-alpha)) / (1.0 - alpha)
+    excess = _where_log_zolotarev_excess(angles, alpha)
+    return np.exp((1.0 - alpha) * (np.log(gam) - log_a0 - excess))
+
+
+@pytest.mark.parametrize("alpha", [1e-6, 0.3, 0.5, 0.9, 0.999999])
+@pytest.mark.parametrize("q", [0.01, 3.0, 1e4, 1e8])
+def test_mittag_leffler_keeps_its_bytes(alpha, q):
+    """One evaluation of g per proposal, with the log-sin branch only where
+    y >= 0.1, draws the bytes of the two-evaluation, both-branch form."""
+    rng = RngStream(23, int(q * 100) % 1_000_003)
+    got = sample_mittag_leffler(alpha, q, rng, size=3000)
+    assert got.tobytes() == _two_evaluation_mittag_leffler(alpha, q, rng, 3000).tobytes()
+
+
+def test_neg_log_sinc_keeps_its_bytes():
+    y = np.concatenate([[0.0, 0.1, np.nextafter(0.1, 0.0)], np.linspace(0.0, 3.1, 5001),
+                        np.logspace(-12, 0.49, 501)])
+    assert samplers._neg_log_sinc(y).tobytes() == _where_neg_log_sinc(y).tobytes()
 
 
 class TestMlLimit:
